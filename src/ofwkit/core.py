@@ -7,6 +7,7 @@ on [0, 1] that the Frank-Wolfe updates use to pick a step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "StepCoefficients",
     "as_vector",
     "dot",
+    "l2_norm",
     "lp_norm",
     "line_search_quadratic",
 ]
@@ -39,6 +41,25 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v))
 
 
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm, finite for every finite vector.
+
+    The plain norm sums squares, which overflow once ``||v||`` passes
+    about 1e154; only then is it recomputed on ``v / max|v|``, so the
+    common case pays one extra comparison.
+    """
+    try:
+        n = float(np.linalg.norm(v))
+    except (FloatingPointError, RuntimeWarning):
+        # numpy reports the overflow this way under errstate(all="raise")
+        # or when warnings are errors.
+        n = math.inf
+    if n == math.inf:
+        m = float(np.abs(v).max())
+        n = m * float(np.linalg.norm(v / m))
+    return n
+
+
 def lp_norm(v: np.ndarray, p: float) -> float:
     """lp norm of a vector for p >= 1.
 
@@ -49,7 +70,7 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
-        return float(np.linalg.norm(v))
+        return l2_norm(v)
     a = np.abs(v)
     if p == 1:
         return float(a.sum())

@@ -14,6 +14,7 @@ round t can be reproduced without replaying rounds 1..t-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,9 +61,10 @@ def round_seed(seed: int, t: int) -> int:
 class LossSpec:
     """Declares one adversary: kind, dimension, base seed, and constants.
 
-    ``G`` is the gradient norm for linear losses (must be positive there,
-    unused otherwise). ``lam`` is the strong-convexity modulus for
-    quadratic losses (must be positive there, unused otherwise).
+    ``G`` is the gradient norm for linear losses (must be positive and
+    finite there, unused otherwise). ``lam`` is the strong-convexity modulus
+    for quadratic losses (must be positive and finite there, unused
+    otherwise).
     """
 
     kind: str
@@ -78,10 +80,10 @@ class LossSpec:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.kind == LINEAR and not (self.G > 0.0):
-            raise ValueError(f"linear losses need G > 0, got {self.G!r}")
-        if self.kind == QUADRATIC and not (self.lam > 0.0):
-            raise ValueError(f"quadratic losses need lam > 0, got {self.lam!r}")
+        if self.kind == LINEAR and not (0.0 < self.G < math.inf):
+            raise ValueError(f"linear losses need a finite G > 0, got {self.G!r}")
+        if self.kind == QUADRATIC and not (0.0 < self.lam < math.inf):
+            raise ValueError(f"quadratic losses need a finite lam > 0, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

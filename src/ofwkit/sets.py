@@ -12,15 +12,16 @@ is the Euclidean diameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import as_vector, lp_norm
+from .core import as_vector, l2_norm, lp_norm
 
 __all__ = [
     "DEFAULT_FEASIBILITY_TOL",
+    "MIN_P_GAP",
     "ZERO_GRADIENT_TOL",
     "FeasibleSet",
     "L2Ball",
@@ -34,6 +35,8 @@ DEFAULT_FEASIBILITY_TOL = 1e-9
 # linear objective up to noise; the lmo then returns the anchor so runs
 # stay deterministic.
 ZERO_GRADIENT_TOL = 1e-12
+# Smallest p - 1 an LpBall accepts.
+MIN_P_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class FeasibleSet:
         treated as ties and resolved to ``anchor()``.
         """
         g = as_vector(g, self.dim)
-        if float(np.linalg.norm(g)) <= ZERO_GRADIENT_TOL:
+        if l2_norm(g) <= ZERO_GRADIENT_TOL:
             return self.anchor()
         return self._lmo(g)
 
@@ -131,14 +134,14 @@ class L2Ball(_Ball):
     """Euclidean ball {x : ||x||_2 <= radius}."""
 
     def _norm(self, x):
-        return float(np.linalg.norm(x))
+        return l2_norm(x)
 
     def _lmo(self, g):
-        return (-self.radius / float(np.linalg.norm(g))) * g
+        return (-self.radius / l2_norm(g)) * g
 
     def project(self, x):
         x = as_vector(x, self.dim)
-        n = float(np.linalg.norm(x))
+        n = l2_norm(x)
         if n <= self.radius:
             return x.copy()
         return (self.radius / n) * x
@@ -150,18 +153,20 @@ class L2Ball(_Ball):
 
 @dataclass(frozen=True)
 class LpBall(_Ball):
-    """lp ball {x : ||x||_p <= radius} for p in (1, 2].
+    """lp ball {x : ||x||_p <= radius} for p in [1 + 1e-9, 2].
 
     These bodies are strongly convex, with modulus degrading in the
-    dimension as d^(1/2 - 1/p).
+    dimension as d^(1/2 - 1/p). The projection's entry equations are
+    1/(p-1) times worse conditioned than its input, so p closer to 1 than
+    ``MIN_P_GAP`` would leave it fewer than 7 correct digits.
     """
 
     p: float = 1.5
 
     def __post_init__(self):
         super().__post_init__()
-        if not (1.0 < self.p <= 2.0):
-            raise ValueError(f"p must lie in (1, 2], got {self.p!r}")
+        if not (1.0 + MIN_P_GAP <= self.p <= 2.0):
+            raise ValueError(f"p must lie in [1 + {MIN_P_GAP:g}, 2], got {self.p!r}")
 
     def _norm(self, x):
         return lp_norm(x, self.p)
@@ -178,55 +183,169 @@ class LpBall(_Ball):
         return -self.radius * np.sign(g) * w
 
     def project(self, x):
+        """Euclidean projection onto the ball.
+
+        A point outside lands at ``sign(x) * b`` where each ``b_i >= 0``
+        solves ``b + c * b**(p-1) = |x_i|`` and the dual scale ``c > 0``
+        makes ``||b||_p = radius``. Both equations are solved by Newton's
+        method at O(d) per iteration; see ``_shrink_to_lp_sphere``.
+        """
         x = as_vector(x, self.dim)
-        if self._norm(x) <= self.radius:
+        ax = np.abs(x)
+        scale = float(ax.max())
+        if scale == 0.0:
             return x.copy()
-        a = np.abs(x)
-        scale = float(a.max())
-        a = a / scale
-        target = self.radius / scale
-
-        def residual(c):
-            return lp_norm(_shrink_lp(a, c, self.p), self.p) - target
-
-        # residual(0) > 0 since x is outside; grow the bracket until the
-        # shrunk point is inside, then root-find the dual scale.
-        hi = 1.0
-        for _ in range(200):
-            if residual(hi) <= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("projection bracket failed to close")
-        c = brentq(residual, 0.0, hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
-        b = _shrink_lp(a, c, self.p)
-        # Snap to the boundary so downstream feasibility checks at tight
-        # tolerances see the projected point as inside.
-        b *= target / lp_norm(b, self.p)
-        return np.sign(x) * (scale * b)
+        # Work on |x| / max|x|, as lp_norm does, so no power overflows.
+        a = ax / scale
+        t = self.radius / scale
+        if t < _MIN_RADIUS_RATIO:
+            # The solve's sums scale like t**(2p-1) and would underflow.
+            raise ValueError(
+                f"lp projection: max|x| = {scale!r} exceeds the radius by more than "
+                f"{1.0 / _MIN_RADIUS_RATIO:g} times"
+            )
+        y = a ** (self.p - 1.0)
+        mass = float(a.dot(y))  # ||a||_p^p
+        if math.log(mass) / self.p <= math.log(t):
+            return x.copy()
+        b, mass = _shrink_to_lp_sphere(a, y, mass, t, self.p)
+        # Snap to the boundary so feasibility checks at tight tolerances
+        # see the projected point as inside.
+        return np.copysign(b * (self.radius / mass ** (1.0 / self.p)), x)
 
     @property
     def strong_convexity(self) -> float:
         return (self.p - 1.0) * self.dim ** (0.5 - 1.0 / self.p) / self.radius
 
 
-def _shrink_lp(a: np.ndarray, c: float, p: float) -> np.ndarray:
-    """Solve b + c*b**(p-1) = a elementwise for b in [0, a].
+# Newton's error after a step of relative size s is of order s**2, so a
+# scale step this small ends the solve.
+_NEWTON_RTOL = 1e-8
+_NEWTON_MAX_ITER = 100
+# Scale steps taken with one entry step each before the entries are solved.
+_JOINT_ITERS = 20
+# Relative error in the projection the solve aims for. The stopping tests
+# predict the error Newton leaves after one more step and compare it with
+# this; the tests of this module require agreement to 1e-12.
+_TARGET = 1e-14
+_EPS = float(np.finfo(float).eps)
+# Scale steps larger than this share of c / k also clamp the entries.
+_CLAMP_STEP = 0.1
+# Smallest radius / max|x| LpBall.project accepts.
+_MIN_RADIUS_RATIO = 1e-60
 
-    The map is increasing in b, so a fixed-depth bisection converges
-    geometrically; 80 halvings put the bracket far below float spacing
-    relative to each entry's scale.
+
+def _shrink_to_lp_sphere(a, y, mass, t, p):
+    """The b >= 0 with b + c*b**(p-1) = a and ||b||_p = t, for some c > 0,
+    and its ``sum(b**p)``.
+
+    ``a`` lies in [0, 1] with max 1, ``y = a**(p-1)`` and
+    ``mass = ||a||_p^p > t^p``.
+
+    Entries: in ``y = b**(p-1)`` the equation is ``psi(y) = y**k + c*y - a
+    = 0`` with ``k = 1/(p-1) >= 1``, convex and increasing in y, so a
+    Newton step from any y > 0 lands right of the root and later steps
+    descend to it monotonically. ``min(a**(p-1), a/c)`` bounds the root
+    from above within a factor 2; it clamps the entries after large scale
+    steps. Then ``b = y**k``, ``b**p = b*y`` and ``dy/dc = -y/psi'(y)``.
+
+    Scale: Newton on ``sum(b**p)**(1/q) = t**(p-1)`` (q = k+1, the dual
+    exponent), which is linear in c for p = 2 and for large c. Each scale
+    step takes one entry step at the new c from the current entries
+    instead of solving them, and corrects for their residual, so the pair
+    is a Newton step on the whole system, O(d) per iteration. The entries
+    stay right of their roots, so a point whose ``||b||_p`` is at most t
+    bounds c from above; with solved entries, one above t bounds it from
+    below. A step that leaves this bracket, or fails to halve the one
+    before, is replaced by bisection with the entries solved.
     """
-    if c <= 0.0:
-        return a.copy()
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        over = mid + c * mid ** (p - 1.0) > a
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-    return 0.5 * (lo + hi)
+    k = 1.0 / (p - 1.0)
+    q = k + 1.0
+    top = y  # the entries at c = 0, an upper bound for every c
+    log_t = math.log(t)
+    # Rounding noise in log(||b||_p / t): b = y**k magnifies that of y by
+    # k. A point this close to the sphere is final, which ends solves whose
+    # c is too small, or k too large, for its steps to settle.
+    log_tol = 16.0 * _EPS * (k + abs(log_t))
+    # A relative error e in c or y moves b by up to k*e, so the tolerances
+    # on both shrink by k, down to the spacing y can resolve.
+    rtol, target = _NEWTON_RTOL / k, _TARGET / k
+    # After an entry step of e relative to y, the next error is at most
+    # (k-1)/2 * e**2 relative.
+    y_tol = max(math.sqrt(2.0 * target / max(k - 1.0, 1.0)), 16.0 * _EPS)
+    hi = float((a**q).sum()) ** (1.0 / q) / t ** (p - 1.0)
+    c = 0.0
+    yk1 = y ** (k - 1.0)
+    # y*psi' - psi, the numerator of a Newton step. It must use b = y**k
+    # rather than a: y carries rounding that b would see magnified by k.
+    numer = (k - 1.0) * (yk1 * y) + a
+    dpsi = k * yk1
+    # At c = 0 the entries are exact, and sum(b*y / psi') = sum(y*y) / k.
+    weight, excess = float(y.dot(y)) / k, 0.0
+    last = 0.0  # relative size of the last Newton step; 0 after a safeguard
+    lo, exact = 0.0, True  # exact: the entries solve psi = 0 at this c
+    for it in range(_NEWTON_MAX_ITER):
+        log_ratio = math.log(mass) / p - log_t  # log(||b||_p / t), > 0 at c = 0
+        if log_ratio <= 0.0:
+            hi = c
+        elif exact:
+            lo = c
+        step = (mass * math.expm1((p - 1.0) * log_ratio) - excess) / weight
+        c_next = c + step
+        rel = abs(step) / c_next if c_next > 0.0 else math.inf
+        converged = rel <= rtol or rel**3 <= target * last**2 or hi - lo <= rtol * hi
+        # The entries' own next step, y - numer/psi', must be small too.
+        done = (converged or abs(log_ratio) <= log_tol) and (
+            c == 0.0 or float((y - numer / dpsi).max()) <= y_tol * float(y.max())
+        )
+        # Newton may leave the bracket or cycle inside it; then bisect, on
+        # entries solved exactly so that the bracket stays valid. Entries
+        # far from their roots take many steps when k is large, so a solve
+        # that has not settled goes on with them solved at every step.
+        bisect = not done and not (lo < c_next < hi and (last == 0.0 or rel <= 0.5 * last))
+        exact = bisect or it >= _JOINT_ITERS
+        last = rel
+        if bisect:
+            # The first step overshoots only when c is large, where the
+            # upper bound is close.
+            c_next = hi if c == 0.0 else 0.5 * (lo + hi)
+            last = 0.0
+        # One Newton step on psi at c_next from y: y - psi/psi'.
+        dc = c_next - c
+        y = numer / (dpsi + dc)
+        if exact or k * abs(dc) > _CLAMP_STEP * c_next:
+            # A step from left of the root overshoots by about k*dc/c, and
+            # from far off Newton on y**k creeps down by y/k per step.
+            cap = np.minimum(top, a / c_next)
+            y = np.minimum(y, cap)
+            if exact:
+                y = _solve_entries(a, c_next, y, cap, k, y_tol)
+        c = c_next
+        yk1 = y ** (k - 1.0)
+        b = yk1 * y
+        mass = float(b.dot(y))
+        if done:
+            return b, mass
+        dpsi = k * yk1 + c
+        numer = (k - 1.0) * b + a
+        # sum(b*y/psi') and sum(b*psi/psi'), the entries' residual seen
+        # by the scale equation.
+        u = b / dpsi
+        weight = float(u.dot(y))
+        excess = mass - float(u.dot(numer))
+    raise RuntimeError("lp projection: Newton did not converge")
+
+
+def _solve_entries(a, c, y, cap, k, tol):
+    """Newton on psi(y) = y**k + c*y - a from ``y``, clamped to ``cap``,
+    until a step is below ``tol`` relative to max(y)."""
+    for _ in range(_NEWTON_MAX_ITER):
+        yk1 = y ** (k - 1.0)
+        y_next = np.minimum(((k - 1.0) * (yk1 * y) + a) / (k * yk1 + c), cap)
+        if float(np.abs(y - y_next).max()) <= tol * float(y_next.max()):
+            return y_next
+        y = y_next
+    raise RuntimeError("lp projection: entry Newton did not converge")
 
 
 @dataclass(frozen=True)

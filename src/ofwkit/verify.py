@@ -250,9 +250,8 @@ def _set_checks() -> list[CheckResult]:
         out.append(_check_lmo_optimality(kind, domain))
         if domain.strong_convexity > 0.0:
             out.append(_check_strong_convexity_definition(kind, domain))
-        n_proj = 100 if isinstance(domain, LpBall) else 300
-        out.append(_check_projection_idempotent(kind, domain, n_proj))
-        out.append(_check_projection_nonexpansive(kind, domain, n_proj))
+        out.append(_check_projection_idempotent(kind, domain, 300))
+        out.append(_check_projection_nonexpansive(kind, domain, 300))
         out.append(_check_diameter(kind, domain))
     return out
 

@@ -120,3 +120,26 @@ def test_bounds_baseline_has_no_constant(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "C = none" in out
     assert "gap_bound(t=1) = none" in out
+
+
+INF_CONFIGS = {
+    "G": GOOD_CONFIG.replace("loss.G = 1", "loss.G = inf"),
+    "lambda": GOOD_CONFIG.replace("loss.kind = linear", "loss.kind = quadratic")
+    .replace("loss.G = 1", "loss.lambda = inf")
+    .replace("algo = ofw_ls", "algo = sc_ofw"),
+}
+
+
+@pytest.mark.parametrize("constant", sorted(INF_CONFIGS))
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+def test_non_finite_loss_constant_exits_two(tmp_path, capsys, constant, command):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(INF_CONFIGS[constant])
+    argv = [command, str(cfg)]
+    if command == "sweep":
+        argv += ["--horizons", "16,32"]
+    if command != "bounds":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1

@@ -5,6 +5,7 @@ from ofwkit.core import (
     StepCoefficients,
     as_vector,
     dot,
+    l2_norm,
     line_search_quadratic,
     lp_norm,
 )
@@ -110,3 +111,11 @@ def test_line_search_agrees_with_grid_oracle():
         exact = line_search_quadratic(StepCoefficients(a=a, b=b))
         coarse = grid_line_search(a, b, 10_001)
         assert abs(exact - coarse) <= 1e-4
+
+
+def test_l2_norm_survives_overflow_of_squares():
+    g = np.array([1e200, -1e200, 0.0])
+    with np.errstate(all="raise"):
+        assert l2_norm(g) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert lp_norm(g, 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert l2_norm(np.array([3.0, 4.0])) == 5.0

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,38 @@ def test_updates_do_not_mutate_inputs():
     np.testing.assert_array_equal(g, g_copy)
     np.testing.assert_array_equal(state.x, np.zeros(3))  # old state untouched
     assert nxt is not state
+
+
+@dataclass(frozen=True)
+class CountingL2Ball(L2Ball):
+    """An L2 ball that counts its oracle calls."""
+
+    calls: dict = field(default_factory=lambda: {"lmo": 0, "project": 0}, compare=False)
+
+    def lmo(self, g):
+        self.calls["lmo"] += 1
+        return super().lmo(g)
+
+    def project(self, x):
+        self.calls["project"] += 1
+        return super().project(x)
+
+
+@pytest.mark.parametrize(
+    "init, update",
+    [
+        (lambda dom: ofw_init(dom, horizon=64, G=1.0), ofw_update),
+        (lambda dom: scofw_init(dom, lam=1.0), scofw_update),
+        (lambda dom: ofw_decay_init(dom, horizon=64, G=1.0), baseline_update),
+    ],
+    ids=["ofw_ls", "sc_ofw", "ofw_decay"],
+)
+def test_projection_free_learners_use_one_lmo_and_no_projection_per_round(init, update):
+    # The paper's claim as a count: one linear-oracle call per round and no
+    # projections, whatever the gradients.
+    dom = CountingL2Ball(5, 1.0)
+    state = init(dom)
+    rng = np.random.default_rng(44)
+    for t in range(1, 65):
+        state = update(state, rng.standard_normal(5))
+        assert dom.calls == {"lmo": t, "project": 0}
