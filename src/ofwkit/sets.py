@@ -226,7 +226,7 @@ _NEWTON_MAX_ITER = 100
 _JOINT_ITERS = 20
 # Relative error in the projection the solve aims for. The stopping tests
 # predict the error Newton leaves after one more step and compare it with
-# this; the tests of this module require agreement to 1e-12.
+# this; tests/test_lp_projection.py checks the result to 1e-12.
 _TARGET = 1e-14
 _EPS = float(np.finfo(float).eps)
 # Scale steps larger than this share of c / k also clamp the entries.
