@@ -27,7 +27,9 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # Finite squares imply finite entries; only when they are not is the
+    # entrywise test needed, so a finite vector costs one dot product.
+    if not math.isfinite(_sum_of_squares(v)) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
@@ -41,22 +43,31 @@ def dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v))
 
 
-def l2_norm(v: np.ndarray) -> float:
-    """Euclidean norm, finite for every finite vector.
-
-    The plain norm sums squares, which overflow once ``||v||`` passes
-    about 1e154; only then is it recomputed on ``v / max|v|``, so the
-    common case pays one extra comparison.
-    """
+def _sum_of_squares(v: np.ndarray) -> float:
+    """``v . v`` for a 1-D float64 array; inf where the squares overflow."""
     try:
-        n = float(np.linalg.norm(v))
+        return float(v.dot(v))
     except (FloatingPointError, RuntimeWarning):
         # numpy reports the overflow this way under errstate(all="raise")
         # or when warnings are errors.
-        n = math.inf
+        return math.inf
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm, finite for every finite vector.
+
+    Equal to ``np.linalg.norm(v)``, which is ``sqrt(v . v)`` too, without
+    its dispatch. The squares overflow once ``||v||`` passes about 1e154;
+    only then is the norm recomputed on ``v / max|v|``, so the common case
+    pays one extra comparison.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        v = v.ravel()
+    n = math.sqrt(_sum_of_squares(v))
     if n == math.inf:
         m = float(np.abs(v).max())
-        n = m * float(np.linalg.norm(v / m))
+        n = m * math.sqrt(_sum_of_squares(v / m))
     return n
 
 

@@ -435,14 +435,14 @@ def run_experiment(
         if rnd.kind == LINEAR:
             grad_prefix = grad_prefix + rnd.gradient
             x_best = domain.lmo(grad_prefix)
-            comp = float(np.dot(grad_prefix, x_best))
+            comp = float(grad_prefix.dot(x_best))
         else:
             target_prefix = target_prefix + rnd.target
-            target_sq_prefix += float(np.dot(rnd.target, rnd.target))
+            target_sq_prefix += float(rnd.target.dot(rnd.target))
             x_best = domain.project(target_prefix / t)
             comp = 0.5 * rnd.lam * (
-                t * float(np.dot(x_best, x_best))
-                - 2.0 * float(np.dot(target_prefix, x_best))
+                t * float(x_best.dot(x_best))
+                - 2.0 * float(target_prefix.dot(x_best))
                 + target_sq_prefix
             )
 

@@ -107,11 +107,11 @@ def ofw_update(state: OfwState, g) -> OfwState:
     grad_f = state.eta * grad_sum + 2.0 * (state.x - state.x1)
     v = state.domain.lmo(grad_f)
     d = v - state.x
-    b = float(np.dot(d, d))
+    b = float(d.dot(d))
     if b <= ZERO_STEP_TOL**2:
         x_next = state.x
     else:
-        sigma = line_search_quadratic(StepCoefficients(a=float(np.dot(grad_f, d)), b=b))
+        sigma = line_search_quadratic(StepCoefficients(a=float(grad_f.dot(d)), b=b))
         x_next = state.x + sigma * d
     return OfwState(
         domain=state.domain,
@@ -168,16 +168,16 @@ def scofw_update(state: ScOfwState, g) -> ScOfwState:
     t = state.t + 1
     grad_sum = state.grad_sum + g
     iterate_sum = state.iterate_sum + state.x
-    iterate_sq_sum = state.iterate_sq_sum + float(np.dot(state.x, state.x))
+    iterate_sq_sum = state.iterate_sq_sum + float(state.x.dot(state.x))
     grad_f = grad_sum + state.lam * (t * state.x - iterate_sum)
     v = state.domain.lmo(grad_f)
     d = v - state.x
-    dd = float(np.dot(d, d))
+    dd = float(d.dot(d))
     if dd <= ZERO_STEP_TOL**2:
         x_next = state.x
     else:
         sigma = line_search_quadratic(
-            StepCoefficients(a=float(np.dot(grad_f, d)), b=0.5 * state.lam * t * dd)
+            StepCoefficients(a=float(grad_f.dot(d)), b=0.5 * state.lam * t * dd)
         )
         x_next = state.x + sigma * d
     return ScOfwState(

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, l2_norm
 from .sets import FeasibleSet
 
 __all__ = [
@@ -111,14 +111,14 @@ def make_linear_round(spec: LossSpec, t: int) -> LossRound:
         raise ValueError(f"round index must be >= 1, got {t}")
     rng = np.random.default_rng(round_seed(spec.seed, t))
     z = rng.standard_normal(spec.dim)
-    n = float(np.linalg.norm(z))
+    n = l2_norm(z)
     while n < 1e-12:
         z = rng.standard_normal(spec.dim)
-        n = float(np.linalg.norm(z))
+        n = l2_norm(z)
     g = (spec.G / n) * z
 
     def value_at(x):
-        return float(np.dot(g, x))
+        return float(g.dot(x))
 
     def grad_at(x):
         return g
@@ -139,7 +139,7 @@ def make_quadratic_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRou
 
     def value_at(x):
         d = x - theta
-        return 0.5 * lam * float(np.dot(d, d))
+        return 0.5 * lam * float(d.dot(d))
 
     def grad_at(x):
         return lam * (x - theta)

@@ -118,10 +118,14 @@ class _Ball(FeasibleSet):
         # spread over the interior rather than piled on the boundary.
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(self.dim)
-        while float(np.linalg.norm(z)) < 1e-12:
+        n = self._norm(z)
+        while n < 1e-12:
             z = rng.standard_normal(self.dim)
-        u = rng.uniform()
-        scale = self.radius * u ** (1.0 / self.dim) / self._norm(z)
+            n = self._norm(z)
+        # random() draws the same double as uniform(0, 1), without the
+        # argument broadcasting.
+        u = rng.random()
+        scale = self.radius * u ** (1.0 / self.dim) / n
         return scale * z
 
     @property
