@@ -9,7 +9,7 @@ measures regret against the exact hindsight comparator, and checks the
 a priori bounds and per-round surrogate gap schedules.
 """
 
-from .core import StepCoefficients, dot, line_search_quadratic, lp_norm
+from .core import dot, line_search_quadratic, lp_norm
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -59,7 +59,6 @@ from .verify import CheckResult, VerifyReport, verify_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "StepCoefficients",
     "dot",
     "line_search_quadratic",
     "lp_norm",

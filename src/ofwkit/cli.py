@@ -14,11 +14,9 @@ import argparse
 import sys
 
 from .harness import (
-    ALGO_OFW_DECAY,
-    ALGO_OFW_LS,
     ConfigError,
     ExperimentSpec,
-    certified_parameters,
+    certificate,
     emit_csv,
     gap_bound,
     parse_config,
@@ -26,9 +24,7 @@ from .harness import (
     sweep,
     sweep_csv,
     theorem_bound,
-    theorem_constant,
 )
-from .learners import ofw_step_size_parameter
 from .verify import SCOPES, verify_suite
 
 __all__ = ["main"]
@@ -70,10 +66,7 @@ def _cmd_sweep(args) -> int:
         horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
     except ValueError:
         raise ConfigError(f"--horizons must be a comma list of integers, got {args.horizons!r}")
-    try:
-        result = sweep(spec, horizons)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    result = sweep(spec, horizons)
     _write_text(args.out or spec.output, sweep_csv(result))
     violated = False
     for h, r, b in zip(result.horizons, result.regrets, result.bounds):
@@ -97,21 +90,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = _load_spec(args.config)
-    G, lam, diameter, alpha = certified_parameters(spec)
+    cert = certificate(spec)
     print(f"algo = {spec.algo}")
     print(f"T = {spec.horizon}")
-    print(f"G = {G:.17g}")
-    print(f"lambda = {lam:.17g}")
-    print(f"diameter = {diameter:.17g}")
-    print(f"set_modulus = {alpha:.17g}")
-    C = theorem_constant(spec)
-    print(f"C = {C:.17g}" if C is not None else "C = none")
-    if spec.algo in (ALGO_OFW_LS, ALGO_OFW_DECAY):
-        if spec.algo == ALGO_OFW_LS:
-            eta = ofw_step_size_parameter(diameter, G, spec.horizon)
-        else:
-            eta = diameter / (2.0 * G * spec.horizon**0.75)
-        print(f"eta = {eta:.17g}")
+    print(f"G = {cert.G:.17g}")
+    print(f"lambda = {cert.lam:.17g}")
+    print(f"diameter = {cert.diameter:.17g}")
+    print(f"set_modulus = {cert.alpha:.17g}")
+    print(f"C = {cert.C:.17g}" if cert.C is not None else "C = none")
+    if cert.eta is not None:
+        print(f"eta = {cert.eta:.17g}")
     rb = theorem_bound(spec, spec.horizon)
     print(
         f"regret_bound(T={spec.horizon}) = {rb:.17g}"

@@ -8,12 +8,10 @@ on [0, 1] that the Frank-Wolfe updates use to pick a step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "StepCoefficients",
     "as_vector",
     "dot",
     "l2_norm",
@@ -91,25 +89,14 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     return m * float(np.sum((a / m) ** p) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class StepCoefficients:
-    """Coefficients of the step-size objective ``sigma*a + sigma**2*b``.
-
-    ``a`` is the directional slope at the current point, ``b`` the curvature
-    term. ``b`` must be positive for the search to be well posed.
-    """
-
-    a: float
-    b: float
-
-
-def line_search_quadratic(coeffs: StepCoefficients) -> float:
+def line_search_quadratic(a: float, b: float) -> float:
     """Exact minimizer of ``sigma*a + sigma**2*b`` over sigma in [0, 1].
 
-    The unconstrained minimizer -a/(2b) is clamped to the closed interval,
-    so ties at the endpoints return the endpoint itself.
+    ``a`` is the directional slope at the current point, ``b`` the curvature
+    term, which must be positive. The unconstrained minimizer -a/(2b) is
+    clamped to the closed interval, so ties at the endpoints return the
+    endpoint itself.
     """
-    a, b = coeffs.a, coeffs.b
     if not (b > 0.0):
         raise ValueError(f"curvature coefficient must be positive, got {b}")
     return min(1.0, max(0.0, -a / (2.0 * b)))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .learners import (
     OGD,
     baseline_update,
     ofw_decay_init,
+    ofw_decay_step_size_parameter,
     ofw_init,
+    ofw_step_size_parameter,
     ofw_update,
     ogd_init,
     scofw_init,
@@ -47,17 +50,12 @@ __all__ = [
     "CSV_HEADER",
     "SWEEP_CSV_HEADER",
     "ConfigError",
+    "Certificate",
     "ExperimentSpec",
     "RegretTrace",
     "SweepResult",
     "parse_config",
-    "certified_parameters",
-    "ofw_regret_constant",
-    "scofw_regret_constant",
-    "scofw_general_regret_constant",
-    "ofw_gap_schedule",
-    "scofw_gap_schedule",
-    "scofw_general_gap_schedule",
+    "certificate",
     "theorem_constant",
     "theorem_bound",
     "gap_bound",
@@ -109,6 +107,22 @@ class ExperimentSpec:
             raise ValueError("sc_ofw needs strongly convex losses (loss.kind = quadratic)")
         if not isinstance(self.gap_cap, int) or self.gap_cap < 0:
             raise ValueError(f"gap_cap must be a nonnegative integer, got {self.gap_cap!r}")
+        # The regret ceiling grows with t, so a finite one at T bounds every
+        # round's regret and gap ceilings.
+        try:
+            cert = certificate(self)
+            with np.errstate(all="ignore"):
+                ceiling = float(cert.regret(np.array([float(self.horizon)]))[0])
+        except OverflowError as exc:
+            raise ValueError(f"derived constants overflow: {exc}") from None
+        derived = [("G", cert.G), ("diameter", cert.diameter), ("eta", cert.eta), ("C", cert.C)]
+        if self.loss.kind == QUADRATIC:
+            derived.append(("lambda", cert.lam))
+        if cert.C is not None:
+            derived.append(("regret ceiling", ceiling))
+        for name, value in derived:
+            if value is not None and not (0.0 < value < math.inf):
+                raise ValueError(f"derived constant {name} = {value!r} is not finite and positive")
 
 
 _SET_KINDS = ("l2_ball", "lp_ball", "l1_ball", "simplex")
@@ -251,95 +265,99 @@ def parse_config(text: str) -> ExperimentSpec:
 # -- regret and gap bounds -------------------------------------------------
 
 
-def certified_parameters(spec: ExperimentSpec) -> tuple[float, float, float, float]:
-    """(G, lam, diameter, set modulus) certified for this experiment."""
+@dataclass(frozen=True)
+class Certificate:
+    """The constants certified for one experiment and the ceilings they give.
+
+    ``alpha`` is the set's strong-convexity modulus. ``eta`` is the
+    surrogate weight of the learners that have one, and ``C`` the constant
+    of the theorem that applies; each is None otherwise. ``regret`` maps an
+    array of rounds to the regret ceiling at each (NaN where no theorem
+    applies); ``gap`` maps a round t >= 1 to its surrogate gap ceiling, or
+    None.
+    """
+
+    G: float
+    lam: float
+    diameter: float
+    alpha: float
+    eta: Optional[float]
+    C: Optional[float]
+    regret: Callable[[np.ndarray], np.ndarray]
+    gap: Callable[[int], Optional[float]]
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den`` for den >= 0; inf where den underflowed to zero."""
+    return num / den if den > 0.0 else math.inf
+
+
+def certificate(spec: ExperimentSpec) -> Certificate:
+    """Certified constants, eta, C and the regret and gap ceilings of ``spec``.
+
+    Bounds exist for the line-search learner on strongly convex sets and
+    for the strongly convex learner everywhere (its gap ceiling from t = 2);
+    the baselines run unbound.
+    """
     G, lam = certify_constants(spec.loss, spec.domain)
-    return G, lam, spec.domain.diameter, spec.domain.strong_convexity
-
-
-def ofw_regret_constant(diameter: float, alpha: float) -> float:
-    """Gap-schedule constant for the line-search learner on a strongly convex set."""
-    return max(4.0 * diameter * diameter, 4096.0 / (3.0 * alpha * alpha))
-
-
-def scofw_regret_constant(G: float, lam: float, diameter: float, alpha: float) -> float:
-    """Gap constant for the strongly convex learner on a strongly convex set."""
-    gd = G + lam * diameter
-    return max(4.0 * gd * gd / lam, 288.0 * lam / (alpha * alpha))
-
-
-def scofw_general_regret_constant(G: float, lam: float, diameter: float) -> float:
-    """Gap constant for the strongly convex learner on a general convex set."""
-    gd = G + lam * diameter
-    return 16.0 * gd * gd / lam
-
-
-def ofw_gap_schedule(C: float, t: int) -> float:
-    """Per-round surrogate gap bound C / (t+2)^(2/3), valid for t >= 1."""
-    return C / (t + 2.0) ** (2.0 / 3.0)
-
-
-def scofw_gap_schedule(C: float, t: int) -> float:
-    """Constant surrogate gap bound, valid for t >= 2."""
-    return C
-
-
-def scofw_general_gap_schedule(C: float, t: int) -> float:
-    """Surrogate gap bound C * (t-1)^(1/3) on general sets, valid for t >= 2."""
-    return C * (t - 1.0) ** (1.0 / 3.0)
+    D, alpha = spec.domain.diameter, spec.domain.strong_convexity
+    eta = None
+    if spec.algo == ALGO_OFW_LS:
+        eta = ofw_step_size_parameter(D, G, spec.horizon)
+    elif spec.algo == ALGO_OFW_DECAY:
+        eta = ofw_decay_step_size_parameter(D, G, spec.horizon)
+    make = partial(Certificate, G, lam, D, alpha, eta)
+    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
+        C = max(4.0 * D * D, _ratio(4096.0, 3.0 * alpha * alpha))
+        return make(
+            C,
+            lambda ts: 2.75 * G * math.sqrt(C) * (ts + 2.0) ** (2.0 / 3.0),
+            lambda t: C / (t + 2.0) ** (2.0 / 3.0),
+        )
+    if spec.algo == ALGO_SC_OFW:
+        gd = G + lam * D
+        if alpha > 0.0:
+            C = max(4.0 * gd * gd / lam, _ratio(288.0 * lam, alpha * alpha))
+            return make(
+                C,
+                lambda ts: C * np.sqrt(2.0 * ts) + 0.5 * C * np.log(ts) + G * D,
+                lambda t: C if t >= 2 else None,
+            )
+        C = 16.0 * gd * gd / lam
+        return make(
+            C,
+            lambda ts: (
+                3.0 * math.sqrt(2.0) / 8.0 * C * ts ** (2.0 / 3.0)
+                + C * np.log(ts) / 8.0
+                + G * D
+            ),
+            lambda t: C * (t - 1.0) ** (1.0 / 3.0) if t >= 2 else None,
+        )
+    return make(None, lambda ts: np.full(ts.shape, np.nan), lambda t: None)
 
 
 def theorem_constant(spec: ExperimentSpec) -> Optional[float]:
     """The constant C in the applicable bounds, or None when no bound applies."""
-    G, lam, diameter, alpha = certified_parameters(spec)
-    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
-        return ofw_regret_constant(diameter, alpha)
-    if spec.algo == ALGO_SC_OFW:
-        if alpha > 0.0:
-            return scofw_regret_constant(G, lam, diameter, alpha)
-        return scofw_general_regret_constant(G, lam, diameter)
-    return None
+    return certificate(spec).C
 
 
 def theorem_bound(spec: ExperimentSpec, t: int) -> Optional[float]:
     """A priori regret bound after t rounds, or None when no bound applies.
 
-    Bounds exist for the line-search learner on strongly convex sets and
-    for the strongly convex learner everywhere; the baselines run unbound.
+    Equal bit for bit to ``RegretTrace.theorem_bound[t - 1]``: both come
+    from the same vectorised expression.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    G, lam, diameter, alpha = certified_parameters(spec)
-    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
-        C = ofw_regret_constant(diameter, alpha)
-        return 2.75 * G * math.sqrt(C) * (t + 2.0) ** (2.0 / 3.0)
-    if spec.algo == ALGO_SC_OFW and alpha > 0.0:
-        C = scofw_regret_constant(G, lam, diameter, alpha)
-        return C * math.sqrt(2.0 * t) + 0.5 * C * math.log(t) + G * diameter
-    if spec.algo == ALGO_SC_OFW:
-        C = scofw_general_regret_constant(G, lam, diameter)
-        return (
-            3.0 * math.sqrt(2.0) / 8.0 * C * t ** (2.0 / 3.0)
-            + C * math.log(t) / 8.0
-            + G * diameter
-        )
-    return None
+    cert = certificate(spec)
+    return None if cert.C is None else float(cert.regret(np.array([float(t)]))[0])
 
 
 def gap_bound(spec: ExperimentSpec, t: int) -> Optional[float]:
     """Per-round surrogate gap bound, or None where no bound applies."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    G, lam, diameter, alpha = certified_parameters(spec)
-    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
-        return ofw_gap_schedule(ofw_regret_constant(diameter, alpha), t)
-    if spec.algo == ALGO_SC_OFW and t >= 2:
-        if alpha > 0.0:
-            return scofw_gap_schedule(scofw_regret_constant(G, lam, diameter, alpha), t)
-        return scofw_general_gap_schedule(
-            scofw_general_regret_constant(G, lam, diameter), t
-        )
-    return None
+    return certificate(spec).gap(t)
 
 
 # -- running ----------------------------------------------------------------
@@ -392,10 +410,10 @@ def run_experiment(
     oracle, so the reported ``final_regret`` does not lean on the
     per-round incremental comparator.
     """
-    G, lam = certify_constants(spec.loss, spec.domain)
+    cert = certificate(spec)
     if rounds is not None and len(rounds) != spec.horizon:
         raise ValueError(f"expected {spec.horizon} rounds, got {len(rounds)}")
-    state, update = _init_learner(spec, G, lam)
+    state, update = _init_learner(spec, cert.G, cert.lam)
     domain = spec.domain
     T = spec.horizon
 
@@ -423,7 +441,7 @@ def run_experiment(
             if surrogate is not None:
                 _, best = surrogate_argmin(surrogate)
                 gap_v[i] = surrogate.value(x_t) - best
-                gb = gap_bound(spec, t)
+                gb = cert.gap(t)
                 if gb is not None:
                     gapb_v[i] = gb
 
@@ -453,11 +471,8 @@ def run_experiment(
         played.append(rnd)
         state = update(state, g_t)
 
-    ts = np.arange(1, T + 1, dtype=float)
-    bound_v = _bound_series(spec, ts)
-
+    bound_v = cert.regret(np.arange(1, T + 1, dtype=float))
     x_star, comp_total = offline_comparator(domain, played)
-    final_bound = theorem_bound(spec, T)
     return RegretTrace(
         spec=spec,
         rounds=np.arange(1, T + 1),
@@ -471,27 +486,8 @@ def run_experiment(
         comparator_point=x_star,
         comparator_total=comp_total,
         final_regret=cum - comp_total,
-        final_bound=final_bound,
+        final_bound=None if cert.C is None else float(bound_v[-1]),
     )
-
-
-def _bound_series(spec: ExperimentSpec, ts: np.ndarray) -> np.ndarray:
-    """Vectorized ``theorem_bound`` over the whole horizon (NaN if none)."""
-    G, lam, diameter, alpha = certified_parameters(spec)
-    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
-        C = ofw_regret_constant(diameter, alpha)
-        return 2.75 * G * math.sqrt(C) * (ts + 2.0) ** (2.0 / 3.0)
-    if spec.algo == ALGO_SC_OFW and alpha > 0.0:
-        C = scofw_regret_constant(G, lam, diameter, alpha)
-        return C * np.sqrt(2.0 * ts) + 0.5 * C * np.log(ts) + G * diameter
-    if spec.algo == ALGO_SC_OFW:
-        C = scofw_general_regret_constant(G, lam, diameter)
-        return (
-            3.0 * math.sqrt(2.0) / 8.0 * C * ts ** (2.0 / 3.0)
-            + C * np.log(ts) / 8.0
-            + G * diameter
-        )
-    return np.full(ts.shape, np.nan)
 
 
 # -- CSV --------------------------------------------------------------------
@@ -570,17 +566,23 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
 
     The adversary's seed is shared, and rounds are generated per index, so
     shorter horizons are prefixes of longer ones. The slope is fitted when
-    at least 3 horizons produce positive regret, else left None.
+    at least 3 horizons produce positive regret, else left None. Every
+    horizon is validated before the first run; a bad one raises
+    ``ConfigError``.
     """
     hs = [int(h) for h in horizons]
     if not hs:
-        raise ValueError("need at least one horizon")
+        raise ConfigError("need at least one horizon")
     for a, b in zip(hs, hs[1:]):
         if not (b > a):
-            raise ValueError("horizons must be strictly increasing")
+            raise ConfigError("horizons must be strictly increasing")
+    try:
+        specs = [replace(spec, horizon=h) for h in hs]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     result = SweepResult(spec=spec)
-    for h in hs:
-        trace = run_experiment(replace(spec, horizon=h))
+    for h, spec_h in zip(hs, specs):
+        trace = run_experiment(spec_h)
         result.horizons.append(h)
         result.regrets.append(trace.final_regret)
         result.bounds.append(trace.final_bound)

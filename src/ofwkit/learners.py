@@ -17,11 +17,11 @@ States hold running sums only, so a step costs O(dim) regardless of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import StepCoefficients, as_vector, line_search_quadratic
+from .core import as_vector, line_search_quadratic
 from .sets import FeasibleSet
 
 __all__ = [
@@ -31,13 +31,15 @@ __all__ = [
     "OfwState",
     "ScOfwState",
     "BaselineState",
+    "OFW_CURVATURE",
     "ofw_step_size_parameter",
+    "ofw_decay_step_size_parameter",
+    "ofw_gradient",
+    "scofw_gradient",
     "ofw_init",
     "ofw_update",
-    "ofw_surrogate_gradient",
     "scofw_init",
     "scofw_update",
-    "scofw_surrogate_gradient",
     "ofw_decay_init",
     "ogd_init",
     "baseline_update",
@@ -49,6 +51,43 @@ ZERO_STEP_TOL = 1e-12
 
 OFW_DECAY = "ofw_decay"
 OGD = "ogd"
+
+# Curvature of the anchored surrogate: the Hessian of ||x - x1||^2 is 2I.
+OFW_CURVATURE = 2.0
+
+
+def ofw_gradient(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient at ``x`` of the surrogate eta * <grad_sum, x> + ||x - x1||^2."""
+    return eta * grad_sum + 2.0 * (x - x1)
+
+
+def scofw_gradient(
+    lam: float, t: int, grad_sum: np.ndarray, iterate_sum: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Gradient at ``x`` of <grad_sum, x> + (lam/2) * sum_tau ||x - x_tau||^2.
+
+    The sum runs over t iterates whose sum is ``iterate_sum``; the
+    surrogate's curvature is lam * t.
+    """
+    return grad_sum + lam * (t * x - iterate_sum)
+
+
+def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> np.ndarray:
+    """One Frank-Wolfe step: ``x + sigma * (v - x)`` with v = lmo(grad_f).
+
+    A given ``sigma`` is taken as is. Otherwise sigma is the exact line
+    search on the surrogate, whose model along d = v - x is
+    sigma * <grad_f, d> + sigma^2 * (curvature / 2) * ||d||^2; a step
+    shorter than ``ZERO_STEP_TOL`` is skipped.
+    """
+    v = domain.lmo(grad_f)
+    d = v - x
+    if sigma is None:
+        dd = float(d.dot(d))
+        if dd <= ZERO_STEP_TOL**2:
+            return x
+        sigma = line_search_quadratic(float(grad_f.dot(d)), 0.5 * curvature * dd)
+    return x + sigma * d
 
 
 @dataclass(frozen=True)
@@ -67,6 +106,11 @@ class OfwState:
 def ofw_step_size_parameter(diameter: float, G: float, horizon: int) -> float:
     """Surrogate weight eta = D / (2 G (T+2)^(2/3))."""
     return diameter / (2.0 * G * (horizon + 2.0) ** (2.0 / 3.0))
+
+
+def ofw_decay_step_size_parameter(diameter: float, G: float, horizon: int) -> float:
+    """The decaying-step baseline's heavier weight eta = D / (2 G T^(3/4))."""
+    return diameter / (2.0 * G * horizon**0.75)
 
 
 def ofw_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
@@ -93,35 +137,15 @@ def ofw_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
     )
 
 
-def ofw_surrogate_gradient(state: OfwState, x: np.ndarray) -> np.ndarray:
-    """Gradient of the current surrogate at ``x``."""
-    return state.eta * state.grad_sum + 2.0 * (x - state.x1)
-
-
 def ofw_update(state: OfwState, g) -> OfwState:
     """Absorb the round-(t+1) gradient and move along the oracle direction."""
     g = as_vector(g, state.domain.dim)
     if state.t >= state.horizon:
         raise ValueError(f"horizon {state.horizon} exhausted")
     grad_sum = state.grad_sum + g
-    grad_f = state.eta * grad_sum + 2.0 * (state.x - state.x1)
-    v = state.domain.lmo(grad_f)
-    d = v - state.x
-    b = float(d.dot(d))
-    if b <= ZERO_STEP_TOL**2:
-        x_next = state.x
-    else:
-        sigma = line_search_quadratic(StepCoefficients(a=float(grad_f.dot(d)), b=b))
-        x_next = state.x + sigma * d
-    return OfwState(
-        domain=state.domain,
-        x=x_next,
-        x1=state.x1,
-        grad_sum=grad_sum,
-        t=state.t + 1,
-        eta=state.eta,
-        horizon=state.horizon,
-    )
+    grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
+    x_next = _fw_step(state.domain, state.x, grad_f, curvature=OFW_CURVATURE)
+    return replace(state, x=x_next, grad_sum=grad_sum, t=state.t + 1)
 
 
 @dataclass(frozen=True)
@@ -157,11 +181,6 @@ def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:
     )
 
 
-def scofw_surrogate_gradient(state: ScOfwState, x: np.ndarray) -> np.ndarray:
-    """Gradient of the current surrogate at ``x`` (defined once t >= 1)."""
-    return state.grad_sum + state.lam * (state.t * x - state.iterate_sum)
-
-
 def scofw_update(state: ScOfwState, g) -> ScOfwState:
     """Absorb one gradient; curvature grows with t, no horizon needed."""
     g = as_vector(g, state.domain.dim)
@@ -169,17 +188,8 @@ def scofw_update(state: ScOfwState, g) -> ScOfwState:
     grad_sum = state.grad_sum + g
     iterate_sum = state.iterate_sum + state.x
     iterate_sq_sum = state.iterate_sq_sum + float(state.x.dot(state.x))
-    grad_f = grad_sum + state.lam * (t * state.x - iterate_sum)
-    v = state.domain.lmo(grad_f)
-    d = v - state.x
-    dd = float(d.dot(d))
-    if dd <= ZERO_STEP_TOL**2:
-        x_next = state.x
-    else:
-        sigma = line_search_quadratic(
-            StepCoefficients(a=float(grad_f.dot(d)), b=0.5 * state.lam * t * dd)
-        )
-        x_next = state.x + sigma * d
+    grad_f = scofw_gradient(state.lam, t, grad_sum, iterate_sum, state.x)
+    x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.lam * t)
     return ScOfwState(
         domain=state.domain,
         x=x_next,
@@ -209,15 +219,15 @@ class BaselineState:
 def ofw_decay_init(domain: FeasibleSet, horizon: int, G: float) -> BaselineState:
     """Frank-Wolfe on the anchored surrogate with sigma_t = min(1, t^(-1/2)).
 
-    Uses the heavier weight eta = D / (2 G T^(3/4)) that suits the fixed
-    step schedule.
+    Uses the heavier weight from ``ofw_decay_step_size_parameter``, which
+    suits the fixed step schedule.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     if not (G > 0.0):
         raise ValueError(f"G must be positive, got {G!r}")
     x1 = domain.anchor()
-    eta = domain.diameter / (2.0 * G * horizon**0.75)
+    eta = ofw_decay_step_size_parameter(domain.diameter, G, horizon)
     return BaselineState(
         variant=OFW_DECAY,
         domain=domain,
@@ -251,32 +261,13 @@ def baseline_update(state: BaselineState, g) -> BaselineState:
     t = state.t + 1
     if state.variant == OFW_DECAY:
         grad_sum = state.grad_sum + g
-        grad_f = state.eta * grad_sum + 2.0 * (state.x - state.x1)
-        v = state.domain.lmo(grad_f)
-        sigma = min(1.0, t**-0.5)
-        x_next = state.x + sigma * (v - state.x)
-        return BaselineState(
-            variant=state.variant,
-            domain=state.domain,
-            x=x_next,
-            t=t,
-            grad_sum=grad_sum,
-            x1=state.x1,
-            eta=state.eta,
-            G=state.G,
-        )
+        grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
+        x_next = _fw_step(state.domain, state.x, grad_f, sigma=min(1.0, t**-0.5))
+        return replace(state, x=x_next, t=t, grad_sum=grad_sum)
     if state.variant == OGD:
         if state.lam > 0.0:
             step = 1.0 / (state.lam * t)
         else:
             step = state.domain.diameter / (state.G * t**0.5)
-        x_next = state.domain.project(state.x - step * g)
-        return BaselineState(
-            variant=state.variant,
-            domain=state.domain,
-            x=x_next,
-            t=t,
-            G=state.G,
-            lam=state.lam,
-        )
+        return replace(state, x=state.domain.project(state.x - step * g), t=t)
     raise ValueError(f"unknown baseline variant {state.variant!r}")

@@ -14,13 +14,19 @@ from typing import Sequence
 import numpy as np
 
 from .core import dot
-from .learners import BaselineState, OfwState, ScOfwState
+from .learners import (
+    OFW_CURVATURE,
+    BaselineState,
+    OfwState,
+    ScOfwState,
+    ofw_gradient,
+    scofw_gradient,
+)
 from .losses import LINEAR, QUADRATIC, LossRound
 from .sets import FeasibleSet
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
-    "MAX_ORACLE_ITERATIONS",
     "ConvergenceError",
     "OfwSurrogate",
     "ScOfwSurrogate",
@@ -31,11 +37,10 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_TOL = 1e-9
-MAX_ORACLE_ITERATIONS = 10**6
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative oracle hit its iteration cap before certifying."""
+    """A computed minimizer failed its Frank-Wolfe-gap certificate."""
 
 
 @dataclass(frozen=True)
@@ -47,20 +52,14 @@ class OfwSurrogate:
     x1: np.ndarray
     eta: float
 
+    curvature = OFW_CURVATURE
+
     def value(self, x: np.ndarray) -> float:
         d = x - self.x1
         return self.eta * dot(self.grad_sum, x) + dot(d, d)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.eta * self.grad_sum + 2.0 * (x - self.x1)
-
-    @property
-    def smoothness(self) -> float:
-        return 2.0
-
-    @property
-    def curvature(self) -> float:
-        return 2.0
+        return ofw_gradient(self.eta, self.grad_sum, self.x1, x)
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,7 @@ class ScOfwSurrogate:
         return dot(self.grad_sum, x) + 0.5 * self.lam * quad
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.grad_sum + self.lam * (self.t * x - self.iterate_sum)
-
-    @property
-    def smoothness(self) -> float:
-        return self.lam * self.t
+        return scofw_gradient(self.lam, self.t, self.grad_sum, self.iterate_sum, x)
 
     @property
     def curvature(self) -> float:
@@ -125,31 +120,36 @@ def surrogate_of(state) -> OfwSurrogate | ScOfwSurrogate | None:
     return None
 
 
-def surrogate_argmin(
-    surrogate,
-    tol: float = DEFAULT_ORACLE_TOL,
-    max_iter: int = MAX_ORACLE_ITERATIONS,
-) -> tuple[np.ndarray, float]:
-    """Minimize a surrogate to certified accuracy.
+def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
+    """Raise unless the Frank-Wolfe gap <grad, x - lmo(grad)> is at most ``tol``.
 
-    Projected gradient steps of length 1/smoothness, stopped once the
-    Frank-Wolfe gap <grad, x - v> drops to ``tol``. For a convex objective
-    that gap upper-bounds the suboptimality, so the returned value is
-    within ``tol`` of the true minimum.
+    For a convex objective with gradient ``grad`` at ``x`` that gap
+    upper-bounds the suboptimality of ``x``.
+    """
+    gap = dot(grad, x - domain.lmo(grad))
+    if not gap <= tol:
+        raise ConvergenceError(
+            f"minimizer failed its certificate: Frank-Wolfe gap {gap!r} > {tol!r}"
+        )
+
+
+def surrogate_argmin(surrogate, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray, float]:
+    """Minimize a surrogate in closed form and certify the answer to ``tol``.
+
+    Both surrogates are isotropic quadratics, so from any point x0 their
+    minimizer over the set is the projection of the free minimizer
+    ``x0 - gradient(x0) / curvature``; x0 is the set's anchor, returned as
+    is where the gradient vanishes there (projecting a feasible point onto
+    the simplex can move it by rounding). The Frank-Wolfe gap at the
+    result must be at most ``tol``, else ``ConvergenceError`` is raised, so
+    the returned value is within ``tol`` of the true minimum.
     """
     domain = surrogate.domain
-    beta = surrogate.smoothness
-    x = domain.anchor()
-    for _ in range(max_iter):
-        grad = surrogate.gradient(x)
-        v = domain.lmo(grad)
-        gap = dot(grad, x - v)
-        if gap <= tol:
-            return x, surrogate.value(x)
-        x = domain.project(x - grad / beta)
-    raise ConvergenceError(
-        f"surrogate minimization did not certify within {max_iter} iterations"
-    )
+    x0 = domain.anchor()
+    g0 = surrogate.gradient(x0)
+    x = domain.project(x0 - g0 / surrogate.curvature) if g0.any() else x0
+    _certify(domain, surrogate.gradient(x), x, tol)
+    return x, surrogate.value(x)
 
 
 def offline_comparator(
@@ -160,9 +160,9 @@ def offline_comparator(
     """Best fixed feasible point in hindsight and its total loss.
 
     Linear rounds reduce to one oracle call on the summed gradient, which
-    is exact. Quadratic rounds have the closed-form candidate
-    project(mean target); a certifying Frank-Wolfe gap loop keeps the
-    output honest to ``tol`` even so.
+    is exact. The total of quadratic rounds is minimized by the projection
+    of their mean target, whose Frank-Wolfe gap is certified to ``tol``
+    (``ConvergenceError`` otherwise).
     """
     if len(rounds) == 0:
         raise ValueError("need at least one round")
@@ -187,16 +187,8 @@ def offline_comparator(
         target_sum = np.zeros(domain.dim)
         for r in rounds:
             target_sum = target_sum + r.target
-        beta = lam * n
         x = domain.project(target_sum / n)
-        for _ in range(MAX_ORACLE_ITERATIONS):
-            grad = lam * (n * x - target_sum)
-            v = domain.lmo(grad)
-            if dot(grad, x - v) <= tol:
-                break
-            x = domain.project(x - grad / beta)
-        else:
-            raise ConvergenceError("comparator minimization did not certify")
+        _certify(domain, lam * (n * x - target_sum), x, tol)
         total = 0.0
         for r in rounds:
             total += r.value_at(x)

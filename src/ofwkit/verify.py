@@ -330,7 +330,7 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
 
 def _check_contraction(algo: str, n_steps=100, seed=33) -> CheckResult:
     # One oracle step must shrink the surrogate gap by the per-step factor
-    # max(1/2, 1 - alpha * ||grad F|| / (8 * smoothness)).
+    # max(1/2, 1 - alpha * ||grad F|| / (8 * curvature)).
     name = f"learners.contraction.{algo}"
     domain = L2Ball(10, 1.0)
     if algo == ALGO_OFW_LS:
@@ -349,7 +349,7 @@ def _check_contraction(algo: str, n_steps=100, seed=33) -> CheckResult:
         h_in = surr.value(pre.x) - best
         h_out = surr.value(post.x) - best
         gnorm = float(np.linalg.norm(surr.gradient(pre.x)))
-        factor = max(0.5, 1.0 - alpha * gnorm / (8.0 * surr.smoothness))
+        factor = max(0.5, 1.0 - alpha * gnorm / (8.0 * surr.curvature))
         if h_out > h_in * factor + GAP_SLACK:
             return CheckResult(
                 name,

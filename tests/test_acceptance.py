@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ofwkit.cli import main
-from ofwkit.core import StepCoefficients, line_search_quadratic
+from ofwkit.core import line_search_quadratic
 from ofwkit.harness import (
     ALGO_OFW_LS,
     ALGO_SC_OFW,
@@ -229,7 +229,7 @@ def test_criterion_8_oracle_equivalence():
     for _ in range(1000):
         b = 10.0 ** rng.uniform(-3.0, 3.0)
         a = rng.uniform(-2.0 * b, 2.0 * b)
-        exact = line_search_quadratic(StepCoefficients(a=a, b=b))
+        exact = line_search_quadratic(a, b)
         coarse = grid_line_search(a, b, 10_001)
         worst_sigma = max(worst_sigma, abs(exact - coarse))
     if worst_sigma > 1e-4:

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+import ofwkit.cli
+import ofwkit.harness
 from ofwkit.cli import main
+from ofwkit.harness import ConfigError
 
 GOOD_CONFIG = """
 set.kind = l2_ball
@@ -127,6 +130,18 @@ INF_CONFIGS = {
     "lambda": GOOD_CONFIG.replace("loss.kind = linear", "loss.kind = quadratic")
     .replace("loss.G = 1", "loss.lambda = inf")
     .replace("algo = ofw_ls", "algo = sc_ofw"),
+    # diameter 2e308 overflows to inf
+    "r_1e308": GOOD_CONFIG.replace("set.r = 1", "set.r = 1e308"),
+    # the modulus 1e-200 squares to 0, so C = 4096 / (3 alpha^2) is inf
+    "r_1e200": GOOD_CONFIG.replace("set.r = 1", "set.r = 1e200"),
+    # eta = D / (2 G (T+2)^(2/3)) overflows to inf
+    "G_1e-320": GOOD_CONFIG.replace("loss.G = 1", "loss.G = 1e-320"),
+    # G sqrt(C) (T+2)^(2/3) overflows although eta and C are finite
+    "G_1e306": GOOD_CONFIG.replace("loss.G = 1", "loss.G = 1e306"),
+    # a horizon too large for a float (parsed, never run)
+    "T_1e400": GOOD_CONFIG.replace("T = 32", "T = 1" + "0" * 400).replace(
+        "algo = ofw_ls", "algo = ogd"
+    ),
 }
 
 
@@ -143,3 +158,18 @@ def test_non_finite_loss_constant_exits_two(tmp_path, capsys, constant, command)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, monkeypatch):
+    # Only a bad config maps to exit 2; a failure inside a run is not
+    # relabelled by sweep.
+    def broken(spec, rounds=None):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(ofwkit.harness, "run_experiment", broken)
+    monkeypatch.setattr(ofwkit.cli, "run_experiment", broken)
+    out = ["--out", str(tmp_path / "out.csv")]
+    for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):
+        with pytest.raises(ValueError, match="injected failure") as exc:
+            main(argv + out)
+        assert not isinstance(exc.value, ConfigError)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ofwkit.core import (
-    StepCoefficients,
     as_vector,
     dot,
     l2_norm,
@@ -67,27 +66,27 @@ def test_as_vector_validation():
 
 def test_line_search_interior_minimum():
     # -a/(2b) = 1/4 sits inside the interval
-    assert line_search_quadratic(StepCoefficients(a=-1.0, b=2.0)) == 0.25
+    assert line_search_quadratic(-1.0, 2.0) == 0.25
 
 
 def test_line_search_clamps_to_zero():
-    assert line_search_quadratic(StepCoefficients(a=3.0, b=5.0)) == 0.0
+    assert line_search_quadratic(3.0, 5.0) == 0.0
 
 
 def test_line_search_clamps_to_one():
-    assert line_search_quadratic(StepCoefficients(a=-4.0, b=2.0)) == 1.0
+    assert line_search_quadratic(-4.0, 2.0) == 1.0
 
 
 def test_line_search_boundary_ties():
-    assert line_search_quadratic(StepCoefficients(a=0.0, b=1.0)) == 0.0
-    assert line_search_quadratic(StepCoefficients(a=-2.0, b=1.0)) == 1.0
+    assert line_search_quadratic(0.0, 1.0) == 0.0
+    assert line_search_quadratic(-2.0, 1.0) == 1.0
 
 
 def test_line_search_rejects_nonpositive_curvature():
     with pytest.raises(ValueError):
-        line_search_quadratic(StepCoefficients(a=1.0, b=0.0))
+        line_search_quadratic(1.0, 0.0)
     with pytest.raises(ValueError):
-        line_search_quadratic(StepCoefficients(a=1.0, b=-2.0))
+        line_search_quadratic(1.0, -2.0)
 
 
 def test_line_search_never_beaten_by_grid():
@@ -97,7 +96,7 @@ def test_line_search_never_beaten_by_grid():
     for _ in range(1000):
         b = 10.0 ** rng.uniform(-3.0, 3.0)
         a = rng.uniform(-50.0, 50.0)
-        best = line_search_quadratic(StepCoefficients(a=a, b=b))
+        best = line_search_quadratic(a, b)
         obj_best = a * best + b * best * best
         obj_grid = float(np.min(a * sigmas + b * sigmas * sigmas))
         assert obj_best <= obj_grid + 1e-12
@@ -108,7 +107,7 @@ def test_line_search_agrees_with_grid_oracle():
     for _ in range(300):
         b = 10.0 ** rng.uniform(-2.0, 2.0)
         a = rng.uniform(-10.0, 10.0)
-        exact = line_search_quadratic(StepCoefficients(a=a, b=b))
+        exact = line_search_quadratic(a, b)
         coarse = grid_line_search(a, b, 10_001)
         assert abs(exact - coarse) <= 1e-4
 

@@ -16,12 +16,8 @@ from ofwkit.harness import (
     emit_csv,
     gap_bound,
     loglog_slope,
-    ofw_regret_constant,
     parse_config,
     run_experiment,
-    scofw_general_gap_schedule,
-    scofw_general_regret_constant,
-    scofw_regret_constant,
     sweep,
     sweep_csv,
     theorem_bound,
@@ -147,14 +143,19 @@ def test_parse_config_loss_key_consistency():
 
 
 def test_regret_constants_raw_values():
-    # diameter 2, modulus 1: the schedule constant is 4096/3
-    assert ofw_regret_constant(2.0, 1.0) == pytest.approx(4096.0 / 3.0, rel=1e-12)
-    # G=1, lam=1, D=1, alpha=1: max(16, 288)
-    assert scofw_regret_constant(1.0, 1.0, 1.0, 1.0) == 288.0
-    # G=1, lam=1, D=1: 16 * 4
-    assert scofw_general_regret_constant(1.0, 1.0, 1.0) == 64.0
-    # t=9 on the general-set schedule with C=64: 64 * 8^(1/3) = 128
-    assert scofw_general_gap_schedule(64.0, 9) == pytest.approx(128.0, rel=1e-12)
+    # radius 1/2: diameter 1, modulus 2, so the schedule constant is 4096/12
+    half = L2Ball(10, 0.5)
+    assert theorem_constant(_spec(domain=half)) == pytest.approx(1024.0 / 3.0, rel=1e-12)
+    # lam=1 there: G = lam D = 1, so max(4 (G + lam D)^2 / lam, 288 lam / alpha^2)
+    # = max(16, 72)
+    quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
+    assert theorem_constant(_spec(domain=half, loss=quad, algo=ALGO_SC_OFW)) == 72.0
+    # lam=2 on the simplex: G + lam D = 4 sqrt(2), so 16 * 32 / 2 = 256, and
+    # t=9 on the general-set schedule gives 256 * 8^(1/3) = 512
+    quad2 = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=2.0)
+    simplex_spec = _spec(domain=Simplex(10), loss=quad2, algo=ALGO_SC_OFW)
+    assert theorem_constant(simplex_spec) == pytest.approx(256.0, rel=1e-12)
+    assert gap_bound(simplex_spec, 9) == pytest.approx(512.0, rel=1e-12)
 
 
 def test_theorem_constant_dispatch():
@@ -214,6 +215,34 @@ def test_gap_bound_values():
     C3 = theorem_constant(simplex_spec)
     assert gap_bound(simplex_spec, 9) == pytest.approx(C3 * 2.0, rel=1e-12)
     assert gap_bound(_spec(algo=ALGO_OGD), 3) is None
+
+
+@pytest.mark.parametrize(
+    "domain, loss, algo",
+    [
+        (L2Ball(10, 1.0), LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0), ALGO_OFW_LS),
+        (LpBall(10, 1.0, 1.5), LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0), ALGO_OFW_LS),
+        (L2Ball(10, 1.0), LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), ALGO_SC_OFW),
+        (Simplex(10), LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), ALGO_SC_OFW),
+    ],
+    ids=["ofw_ls_l2", "ofw_ls_lp", "sc_ofw_l2", "sc_ofw_simplex"],
+)
+def test_trace_bounds_equal_scalar_bounds_bit_for_bit(domain, loss, algo):
+    # the per-round columns and the scalar bounds come from one expression
+    T = 4096
+    spec = ExperimentSpec(
+        domain=domain, loss=loss, algo=algo, horizon=T, gap_check=True, gap_cap=T
+    )
+    trace = run_experiment(spec)
+    regret_off, gap_off = [], []
+    for t in range(1, T + 1):
+        if trace.theorem_bound[t - 1] != theorem_bound(spec, t):
+            regret_off.append(t)
+        expected, column = gap_bound(spec, t), trace.gap_bound[t - 1]
+        if not (column == expected or (expected is None and math.isnan(column))):
+            gap_off.append(t)
+    assert regret_off == [] and gap_off == []
+    assert trace.final_bound == theorem_bound(spec, T)
 
 
 # -- run_experiment ----------------------------------------------------------
@@ -411,6 +440,9 @@ def test_sweep_validation():
         sweep(_spec(), [])
     with pytest.raises(ValueError):
         sweep(_spec(), [32, 32])
+    # every horizon is checked before the first run
+    with pytest.raises(ConfigError, match="horizon"):
+        sweep(_spec(), [0, 10**9])
 
 
 def test_sweep_slope_none_with_too_few_horizons():

@@ -4,6 +4,7 @@ import pytest
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
 from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round
 from ofwkit.oracle import (
+    ConvergenceError,
     OfwSurrogate,
     ScOfwSurrogate,
     grid_line_search,
@@ -11,7 +12,14 @@ from ofwkit.oracle import (
     surrogate_argmin,
     surrogate_of,
 )
-from ofwkit.sets import L2Ball, LpBall, Simplex
+from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
+
+SETS = {
+    "l2": L2Ball(6, 1.0),
+    "lp": LpBall(6, 1.0, 1.5),
+    "l1": L1Ball(6, 1.0),
+    "simplex": Simplex(6),
+}
 
 
 def test_surrogate_of_fresh_ofw_is_anchored_quadratic():
@@ -41,12 +49,18 @@ def test_scofw_surrogate_argmin_1d_hand_value():
     assert val == pytest.approx(-0.5, abs=1e-9)
 
 
-def test_surrogate_argmin_certifies_requested_tolerance():
-    dom = L2Ball(6, 1.0)
-    spec = LossSpec(kind=LINEAR, dim=6, seed=3, G=1.0)
-    state = ofw_init(dom, horizon=40, G=1.0)
+@pytest.mark.parametrize("learner", ["ofw", "sc_ofw"])
+@pytest.mark.parametrize("set_kind", sorted(SETS))
+def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
+    dom = SETS[set_kind]
+    if learner == "ofw":
+        spec = LossSpec(kind=LINEAR, dim=6, seed=3, G=1.0)
+        state, update = ofw_init(dom, horizon=40, G=1.0), ofw_update
+    else:
+        spec = LossSpec(kind=QUADRATIC, dim=6, seed=3, lam=1.0)
+        state, update = scofw_init(dom, lam=1.0), scofw_update
     for t in range(1, 41):
-        state = ofw_update(state, make_round(spec, t, dom).grad_at(state.x))
+        state = update(state, make_round(spec, t, dom).grad_at(state.x))
     surr = surrogate_of(state)
     for tol in (1e-6, 1e-9, 1e-12):
         xh, val = surrogate_argmin(surr, tol=tol)
@@ -55,6 +69,8 @@ def test_surrogate_argmin_certifies_requested_tolerance():
         assert gap <= tol
         assert val == pytest.approx(surr.value(xh), rel=1e-12)
         assert dom.contains(xh, 1e-9)
+    for k in range(500):
+        assert val <= surr.value(dom.random_feasible(k)) + 1e-9
 
 
 def test_surrogate_argmin_on_simplex():
@@ -69,6 +85,19 @@ def test_surrogate_argmin_on_simplex():
     # beat a feasible sample cloud
     for k in range(500):
         assert val <= surr.value(dom.random_feasible(k)) + 1e-9
+
+
+def test_failed_certificate_raises(monkeypatch):
+    # The Frank-Wolfe gap stays a check: a wrong projection must not pass.
+    dom = L2Ball(4, 1.0)
+    state = ofw_update(ofw_init(dom, horizon=4, G=1.0), np.array([1.0, 2.0, 0.0, -1.0]))
+    spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
+    rounds = [make_round(spec, t, dom) for t in range(1, 5)]
+    monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
+    with pytest.raises(ConvergenceError):
+        surrogate_argmin(surrogate_of(state))
+    with pytest.raises(ConvergenceError):
+        offline_comparator(dom, rounds)
 
 
 def test_scofw_surrogate_requires_one_round():

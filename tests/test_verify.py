@@ -75,7 +75,7 @@ def test_corrupted_line_search_is_detected(monkeypatch):
     # oracle vertices; the per-step contraction check must catch it
     import ofwkit.learners as learners
 
-    monkeypatch.setattr(learners, "line_search_quadratic", lambda coeffs: 1.0)
+    monkeypatch.setattr(learners, "line_search_quadratic", lambda a, b: 1.0)
     report = verify_suite("learners")
     assert not report.passed
     failed = {r.name for r in report.results if not r.passed}
