@@ -44,6 +44,7 @@ from .losses import (
     make_linear_round,
     make_quadratic_round,
     make_round,
+    make_rounds,
 )
 from .oracle import (
     OfwSurrogate,
@@ -91,6 +92,7 @@ __all__ = [
     "make_linear_round",
     "make_quadratic_round",
     "make_round",
+    "make_rounds",
     "OfwSurrogate",
     "ScOfwSurrogate",
     "grid_line_search",

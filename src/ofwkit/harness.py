@@ -36,7 +36,7 @@ from .losses import (
     LossRound,
     LossSpec,
     certify_constants,
-    make_round,
+    make_rounds,
 )
 from .oracle import offline_comparator, surrogate_argmin, surrogate_of
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
@@ -99,6 +99,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown algo {self.algo!r}")
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
+        if self.horizon > np.iinfo(np.intp).max:
+            raise ValueError(f"horizon {self.horizon} exceeds the largest array length")
         if self.loss.dim != self.domain.dim:
             raise ValueError(
                 f"loss dim {self.loss.dim} does not match set dim {self.domain.dim}"
@@ -404,11 +406,12 @@ def run_experiment(
     surrogate optimality gap of the committed point is measured by the
     reference oracle for rounds up to ``gap_cap`` before the update.
 
-    ``rounds`` injects a fixed loss sequence in place of the seeded
-    adversary (test plumbing); its length must equal the horizon. The
-    final comparator is recomputed from the full sequence by the offline
-    oracle, so the reported ``final_regret`` does not lean on the
-    per-round incremental comparator.
+    ``rounds`` is the loss sequence to play; by default the seeded
+    adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
+    longer sequence, and tests inject fixed losses. Its length must equal
+    the horizon. The final comparator is recomputed from the full sequence
+    by the offline oracle, so the reported ``final_regret`` does not lean
+    on the per-round incremental comparator.
     """
     cert = certificate(spec)
     if rounds is not None and len(rounds) != spec.horizon:
@@ -417,6 +420,8 @@ def run_experiment(
     domain = spec.domain
     T = spec.horizon
 
+    # Allocated before any round is generated, so a horizon too long to
+    # log fails here rather than after generating its rounds.
     loss_v = np.empty(T)
     cum_v = np.empty(T)
     comp_v = np.empty(T)
@@ -424,15 +429,17 @@ def run_experiment(
     gap_v = np.full(T, np.nan)
     gapb_v = np.full(T, np.nan)
 
+    if rounds is None:
+        rounds = make_rounds(spec.loss, T, domain)
+
     grad_prefix = np.zeros(domain.dim)
     target_prefix = np.zeros(domain.dim)
     target_sq_prefix = 0.0
 
-    played: list[LossRound] = []
     cum = 0.0
     measure_until = spec.gap_cap if spec.gap_check else 0
 
-    for i in range(T):
+    for i, rnd in enumerate(rounds):
         t = i + 1
         x_t = state.x
 
@@ -445,7 +452,6 @@ def run_experiment(
                 if gb is not None:
                     gapb_v[i] = gb
 
-        rnd = rounds[i] if rounds is not None else make_round(spec.loss, t, domain)
         loss_t = rnd.value_at(x_t)
         g_t = rnd.grad_at(x_t)
         cum += loss_t
@@ -468,11 +474,10 @@ def run_experiment(
         cum_v[i] = cum
         comp_v[i] = comp
         regret_v[i] = cum - comp
-        played.append(rnd)
         state = update(state, g_t)
 
     bound_v = cert.regret(np.arange(1, T + 1, dtype=float))
-    x_star, comp_total = offline_comparator(domain, played)
+    x_star, comp_total = offline_comparator(domain, rounds)
     return RegretTrace(
         spec=spec,
         rounds=np.arange(1, T + 1),
@@ -564,11 +569,12 @@ class SweepResult:
 def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     """Run ``spec`` once per horizon with a fresh learner each time.
 
-    The adversary's seed is shared, and rounds are generated per index, so
-    shorter horizons are prefixes of longer ones. The slope is fitted when
-    at least 3 horizons produce positive regret, else left None. Every
-    horizon is validated before the first run; a bad one raises
-    ``ConfigError``.
+    The adversary's rounds are generated once, for the largest horizon, and
+    each run plays their prefix: round t is a function of (seed, t), so
+    this equals a separate ``run_experiment`` per horizon. The slope is
+    fitted when at least 3 horizons produce positive regret, else left
+    None. Every horizon is validated before the first run; a bad one
+    raises ``ConfigError``.
     """
     hs = [int(h) for h in horizons]
     if not hs:
@@ -581,8 +587,9 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     result = SweepResult(spec=spec)
+    rounds = make_rounds(spec.loss, hs[-1], spec.domain)
     for h, spec_h in zip(hs, specs):
-        trace = run_experiment(spec_h)
+        trace = run_experiment(spec_h, rounds[:h])
         result.horizons.append(h)
         result.regrets.append(trace.final_regret)
         result.bounds.append(trace.final_bound)

@@ -9,18 +9,21 @@ Two kinds of per-round loss:
   Lipschitz over the set.
 
 Rounds are generated independently per index from a counter-mixed seed, so
-round t can be reproduced without replaying rounds 1..t-1.
+round t can be reproduced without replaying rounds 1..t-1. ``make_round``
+builds one round from ``np.random.default_rng(round_seed(seed, t))``;
+``make_rounds`` builds rounds 1..T bit-identical to it, computing every
+round's generator state in one vectorised pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import as_vector, l2_norm
+from .core import l2_norm
 from .sets import FeasibleSet
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "make_linear_round",
     "make_quadratic_round",
     "make_round",
+    "make_rounds",
     "certify_constants",
     "zero_round",
 ]
@@ -53,7 +57,11 @@ def mix64(z: int) -> int:
 
 
 def round_seed(seed: int, t: int) -> int:
-    """Stream seed for round t: stride the counter, xor, and mix."""
+    """Stream seed for round t: stride the counter, xor, and mix.
+
+    ``t`` may also be a uint64 array, which gives one seed per entry: NumPy
+    wraps uint64 arithmetic modulo 2^64, as the masks do for ints.
+    """
     return mix64((seed & _MASK64) ^ ((t * _STRIDE) & _MASK64))
 
 
@@ -86,21 +94,45 @@ class LossSpec:
             raise ValueError(f"quadratic losses need a finite lam > 0, got {self.lam!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossRound:
-    """One revealed loss: callables plus the data defining them.
+    """One revealed loss, as plain data.
 
     ``gradient`` is the constant gradient of a linear round; ``target`` is
-    the minimizer of a quadratic round. Exactly one of them is set.
+    the minimizer of a quadratic round, whose modulus is ``lam``. Exactly
+    one of them is set.
     """
 
     t: int
     kind: str
-    value_at: Callable[[np.ndarray], float]
-    grad_at: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[np.ndarray] = None
     target: Optional[np.ndarray] = None
     lam: float = 0.0
+
+    def value_at(self, x: np.ndarray) -> float:
+        if self.kind == LINEAR:
+            return float(self.gradient.dot(x))
+        d = x - self.target
+        return 0.5 * self.lam * float(d.dot(d))
+
+    def grad_at(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == LINEAR:
+            return self.gradient
+        return self.lam * (x - self.target)
+
+
+def _draw_round(
+    spec: LossSpec, t: int, domain: Optional[FeasibleSet], rng: np.random.Generator
+) -> LossRound:
+    """Round t drawn from ``rng``, a generator already seeded for round t."""
+    if spec.kind == LINEAR:
+        z = rng.standard_normal(spec.dim)
+        n = l2_norm(z)
+        while n < 1e-12:
+            z = rng.standard_normal(spec.dim)
+            n = l2_norm(z)
+        return LossRound(t=t, kind=LINEAR, gradient=(spec.G / n) * z)
+    return LossRound(t=t, kind=QUADRATIC, target=domain.random_feasible(rng), lam=spec.lam)
 
 
 def make_linear_round(spec: LossSpec, t: int) -> LossRound:
@@ -109,21 +141,7 @@ def make_linear_round(spec: LossSpec, t: int) -> LossRound:
         raise ValueError(f"spec kind is {spec.kind!r}, expected {LINEAR!r}")
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    rng = np.random.default_rng(round_seed(spec.seed, t))
-    z = rng.standard_normal(spec.dim)
-    n = l2_norm(z)
-    while n < 1e-12:
-        z = rng.standard_normal(spec.dim)
-        n = l2_norm(z)
-    g = (spec.G / n) * z
-
-    def value_at(x):
-        return float(g.dot(x))
-
-    def grad_at(x):
-        return g
-
-    return LossRound(t=t, kind=LINEAR, value_at=value_at, grad_at=grad_at, gradient=g)
+    return _draw_round(spec, t, None, np.random.default_rng(round_seed(spec.seed, t)))
 
 
 def make_quadratic_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
@@ -134,19 +152,7 @@ def make_quadratic_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRou
         raise ValueError(f"round index must be >= 1, got {t}")
     if spec.dim != domain.dim:
         raise ValueError(f"loss dim {spec.dim} does not match set dim {domain.dim}")
-    theta = domain.random_feasible(round_seed(spec.seed, t))
-    lam = spec.lam
-
-    def value_at(x):
-        d = x - theta
-        return 0.5 * lam * float(d.dot(d))
-
-    def grad_at(x):
-        return lam * (x - theta)
-
-    return LossRound(
-        t=t, kind=QUADRATIC, value_at=value_at, grad_at=grad_at, target=theta, lam=lam
-    )
+    return _draw_round(spec, t, domain, np.random.default_rng(round_seed(spec.seed, t)))
 
 
 def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
@@ -154,6 +160,109 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
     if spec.kind == LINEAR:
         return make_linear_round(spec, t)
     return make_quadratic_round(spec, t, domain)
+
+
+# Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# the 128-bit LCG behind PCG64 (numpy/random/src/pcg64/pcg64.h).
+_M32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Rounds seeded per pass of the kernel; bounds its temporary Python ints.
+_CHUNK = 1024
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.PCG64(s).state["state"]`` for each uint64 seed.
+
+    ``SeedSequence(s)`` hashes the seed's two 32-bit words, padded with
+    zeros to its pool of four (the algorithm hashes absent words as 0, so
+    the padding is exact), and ``generate_state(4, np.uint64)`` gives
+    (initstate, initseq) as two 128-bit numbers. PCG64 then sets
+    ``inc = (initseq << 1) | 1`` and steps the LCG from 0 twice, adding
+    initstate after the first step. The mixing runs on uint32 arrays, one
+    lane per seed, where NumPy wraps modulo 2^32 as the C code does.
+    """
+    words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    words += [np.zeros_like(words[0])] * 2
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    hash_const = _INIT_B
+    state = []
+    for i_dst in range(8):
+        value = pool[i_dst % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _M32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # Little-endian uint32 pairs make the four uint64 words, high word first.
+    state64 = [(state[2 * k] | (state[2 * k + 1] << 32)).tolist() for k in range(4)]
+
+    out = []
+    for s0, s1, q0, q1 in zip(*state64):
+        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
+        out.append(((((inc + ((s0 << 64) | s1)) * _PCG64_MULT) + inc) & _MASK128, inc))
+    return out
+
+
+def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> list[LossRound]:
+    """Rounds 1..T, round t bit-identical to ``make_round(spec, t, domain)``.
+
+    Every round's PCG64 state is computed by ``_pcg64_states``, a chunk of
+    rounds at a time, and set on one reused generator, in place of a
+    ``SeedSequence`` and a ``PCG64`` built per round. Round 1 is compared
+    with ``make_round``'s; a ``RuntimeError`` naming the NumPy version
+    says that NumPy's seeding no longer matches the kernel.
+    """
+    if T < 1:
+        raise ValueError(f"need at least one round, got T = {T}")
+    if spec.kind == LINEAR:
+        reference = make_linear_round(spec, 1)
+    else:
+        reference = make_quadratic_round(spec, 1, domain)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    seeded = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    rounds = []
+    for start in range(1, T + 1, _CHUNK):
+        ts = range(start, min(start + _CHUNK, T + 1))
+        seeds = round_seed(spec.seed, np.arange(ts.start, ts.stop, dtype=np.uint64))
+        for t, (state, inc) in zip(ts, _pcg64_states(seeds)):
+            seeded["state"] = state
+            seeded["inc"] = inc
+            bitgen.state = full
+            rounds.append(_draw_round(spec, t, domain, rng))
+    data = "gradient" if spec.kind == LINEAR else "target"
+    if not np.array_equal(getattr(rounds[0], data), getattr(reference, data)):
+        raise RuntimeError(
+            f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
+            "round 1 does not match make_round"
+        )
+    return rounds
 
 
 def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float]:
@@ -172,13 +281,4 @@ def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float
 
 def zero_round(t: int, dim: int) -> LossRound:
     """An identically-zero loss; handy for fixed-point tests."""
-    g = np.zeros(dim)
-
-    def value_at(x):
-        as_vector(x, dim)
-        return 0.0
-
-    def grad_at(x):
-        return g
-
-    return LossRound(t=t, kind=LINEAR, value_at=value_at, grad_at=grad_at, gradient=g)
+    return LossRound(t=t, kind=LINEAR, gradient=np.zeros(dim))

@@ -74,8 +74,12 @@ class FeasibleSet:
         """A canonical interior-ish starting point (origin or barycenter)."""
         raise NotImplementedError
 
-    def random_feasible(self, seed: int) -> np.ndarray:
-        """A feasible point drawn reproducibly from ``seed``."""
+    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
+        """A feasible point drawn reproducibly from ``seed``.
+
+        ``seed`` is an integer seed or a ``np.random.Generator``, which is
+        drawn from as it stands (``np.random.default_rng`` returns it).
+        """
         raise NotImplementedError
 
     @property
@@ -113,7 +117,7 @@ class _Ball(FeasibleSet):
     def anchor(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def random_feasible(self, seed: int) -> np.ndarray:
+    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
         # Random direction, then a radial factor that keeps the law
         # spread over the interior rather than piled on the boundary.
         rng = np.random.default_rng(seed)
@@ -397,7 +401,7 @@ class Simplex(FeasibleSet):
     def anchor(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
 
-    def random_feasible(self, seed: int) -> np.ndarray:
+    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
         rng = np.random.default_rng(seed)
         e = rng.exponential(size=self.dim)
         return e / float(e.sum())

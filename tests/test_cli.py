@@ -142,6 +142,10 @@ INF_CONFIGS = {
     "T_1e400": GOOD_CONFIG.replace("T = 32", "T = 1" + "0" * 400).replace(
         "algo = ofw_ls", "algo = ogd"
     ),
+    # a horizon a float holds but no array can (parsed, never run)
+    "T_1e300": GOOD_CONFIG.replace("T = 32", "T = 1" + "0" * 300).replace(
+        "algo = ofw_ls", "algo = ogd"
+    ),
 }
 
 

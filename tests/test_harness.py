@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,15 @@ def test_zero_adversary_gives_exactly_zero_regret(algo):
     assert np.all(trace.regret == 0.0)
 
 
+def test_horizon_beyond_array_length_refused_and_huge_horizon_fails_fast():
+    with pytest.raises(ValueError, match="array length"):
+        _spec(algo=ALGO_OGD, horizon=np.iinfo(np.intp).max + 1)
+    # The trace arrays are allocated before any round is generated, so a
+    # horizon no array can hold fails at once rather than after T rounds.
+    with pytest.raises(ValueError):
+        run_experiment(_spec(algo=ALGO_OGD, horizon=np.iinfo(np.intp).max))
+
+
 def test_injected_rounds_length_checked():
     with pytest.raises(ValueError):
         run_experiment(_spec(horizon=4), rounds=[zero_round(1, 10)])
@@ -433,6 +443,29 @@ def test_sweep_runs_fresh_learners_and_fits_slope():
     lines = text.strip().split("\n")
     assert lines[0] == "T,regret,theorem_bound,slope"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "algo,kind",
+    [
+        (ALGO_OFW_LS, LINEAR),
+        (ALGO_OFW_LS, QUADRATIC),
+        (ALGO_SC_OFW, QUADRATIC),
+        (ALGO_OFW_DECAY, LINEAR),
+        (ALGO_OFW_DECAY, QUADRATIC),
+        (ALGO_OGD, LINEAR),
+        (ALGO_OGD, QUADRATIC),
+    ],
+)
+def test_sweep_equals_separate_runs_bit_for_bit(algo, kind):
+    loss = LossSpec(kind=kind, dim=10, seed=5, G=1.0, lam=1.0)
+    spec = _spec(loss=loss, algo=algo, horizon=8)
+    horizons = [16, 48, 100, 200]
+    result = sweep(spec, horizons)
+    for k, h in enumerate(horizons):
+        trace = run_experiment(replace(spec, horizon=h))
+        assert result.regrets[k] == trace.final_regret
+        assert result.bounds[k] == trace.final_bound
 
 
 def test_sweep_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ofwkit import losses
 from ofwkit.losses import (
     LINEAR,
     QUADRATIC,
@@ -9,11 +10,12 @@ from ofwkit.losses import (
     make_linear_round,
     make_quadratic_round,
     make_round,
+    make_rounds,
     mix64,
     round_seed,
     zero_round,
 )
-from ofwkit.sets import L2Ball, Simplex
+from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 
 def test_spec_validation():
@@ -186,3 +188,57 @@ def test_zero_round_is_identically_zero():
     x = np.array([0.1, -0.2, 0.3, 0.0])
     assert rnd.value_at(x) == 0.0
     np.testing.assert_array_equal(rnd.grad_at(x), np.zeros(4))
+
+
+def test_seeding_kernel_matches_pcg64():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds = edges + [mix64(i) for i in range(10_000)] + list(range(2, 200))
+    states = losses._pcg64_states(np.array(seeds, dtype=np.uint64))
+    for s, (state, inc) in zip(seeds, states):
+        assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}, s
+
+
+def test_round_seed_vectorises_over_uint64_rounds():
+    ts = [1, 2, 1023, 1024, 1025, 2**62, 2**63 - 1]
+    for seed in (0, -3, 2**63, 2**64 - 1):
+        got = round_seed(seed, np.array(ts, dtype=np.uint64))
+        assert got.tolist() == [round_seed(seed, t) for t in ts]
+
+
+@pytest.mark.parametrize(
+    "dom", [L2Ball(5, 1.0), LpBall(5, 2.0, 1.5), L1Ball(5, 0.5), Simplex(5)], ids=repr
+)
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_make_rounds_equals_make_round(dom, kind):
+    # T = 1025 crosses the kernel's 1024-round chunk boundary.
+    T = 1025
+    for seed in (0, 1, -3, 2**63, 12345678901234):
+        spec = LossSpec(kind=kind, dim=5, seed=seed, G=1.5, lam=0.5)
+        rounds = make_rounds(spec, T, dom)
+        assert len(rounds) == T
+        for t, rnd in enumerate(rounds, start=1):
+            ref = make_round(spec, t, dom)
+            assert (rnd.t, rnd.kind, rnd.lam) == (ref.t, ref.kind, ref.lam)
+            if kind == LINEAR:
+                assert rnd.target is None
+                np.testing.assert_array_equal(rnd.gradient, ref.gradient)
+            else:
+                assert rnd.gradient is None
+                np.testing.assert_array_equal(rnd.target, ref.target)
+
+
+def test_make_rounds_validation():
+    dom = L2Ball(3, 1.0)
+    lin = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
+    with pytest.raises(ValueError):
+        make_rounds(lin, 0, dom)
+    quad = LossSpec(kind=QUADRATIC, dim=4, seed=0, lam=1.0)
+    with pytest.raises(ValueError):
+        make_rounds(quad, 5, dom)
+
+
+def test_make_rounds_refuses_a_kernel_that_disagrees_with_numpy(monkeypatch):
+    monkeypatch.setattr(losses, "_PCG64_MULT", losses._PCG64_MULT + 2)
+    spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
+    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
+        make_rounds(spec, 3, L2Ball(3, 1.0))

@@ -118,13 +118,7 @@ def test_offline_comparator_linear_example():
     dom = L2Ball(2, 1.0)
 
     def fixed_round(t, g):
-        return LossRound(
-            t=t,
-            kind=LINEAR,
-            value_at=lambda x, g=g: float(g @ x),
-            grad_at=lambda x, g=g: g,
-            gradient=g,
-        )
+        return LossRound(t=t, kind=LINEAR, gradient=g)
 
     rounds = [fixed_round(1, np.array([1.0, 0.0])), fixed_round(2, np.array([0.0, 1.0]))]
     x_star, total = offline_comparator(dom, rounds)
