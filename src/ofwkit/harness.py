@@ -6,6 +6,12 @@ loss, cumulative loss, the best-in-hindsight comparator for the prefix
 played so far, the regret against it, the a priori regret bound when one
 applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
+
+Only the learner's work runs round by round. The columns that do not
+depend on the learner (cumulative loss, the prefix comparators, regret)
+and the CSV text are computed afterwards, ``core.BLOCK_ROWS`` rounds at a
+time with the sets' row-wise oracles, equal bit for bit to the per-round
+computation.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import BLOCK_ROWS, prefix_sums, row_blocks, row_dots
 from .learners import (
     OFW_DECAY,
     OGD,
@@ -394,6 +401,51 @@ def _init_learner(spec: ExperimentSpec, G: float, lam: float):
     return ogd_init(spec.domain, G, lam), baseline_update
 
 
+def _allocate_logs(T: int) -> np.ndarray:
+    """The (6, T) array behind a trace's logged columns.
+
+    A horizon too long to log is a config error, raised before any round is
+    generated.
+    """
+    try:
+        return np.empty((6, T))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
+
+
+def _check_rounds(spec: ExperimentSpec, rounds: Sequence[LossRound]):
+    """Raise ``ValueError`` naming the first round that does not fit ``spec``.
+
+    Every round must have the spec's loss kind and dim, finite data, and
+    the lam of round 1.
+    """
+    if len(rounds) != spec.horizon:
+        raise ValueError(f"expected {spec.horizon} rounds, got {len(rounds)}")
+    kind, shape, lam = spec.loss.kind, (spec.domain.dim,), rounds[0].lam
+    data = [r.gradient if kind == LINEAR else r.target for r in rounds]
+    first, why = len(rounds), None
+    for i, (rnd, d) in enumerate(zip(rounds, data)):
+        if rnd.kind != kind:
+            why = f"kind {rnd.kind!r}, expected {kind!r}"
+        elif rnd.lam != lam:
+            why = f"lam {rnd.lam!r} differs from round 1's {lam!r}"
+        elif not isinstance(d, np.ndarray) or d.shape != shape:
+            why = f"data of shape {np.shape(d)}, expected {shape}"
+        else:
+            continue
+        first = i
+        break
+    # Finiteness is checked a block at a time, up to the first round
+    # already found bad.
+    for start, rows in row_blocks(data[:first]):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            first, why = start + int(bad[0]), "non-finite data"
+            break
+    if why is not None:
+        raise ValueError(f"round {first + 1} (t = {rounds[first].t}): {why}")
+
+
 def run_experiment(
     spec: ExperimentSpec,
     rounds: Optional[Sequence[LossRound]] = None,
@@ -408,76 +460,48 @@ def run_experiment(
 
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
-    longer sequence, and tests inject fixed losses. Its length must equal
-    the horizon. The final comparator is recomputed from the full sequence
-    by the offline oracle, so the reported ``final_regret`` does not lean
-    on the per-round incremental comparator.
+    longer sequence, and tests inject fixed losses. There must be one per
+    round, each of the spec's loss kind and dim, with finite data and one
+    shared lam, else ``ValueError`` names the first bad round before the
+    learner moves. The final comparator is recomputed from the
+    full sequence by the offline oracle, so the reported ``final_regret``
+    does not lean on the per-round prefix comparators.
+
+    A horizon too long to log raises ``ConfigError`` before any round is
+    generated.
     """
     cert = certificate(spec)
-    if rounds is not None and len(rounds) != spec.horizon:
-        raise ValueError(f"expected {spec.horizon} rounds, got {len(rounds)}")
+    if rounds is not None:
+        _check_rounds(spec, rounds)
     state, update = _init_learner(spec, cert.G, cert.lam)
-    domain = spec.domain
     T = spec.horizon
-
-    # Allocated before any round is generated, so a horizon too long to
-    # log fails here rather than after generating its rounds.
-    loss_v = np.empty(T)
-    cum_v = np.empty(T)
-    comp_v = np.empty(T)
-    regret_v = np.empty(T)
-    gap_v = np.full(T, np.nan)
-    gapb_v = np.full(T, np.nan)
-
+    loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
+    gap_v.fill(np.nan)
+    gapb_v.fill(np.nan)
     if rounds is None:
-        rounds = make_rounds(spec.loss, T, domain)
-
-    grad_prefix = np.zeros(domain.dim)
-    target_prefix = np.zeros(domain.dim)
-    target_sq_prefix = 0.0
-
-    cum = 0.0
+        rounds = make_rounds(spec.loss, T, spec.domain)
     measure_until = spec.gap_cap if spec.gap_check else 0
 
     for i, rnd in enumerate(rounds):
-        t = i + 1
         x_t = state.x
-
-        if t <= measure_until:
+        if i < measure_until:
             surrogate = surrogate_of(state)
             if surrogate is not None:
                 _, best = surrogate_argmin(surrogate)
                 gap_v[i] = surrogate.value(x_t) - best
-                gb = cert.gap(t)
+                gb = cert.gap(i + 1)
                 if gb is not None:
                     gapb_v[i] = gb
+        loss_v[i] = rnd.value_at(x_t)
+        state = update(state, rnd.grad_at(x_t))
 
-        loss_t = rnd.value_at(x_t)
-        g_t = rnd.grad_at(x_t)
-        cum += loss_t
-
-        if rnd.kind == LINEAR:
-            grad_prefix = grad_prefix + rnd.gradient
-            x_best = domain.lmo(grad_prefix)
-            comp = float(grad_prefix.dot(x_best))
-        else:
-            target_prefix = target_prefix + rnd.target
-            target_sq_prefix += float(rnd.target.dot(rnd.target))
-            x_best = domain.project(target_prefix / t)
-            comp = 0.5 * rnd.lam * (
-                t * float(x_best.dot(x_best))
-                - 2.0 * float(target_prefix.dot(x_best))
-                + target_sq_prefix
-            )
-
-        loss_v[i] = loss_t
-        cum_v[i] = cum
-        comp_v[i] = comp
-        regret_v[i] = cum - comp
-        state = update(state, g_t)
-
+    # Summed from 0.0 as a running Python float would be.
+    cum_v[:] = prefix_sums(loss_v, 0.0)
+    _prefix_comparators(spec.domain, rounds, comp_v)
+    np.subtract(cum_v, comp_v, out=regret_v)
     bound_v = cert.regret(np.arange(1, T + 1, dtype=float))
-    x_star, comp_total = offline_comparator(domain, rounds)
+    x_star, comp_total = offline_comparator(spec.domain, rounds)
+    cum = float(cum_v[-1])
     return RegretTrace(
         spec=spec,
         rounds=np.arange(1, T + 1),
@@ -495,13 +519,41 @@ def run_experiment(
     )
 
 
+def _prefix_comparators(domain: FeasibleSet, rounds: Sequence[LossRound], out: np.ndarray):
+    """``out[i]``: the total loss over rounds 1..i+1 of the best fixed point for them.
+
+    Linear rounds: the lmo of the gradient prefix sum, scored against it.
+    Quadratic rounds: the projection of the mean target, scored in closed
+    form from the target sums. Computed a block of rounds at a time with
+    the row-wise oracles; each entry equals the one-round-at-a-time
+    computation bit for bit.
+    """
+    if rounds[0].kind == LINEAR:
+        grad_sum = np.zeros(domain.dim)
+        for start, g in row_blocks(r.gradient for r in rounds):
+            prefix = prefix_sums(g, grad_sum)
+            grad_sum = prefix[-1]
+            out[start : start + len(g)] = row_dots(prefix, domain.lmo_rows(prefix))
+        return
+    lam = rounds[0].lam
+    target_sum, target_sq_sum = np.zeros(domain.dim), 0.0
+    for start, targets in row_blocks(r.target for r in rounds):
+        ts = np.arange(start + 1, start + len(targets) + 1, dtype=float)
+        prefix = prefix_sums(targets, target_sum)
+        sq_prefix = prefix_sums(row_dots(targets, targets), target_sq_sum)
+        target_sum, target_sq_sum = prefix[-1], sq_prefix[-1]
+        x = domain.project_rows(prefix / ts[:, None])
+        out[start : start + len(targets)] = (
+            0.5 * lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
+        )
+
+
 # -- CSV --------------------------------------------------------------------
 
 
-def _cell(value: float) -> str:
-    if value is None or math.isnan(value):
-        return ""
-    return format(value, ".17g")
+def _cells(values) -> list[str]:
+    """CSV cells of floats: 17 significant digits, NaN as an empty cell."""
+    return ["" if v != v else "%.17g" % v for v in values]
 
 
 def emit_csv(trace: RegretTrace) -> str:
@@ -510,22 +562,21 @@ def emit_csv(trace: RegretTrace) -> str:
     Floats carry 17 significant digits so round-tripping is lossless;
     inapplicable entries (no bound, gap not measured) are empty cells.
     """
+    columns = (
+        trace.loss,
+        trace.cum_loss,
+        trace.comparator_cum,
+        trace.regret,
+        trace.theorem_bound,
+        trace.gap,
+        trace.gap_bound,
+    )
     lines = [CSV_HEADER]
-    for i in range(trace.rounds.shape[0]):
-        lines.append(
-            ",".join(
-                (
-                    str(int(trace.rounds[i])),
-                    _cell(trace.loss[i]),
-                    _cell(trace.cum_loss[i]),
-                    _cell(trace.comparator_cum[i]),
-                    _cell(trace.regret[i]),
-                    _cell(trace.theorem_bound[i]),
-                    _cell(trace.gap[i]),
-                    _cell(trace.gap_bound[i]),
-                )
-            )
-        )
+    for start in range(0, trace.rounds.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        ts = ["%d" % t for t in trace.rounds[block].tolist()]
+        cells = [_cells(c[block].tolist()) for c in columns]
+        lines.extend(map(",".join, zip(ts, *cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -573,7 +624,8 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     each run plays their prefix: round t is a function of (seed, t), so
     this equals a separate ``run_experiment`` per horizon. The slope is
     fitted when at least 3 horizons produce positive regret, else left
-    None. Every horizon is validated before the first run; a bad one
+    None. Every horizon is validated, and the logs of the longest run
+    allocated, before any round is generated; a bad or unloggable horizon
     raises ``ConfigError``.
     """
     hs = [int(h) for h in horizons]
@@ -587,6 +639,8 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     result = SweepResult(spec=spec)
+    # The longest run must be able to log before its rounds are generated.
+    _allocate_logs(hs[-1])
     rounds = make_rounds(spec.loss, hs[-1], spec.domain)
     for h, spec_h in zip(hs, specs):
         trace = run_experiment(spec_h, rounds[:h])
@@ -602,9 +656,11 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
 
 def sweep_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: one row per horizon, slope repeated."""
-    slope_cell = _cell(result.slope if result.slope is not None else float("nan"))
+    nan = float("nan")
+    (slope_cell,) = _cells([nan if result.slope is None else result.slope])
+    regret_cells = _cells(result.regrets)
+    bound_cells = _cells([nan if b is None else b for b in result.bounds])
     lines = [SWEEP_CSV_HEADER]
-    for h, r, b in zip(result.horizons, result.regrets, result.bounds):
-        bound_cell = _cell(b if b is not None else float("nan"))
-        lines.append(f"{h},{_cell(r)},{bound_cell},{slope_cell}")
+    for h, r, b in zip(result.horizons, regret_cells, bound_cells):
+        lines.append(f"{h},{r},{b},{slope_cell}")
     return "\n".join(lines) + "\n"

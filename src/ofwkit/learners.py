@@ -17,7 +17,7 @@ States hold running sums only, so a step costs O(dim) regardless of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,15 @@ def ofw_update(state: OfwState, g) -> OfwState:
     grad_sum = state.grad_sum + g
     grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
     x_next = _fw_step(state.domain, state.x, grad_f, curvature=OFW_CURVATURE)
-    return replace(state, x=x_next, grad_sum=grad_sum, t=state.t + 1)
+    return OfwState(
+        domain=state.domain,
+        x=x_next,
+        x1=state.x1,
+        grad_sum=grad_sum,
+        t=state.t + 1,
+        eta=state.eta,
+        horizon=state.horizon,
+    )
 
 
 @dataclass(frozen=True)
@@ -263,11 +271,31 @@ def baseline_update(state: BaselineState, g) -> BaselineState:
         grad_sum = state.grad_sum + g
         grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
         x_next = _fw_step(state.domain, state.x, grad_f, sigma=min(1.0, t**-0.5))
-        return replace(state, x=x_next, t=t, grad_sum=grad_sum)
+        return BaselineState(
+            variant=OFW_DECAY,
+            domain=state.domain,
+            x=x_next,
+            t=t,
+            grad_sum=grad_sum,
+            x1=state.x1,
+            eta=state.eta,
+            G=state.G,
+            lam=state.lam,
+        )
     if state.variant == OGD:
         if state.lam > 0.0:
             step = 1.0 / (state.lam * t)
         else:
             step = state.domain.diameter / (state.G * t**0.5)
-        return replace(state, x=state.domain.project(state.x - step * g), t=t)
+        return BaselineState(
+            variant=OGD,
+            domain=state.domain,
+            x=state.domain.project(state.x - step * g),
+            t=t,
+            grad_sum=state.grad_sum,
+            x1=state.x1,
+            eta=state.eta,
+            G=state.G,
+            lam=state.lam,
+        )
     raise ValueError(f"unknown baseline variant {state.variant!r}")

@@ -9,11 +9,11 @@ to project; the online learners never are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import dot
+from .core import dot, prefix_sums, row_blocks, row_dots
 from .learners import (
     OFW_CURVATURE,
     BaselineState,
@@ -162,7 +162,8 @@ def offline_comparator(
     Linear rounds reduce to one oracle call on the summed gradient, which
     is exact. The total of quadratic rounds is minimized by the projection
     of their mean target, whose Frank-Wolfe gap is certified to ``tol``
-    (``ConvergenceError`` otherwise).
+    (``ConvergenceError`` otherwise). Sums run over blocks of rounds and
+    equal the round-by-round sums bit for bit.
     """
     if len(rounds) == 0:
         raise ValueError("need at least one round")
@@ -172,9 +173,7 @@ def offline_comparator(
     kind = kinds.pop()
 
     if kind == LINEAR:
-        total_grad = np.zeros(domain.dim)
-        for r in rounds:
-            total_grad = total_grad + r.gradient
+        total_grad = _vector_sum((r.gradient for r in rounds), domain.dim)
         x_star = domain.lmo(total_grad)
         return x_star, dot(total_grad, x_star)
 
@@ -184,17 +183,25 @@ def offline_comparator(
             raise ValueError(f"mixed strong-convexity moduli {sorted(lams)!r}")
         lam = lams.pop()
         n = len(rounds)
-        target_sum = np.zeros(domain.dim)
-        for r in rounds:
-            target_sum = target_sum + r.target
+        target_sum = _vector_sum((r.target for r in rounds), domain.dim)
         x = domain.project(target_sum / n)
         _certify(domain, lam * (n * x - target_sum), x, tol)
+        # Each round's value_at(x), summed in round order.
         total = 0.0
-        for r in rounds:
-            total += r.value_at(x)
-        return x, total
+        for _, rows in row_blocks(r.target for r in rounds):
+            d = x - rows
+            total = prefix_sums(0.5 * lam * row_dots(d, d), total)[-1]
+        return x, float(total)
 
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _vector_sum(vectors: Iterable[np.ndarray], dim: int) -> np.ndarray:
+    """Sum of ``vectors`` added one at a time to zeros, a block at a time."""
+    total = np.zeros(dim)
+    for _, rows in row_blocks(vectors):
+        total = prefix_sums(rows, total)[-1]
+    return total
 
 
 def grid_line_search(a: float, b: float, grid_size: int) -> float:

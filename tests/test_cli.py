@@ -177,3 +177,23 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
         with pytest.raises(ValueError, match="injected failure") as exc:
             main(argv + out)
         assert not isinstance(exc.value, ConfigError)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_horizon_too_long_to_log_exits_two_without_generating_rounds(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_rounds(*args):
+        raise AssertionError("rounds generated for a horizon that cannot be logged")
+
+    monkeypatch.setattr(ofwkit.harness, "make_rounds", no_rounds)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        GOOD_CONFIG.replace("T = 32", f"T = {2**62}").replace("algo = ofw_ls", "algo = ogd")
+    )
+    argv = [command, str(cfg), "--out", str(tmp_path / "out.csv")]
+    if command == "sweep":
+        argv += ["--horizons", f"16,{2**62}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1

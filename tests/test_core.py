@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from ofwkit.core import (
+    BLOCK_ROWS,
     as_vector,
     dot,
     l2_norm,
     line_search_quadratic,
     lp_norm,
+    prefix_sums,
+    row_blocks,
+    row_dots,
 )
 from ofwkit.oracle import grid_line_search
 
@@ -118,3 +122,36 @@ def test_l2_norm_survives_overflow_of_squares():
         assert l2_norm(g) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
         assert lp_norm(g, 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert l2_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_blocked_prefix_sums_equal_a_running_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    n = 2 * BLOCK_ROWS + 3
+    vectors = list(rng.standard_normal((n, 5)) * 10.0 ** rng.uniform(-8, 8, (n, 1)))
+    vectors[0] = np.array([-0.0, 0.0, -0.0, 1.0, -1.0])
+    total, expected = np.zeros(5), []
+    for v in vectors:
+        total = total + v
+        expected.append(total)
+    carry, got, starts = np.zeros(5), [], []
+    for start, rows in row_blocks(iter(vectors)):
+        starts.append(start)
+        prefix = prefix_sums(rows, carry)
+        carry = prefix[-1]
+        got.extend(prefix)
+    assert starts == [0, BLOCK_ROWS, 2 * BLOCK_ROWS]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    # A scalar running sum from a Python 0.0, which turns a leading -0.0 into 0.0.
+    values = np.array([-0.0, -0.0, 1e-300, 3.5, -3.5])
+    running, loop = 0.0, []
+    for v in values.tolist():
+        running += v
+        loop.append(running)
+    assert prefix_sums(values, 0.0).tobytes() == np.array(loop).tobytes()
+
+
+def test_row_dots_equal_dot_bit_for_bit():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 500, 37))
+    expected = np.array([u.dot(v) for u, v in zip(a, b)])
+    assert row_dots(a, b).tobytes() == expected.tobytes()

@@ -3,9 +3,11 @@ import io
 import math
 from dataclasses import replace
 
+import _comparator_reference as reference
 import numpy as np
 import pytest
 
+import ofwkit.harness
 from ofwkit.harness import (
     ALGO_OFW_DECAY,
     ALGO_OFW_LS,
@@ -24,8 +26,8 @@ from ofwkit.harness import (
     theorem_bound,
     theorem_constant,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, zero_round
-from ofwkit.sets import L2Ball, LpBall, Simplex
+from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_rounds, zero_round
+from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
 # unit euclidean ball, unit-norm linear losses
@@ -283,6 +285,121 @@ def test_horizon_beyond_array_length_refused_and_huge_horizon_fails_fast():
 def test_injected_rounds_length_checked():
     with pytest.raises(ValueError):
         run_experiment(_spec(horizon=4), rounds=[zero_round(1, 10)])
+
+
+def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch):
+    def no_rounds(*args):
+        raise AssertionError("rounds generated for a horizon that cannot be logged")
+
+    monkeypatch.setattr(ofwkit.harness, "make_rounds", no_rounds)
+    spec = _spec(algo=ALGO_OGD, horizon=2**62)
+    with pytest.raises(ConfigError, match="too long to log"):
+        run_experiment(spec)
+    with pytest.raises(ConfigError, match="too long to log"):
+        sweep(spec, [16, 2**62])
+
+
+def _quadratic_rounds(T, dim, lam=1.0):
+    rng = np.random.default_rng(3)
+    return [
+        LossRound(t=t, kind=QUADRATIC, target=0.1 * rng.standard_normal(dim), lam=lam)
+        for t in range(1, T + 1)
+    ]
+
+
+def _bad_rounds(case):
+    """(spec, rounds, the 1-based index of the first bad round)."""
+    linear = [zero_round(t, 10) for t in range(1, 9)]
+    quad_spec = _spec(loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), horizon=8)
+    quad = _quadratic_rounds(8, 10)
+    if case == "kind":
+        linear[2] = quad[2]
+        return _spec(horizon=8), linear, 3
+    if case == "lam":
+        quad[4] = replace(quad[4], lam=2.0)
+        return quad_spec, quad, 5
+    if case == "dim":
+        linear[1] = LossRound(t=2, kind=LINEAR, gradient=np.zeros(9))
+        return _spec(horizon=8), linear, 2
+    if case == "missing":
+        linear[6] = LossRound(t=7, kind=LINEAR)
+        return _spec(horizon=8), linear, 7
+    if case == "non_finite":
+        quad[3] = replace(quad[3], target=np.full(10, np.nan))
+        return quad_spec, quad, 4
+    # A non-finite round before a round of the wrong kind: the earlier one is named.
+    linear[1] = LossRound(t=2, kind=LINEAR, gradient=np.full(10, np.inf))
+    linear[5] = quad[5]
+    return _spec(horizon=8), linear, 2
+
+
+@pytest.mark.parametrize("case", ["kind", "lam", "dim", "missing", "non_finite", "first"])
+def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
+    def no_update(*args):
+        raise AssertionError("the learner moved before the rounds were checked")
+
+    monkeypatch.setattr(ofwkit.harness, "ofw_update", no_update)
+    spec, rounds, bad = _bad_rounds(case)
+    with pytest.raises(ValueError, match=rf"^round {bad} \(t = {bad}\)"):
+        run_experiment(spec, rounds=rounds)
+
+
+_BLOCK_SETS = [L2Ball(6, 1.5), LpBall(6, 1.2, 1.5), L1Ball(6, 2.0), Simplex(6)]
+
+
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_block_bookkeeping_equals_round_by_round_reference(domain, kind):
+    # T = 513 crosses two block boundaries.
+    spec = _spec(
+        domain=domain,
+        loss=LossSpec(kind=kind, dim=6, seed=11, G=1.0, lam=0.7),
+        algo=ALGO_OFW_LS,
+        horizon=513,
+        gap_check=True,
+        gap_cap=40,
+    )
+    trace = run_experiment(spec)
+    rounds = make_rounds(spec.loss, 513, domain)
+    comp = reference.prefix_comparators(domain, rounds)
+    cum = reference.running_sum(trace.loss.tolist())
+    assert trace.comparator_cum.tobytes() == comp.tobytes()
+    assert trace.cum_loss.tobytes() == cum.tobytes()
+    assert trace.regret.tobytes() == (cum - comp).tobytes()
+    x_star, total = reference.offline_comparator(domain, rounds)
+    assert trace.comparator_point.tobytes() == x_star.tobytes()
+    assert trace.comparator_total == total
+    assert emit_csv(trace) == reference.emit_csv(trace)
+
+
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_block_comparator_resolves_ties_like_the_lmo(domain):
+    # Gradients +g, -g, ... bring every even prefix sum back to exactly
+    # zero, so tie rows and ordinary rows share each block.
+    g = np.random.default_rng(4).standard_normal(6)
+    rounds = [LossRound(t=t, kind=LINEAR, gradient=g if t % 2 else -g) for t in range(1, 301)]
+    spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0), horizon=300)
+    trace = run_experiment(spec, rounds=rounds)
+    comp = reference.prefix_comparators(domain, rounds)
+    assert trace.comparator_cum.tobytes() == comp.tobytes()
+    assert np.all(trace.comparator_cum[1::2] == 0.0)
+
+
+def test_emit_csv_matches_per_cell_formatting_on_special_values():
+    trace = run_experiment(_spec(horizon=300, gap_check=True, gap_cap=5))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1.5])
+    column = np.resize(special, 300)
+    odd = replace(
+        trace,
+        loss=column,
+        cum_loss=column[::-1].copy(),
+        comparator_cum=np.roll(column, 3),
+        theorem_bound=np.full(300, np.nan),
+    )
+    text = emit_csv(odd)
+    assert text == reference.emit_csv(odd)
+    assert text.split("\n")[1].split(",")[1] == ""
+    assert [line.split(",")[1] for line in text.split("\n")[2:5]] == ["inf", "-inf", "-0"]
 
 
 def test_trace_shapes_and_cumulative_consistency():

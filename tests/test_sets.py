@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ofwkit.core import lp_norm
-from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
+from ofwkit.sets import ZERO_GRADIENT_TOL, L1Ball, L2Ball, LpBall, Simplex, is_tie
 
 ALL_SETS = [
     L2Ball(10, 1.0),
@@ -246,3 +246,110 @@ def test_huge_vectors_under_raise_errstate():
     with np.errstate(all="raise", under="ignore"):
         far = LpBall(3, 1e150, 1.5)
         np.testing.assert_allclose(far.project(g), [1e150 * side, -1e150 * side, 0.0], rtol=1e-14)
+
+
+def test_tie_rule_is_an_absolute_euclidean_threshold():
+    assert is_tie(ZERO_GRADIENT_TOL)
+    assert not is_tie(np.nextafter(ZERO_GRADIENT_TOL, 1.0))
+    np.testing.assert_array_equal(
+        is_tie(np.array([0.0, 1e-13, 1e-12, 2e-12])), [True, True, True, False]
+    )
+    # Euclidean norm 9.5e-13 (a tie) although the l1 norm is 3e-12.
+    spread = np.full(10, 3e-13)
+    # A valid gradient of norm 1e-13 is a tie whatever the losses' scale;
+    # the same direction at norm 2e-12 is not.
+    small, large = np.eye(10)[0] * 1e-13, -np.eye(10)[0] * 2e-12
+    for dom in ALL_SETS:
+        for g in (spread, small):
+            np.testing.assert_array_equal(dom.lmo(g), dom.anchor())
+        rows = dom.lmo_rows(np.array([small, large, spread]))
+        np.testing.assert_array_equal(rows[0], dom.anchor())
+        np.testing.assert_array_equal(rows[2], dom.anchor())
+        assert not np.array_equal(rows[1], dom.anchor())
+        np.testing.assert_array_equal(rows[1], dom.lmo(large))
+
+
+ROW_SETS = [
+    L2Ball(7, 1.5),
+    LpBall(7, 1.2, 1.5),
+    LpBall(7, 0.8, 1.1),
+    LpBall(7, 1.0, 2.0),
+    L1Ball(7, 2.0),
+    Simplex(7),
+]
+
+
+def _row_cases(dim, huge=True, tiny=True):
+    """Rows at scales 1e-6 to 1e6, zero rows, tie rows, repeated extremes and,
+    if asked, rows near 1e200 and rows with underflowing squares."""
+    rng = np.random.default_rng(31)
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, size=(300, 1))
+    rows = [rng.standard_normal((300, dim)) * scales]
+    rows.append(np.zeros((2, dim)))
+    tie = rng.standard_normal((3, dim))
+    rows.append(1e-13 * tie / np.linalg.norm(tie, axis=1, keepdims=True))
+    rows.append(np.array([[1.0, -1.0] + [0.5] * (dim - 2), [-2.0] * dim]))
+    if tiny:
+        # Squares that underflow make numpy raise under errstate(all="raise"),
+        # which sends l2_norm to its rescaled sum.
+        small = rng.standard_normal((20, dim))
+        small[:, 0] = 1e-170
+        rows.append(small)
+    if huge:
+        big = np.zeros((2, dim))
+        big[0, :2] = [1e200, -1e200]
+        big[1] = 3e199 * rng.standard_normal(dim)
+        rows.append(big)
+    return np.concatenate(rows)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("dom", ROW_SETS, ids=_ids(ROW_SETS))
+def test_lmo_rows_equal_lmo_bit_for_bit(dom):
+    # Powers of tiny entries in the Lp oracles underflow, which numpy
+    # raises under errstate(all="raise").
+    g = _row_cases(dom.dim, tiny=not isinstance(dom, LpBall))
+    with np.errstate(all="raise"):
+        out = dom.lmo_rows(g)
+        expected = np.array([dom.lmo(row) for row in g])
+        assert _bits(out) == _bits(expected)
+        assert _bits(dom.lmo_rows(g[-1:])) == _bits(expected[-1:])
+    assert dom.lmo_rows(np.empty((0, dom.dim))).shape == (0, dom.dim)
+
+
+@pytest.mark.parametrize("dom", ROW_SETS, ids=_ids(ROW_SETS))
+def test_project_rows_equal_project_bit_for_bit(dom):
+    # Only the L2 ball projects rows near 1e200: the Lp projection refuses
+    # points beyond 1e60 times the radius, and the simplex and l1 ones
+    # points whose entries swamp the sum they project to.
+    lp = isinstance(dom, LpBall)
+    x = _row_cases(dom.dim, huge=isinstance(dom, L2Ball), tiny=not lp)
+    with np.errstate(all="raise"):
+        out = dom.project_rows(x)
+        expected = np.array([dom.project(row) for row in x])
+        assert _bits(out) == _bits(expected)
+        assert _bits(dom.project_rows(x[:1])) == _bits(expected[:1])
+    assert dom.project_rows(np.empty((0, dom.dim))).shape == (0, dom.dim)
+    if not isinstance(dom, L2Ball):
+        huge = _row_cases(dom.dim)[-2:]
+        for row in huge:
+            with pytest.raises(ValueError):
+                dom.project(row)
+        with pytest.raises(ValueError):
+            dom.project_rows(np.concatenate([x[:3], huge]))
+
+
+@pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
+def test_row_oracles_reject_bad_rows(dom):
+    bad = np.zeros((3, dom.dim))
+    bad[1, 0] = np.nan
+    for oracle in (dom.lmo_rows, dom.project_rows):
+        with pytest.raises(ValueError):
+            oracle(np.zeros((3, dom.dim + 1)))
+        with pytest.raises(ValueError):
+            oracle(np.zeros(dom.dim))
+        with pytest.raises(ValueError):
+            oracle(bad)
