@@ -26,11 +26,12 @@ from .harness import (
     theorem_constant,
 )
 from .learners import (
-    BaselineState,
     OfwState,
+    OgdState,
     ScOfwState,
     baseline_update,
     ofw_decay_init,
+    ofw_decay_update,
     ofw_init,
     ofw_update,
     ogd_init,
@@ -41,15 +42,12 @@ from .losses import (
     LossRound,
     LossSpec,
     certify_constants,
-    make_linear_round,
-    make_quadratic_round,
     make_round,
     make_rounds,
 )
 from .oracle import (
     OfwSurrogate,
     ScOfwSurrogate,
-    grid_line_search,
     offline_comparator,
     surrogate_argmin,
     surrogate_of,
@@ -76,11 +74,12 @@ __all__ = [
     "sweep_csv",
     "theorem_bound",
     "theorem_constant",
-    "BaselineState",
     "OfwState",
+    "OgdState",
     "ScOfwState",
     "baseline_update",
     "ofw_decay_init",
+    "ofw_decay_update",
     "ofw_init",
     "ofw_update",
     "ogd_init",
@@ -89,13 +88,10 @@ __all__ = [
     "LossRound",
     "LossSpec",
     "certify_constants",
-    "make_linear_round",
-    "make_quadratic_round",
     "make_round",
     "make_rounds",
     "OfwSurrogate",
     "ScOfwSurrogate",
-    "grid_line_search",
     "offline_comparator",
     "surrogate_argmin",
     "surrogate_of",

@@ -25,11 +25,10 @@ import numpy as np
 
 from .core import BLOCK_ROWS, prefix_sums, row_blocks, row_dots
 from .learners import (
-    OFW_DECAY,
-    OGD,
     baseline_update,
     ofw_decay_init,
     ofw_decay_step_size_parameter,
+    ofw_decay_update,
     ofw_init,
     ofw_step_size_parameter,
     ofw_update,
@@ -397,7 +396,7 @@ def _init_learner(spec: ExperimentSpec, G: float, lam: float):
     if spec.algo == ALGO_SC_OFW:
         return scofw_init(spec.domain, lam), scofw_update
     if spec.algo == ALGO_OFW_DECAY:
-        return ofw_decay_init(spec.domain, spec.horizon, G), baseline_update
+        return ofw_decay_init(spec.domain, spec.horizon, G), ofw_decay_update
     return ogd_init(spec.domain, G, lam), baseline_update
 
 

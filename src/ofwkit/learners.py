@@ -8,8 +8,9 @@ Two projection-free learners built on a linear minimization oracle:
 * ``scofw``: a horizon-free variant for lam-strongly-convex losses, with
   surrogate F_t(x) = sum_tau [<g_tau, x> + (lam/2) * ||x - x_tau||^2].
 
-Plus two baselines: Frank-Wolfe with the decaying step sigma_t = t^(-1/2)
-(no line search) and projected online gradient descent.
+Plus two baselines: ``ofw_decay``, the first learner's Frank-Wolfe step
+with sigma_t = min(1, t^(-1/2)) in place of the line search and a heavier
+eta, and projected online gradient descent.
 
 Updates are pure: each consumes one gradient and returns a fresh state.
 States hold running sums only, so a step costs O(dim) regardless of t.
@@ -26,11 +27,9 @@ from .sets import FeasibleSet
 
 __all__ = [
     "ZERO_STEP_TOL",
-    "OFW_DECAY",
-    "OGD",
     "OfwState",
     "ScOfwState",
-    "BaselineState",
+    "OgdState",
     "OFW_CURVATURE",
     "ofw_step_size_parameter",
     "ofw_decay_step_size_parameter",
@@ -41,6 +40,7 @@ __all__ = [
     "scofw_init",
     "scofw_update",
     "ofw_decay_init",
+    "ofw_decay_update",
     "ogd_init",
     "baseline_update",
 ]
@@ -48,9 +48,6 @@ __all__ = [
 # When the oracle vertex coincides with the iterate to this Euclidean
 # distance, the step is skipped rather than fed to the line search.
 ZERO_STEP_TOL = 1e-12
-
-OFW_DECAY = "ofw_decay"
-OGD = "ogd"
 
 # Curvature of the anchored surrogate: the Hessian of ||x - x1||^2 is 2I.
 OFW_CURVATURE = 2.0
@@ -92,7 +89,11 @@ def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> n
 
 @dataclass(frozen=True)
 class OfwState:
-    """State after absorbing t gradients; ``x`` is the next play."""
+    """State after absorbing t gradients; ``x`` is the next play.
+
+    Both learners on the anchored surrogate hold it: ``ofw_ls`` and the
+    ``ofw_decay`` baseline, which differ only in eta and the step size.
+    """
 
     domain: FeasibleSet
     x: np.ndarray
@@ -113,6 +114,23 @@ def ofw_decay_step_size_parameter(diameter: float, G: float, horizon: int) -> fl
     return diameter / (2.0 * G * horizon**0.75)
 
 
+def _anchored_state(domain: FeasibleSet, horizon: int, G: float, step_size_parameter) -> OfwState:
+    if not isinstance(horizon, int) or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    if not (G > 0.0):
+        raise ValueError(f"G must be positive, got {G!r}")
+    x1 = domain.anchor()
+    return OfwState(
+        domain=domain,
+        x=x1.copy(),
+        x1=x1,
+        grad_sum=np.zeros(domain.dim),
+        t=0,
+        eta=step_size_parameter(domain.diameter, G, horizon),
+        horizon=horizon,
+    )
+
+
 def ofw_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
     """Fresh learner anchored at ``domain.anchor()``.
 
@@ -120,31 +138,25 @@ def ofw_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
     bounds how many updates the state will accept. ``G`` must be a valid
     Lipschitz constant for the incoming gradients.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    if not (G > 0.0):
-        raise ValueError(f"G must be positive, got {G!r}")
-    x1 = domain.anchor()
-    eta = ofw_step_size_parameter(domain.diameter, G, horizon)
-    return OfwState(
-        domain=domain,
-        x=x1.copy(),
-        x1=x1,
-        grad_sum=np.zeros(domain.dim),
-        t=0,
-        eta=eta,
-        horizon=horizon,
-    )
+    return _anchored_state(domain, horizon, G, ofw_step_size_parameter)
 
 
-def ofw_update(state: OfwState, g) -> OfwState:
-    """Absorb the round-(t+1) gradient and move along the oracle direction."""
+def ofw_decay_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
+    """Fresh decaying-step baseline: ``ofw_init`` with the heavier weight
+    from ``ofw_decay_step_size_parameter``, which suits the fixed step
+    schedule of ``ofw_decay_update``."""
+    return _anchored_state(domain, horizon, G, ofw_decay_step_size_parameter)
+
+
+def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
+    """Absorb the round-(t+1) gradient and take one Frank-Wolfe step on the
+    anchored surrogate, of size ``sigma`` or, if None, the line search's."""
     g = as_vector(g, state.domain.dim)
     if state.t >= state.horizon:
         raise ValueError(f"horizon {state.horizon} exhausted")
     grad_sum = state.grad_sum + g
     grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
-    x_next = _fw_step(state.domain, state.x, grad_f, curvature=OFW_CURVATURE)
+    x_next = _fw_step(state.domain, state.x, grad_f, curvature=OFW_CURVATURE, sigma=sigma)
     return OfwState(
         domain=state.domain,
         x=x_next,
@@ -154,6 +166,17 @@ def ofw_update(state: OfwState, g) -> OfwState:
         eta=state.eta,
         horizon=state.horizon,
     )
+
+
+def ofw_update(state: OfwState, g) -> OfwState:
+    """Absorb the round-(t+1) gradient and move along the oracle direction."""
+    return _ofw_advance(state, g, None)
+
+
+def ofw_decay_update(state: OfwState, g) -> OfwState:
+    """``ofw_update`` with the step sigma_t = min(1, t^(-1/2)) in place of the
+    line search."""
+    return _ofw_advance(state, g, min(1.0, (state.t + 1) ** -0.5))
 
 
 @dataclass(frozen=True)
@@ -210,45 +233,17 @@ def scofw_update(state: ScOfwState, g) -> ScOfwState:
 
 
 @dataclass(frozen=True)
-class BaselineState:
-    """State for the decaying-step Frank-Wolfe and projected OGD baselines."""
+class OgdState:
+    """Projected online gradient descent after absorbing t gradients."""
 
-    variant: str
     domain: FeasibleSet
     x: np.ndarray
     t: int
-    grad_sum: np.ndarray | None = None
-    x1: np.ndarray | None = None
-    eta: float = 0.0
-    G: float = 0.0
-    lam: float = 0.0
+    G: float
+    lam: float
 
 
-def ofw_decay_init(domain: FeasibleSet, horizon: int, G: float) -> BaselineState:
-    """Frank-Wolfe on the anchored surrogate with sigma_t = min(1, t^(-1/2)).
-
-    Uses the heavier weight from ``ofw_decay_step_size_parameter``, which
-    suits the fixed step schedule.
-    """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    if not (G > 0.0):
-        raise ValueError(f"G must be positive, got {G!r}")
-    x1 = domain.anchor()
-    eta = ofw_decay_step_size_parameter(domain.diameter, G, horizon)
-    return BaselineState(
-        variant=OFW_DECAY,
-        domain=domain,
-        x=x1.copy(),
-        t=0,
-        grad_sum=np.zeros(domain.dim),
-        x1=x1,
-        eta=eta,
-        G=G,
-    )
-
-
-def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> BaselineState:
+def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> OgdState:
     """Projected online gradient descent.
 
     Step size D / (G sqrt(t)) for convex losses, 1 / (lam t) when a
@@ -258,44 +253,21 @@ def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> BaselineState:
         raise ValueError(f"G must be positive, got {G!r}")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    return BaselineState(
-        variant=OGD, domain=domain, x=domain.anchor(), t=0, G=G, lam=lam
-    )
+    return OgdState(domain=domain, x=domain.anchor(), t=0, G=G, lam=lam)
 
 
-def baseline_update(state: BaselineState, g) -> BaselineState:
-    """One step of whichever baseline ``state`` holds."""
+def baseline_update(state: OgdState, g) -> OgdState:
+    """One projected OGD step."""
     g = as_vector(g, state.domain.dim)
     t = state.t + 1
-    if state.variant == OFW_DECAY:
-        grad_sum = state.grad_sum + g
-        grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
-        x_next = _fw_step(state.domain, state.x, grad_f, sigma=min(1.0, t**-0.5))
-        return BaselineState(
-            variant=OFW_DECAY,
-            domain=state.domain,
-            x=x_next,
-            t=t,
-            grad_sum=grad_sum,
-            x1=state.x1,
-            eta=state.eta,
-            G=state.G,
-            lam=state.lam,
-        )
-    if state.variant == OGD:
-        if state.lam > 0.0:
-            step = 1.0 / (state.lam * t)
-        else:
-            step = state.domain.diameter / (state.G * t**0.5)
-        return BaselineState(
-            variant=OGD,
-            domain=state.domain,
-            x=state.domain.project(state.x - step * g),
-            t=t,
-            grad_sum=state.grad_sum,
-            x1=state.x1,
-            eta=state.eta,
-            G=state.G,
-            lam=state.lam,
-        )
-    raise ValueError(f"unknown baseline variant {state.variant!r}")
+    if state.lam > 0.0:
+        step = 1.0 / (state.lam * t)
+    else:
+        step = state.domain.diameter / (state.G * t**0.5)
+    return OgdState(
+        domain=state.domain,
+        x=state.domain.project(state.x - step * g),
+        t=t,
+        G=state.G,
+        lam=state.lam,
+    )

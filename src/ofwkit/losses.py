@@ -33,12 +33,9 @@ __all__ = [
     "round_seed",
     "LossSpec",
     "LossRound",
-    "make_linear_round",
-    "make_quadratic_round",
     "make_round",
     "make_rounds",
     "certify_constants",
-    "zero_round",
 ]
 
 LINEAR = "linear"
@@ -69,10 +66,11 @@ def round_seed(seed: int, t: int) -> int:
 class LossSpec:
     """Declares one adversary: kind, dimension, base seed, and constants.
 
-    ``G`` is the gradient norm for linear losses (must be positive and
-    finite there, unused otherwise). ``lam`` is the strong-convexity modulus
-    for quadratic losses (must be positive and finite there, unused
-    otherwise).
+    ``seed`` is an integer in [-2**63, 2**64); a negative seed s plays the
+    adversary of seed s + 2**64. ``G`` is the gradient norm for linear
+    losses (must be positive and finite there, unused otherwise). ``lam``
+    is the strong-convexity modulus for quadratic losses (must be positive
+    and finite there, unused otherwise).
     """
 
     kind: str
@@ -88,6 +86,8 @@ class LossSpec:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not -(2**63) <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [-2**63, 2**64), got {self.seed!r}")
         if self.kind == LINEAR and not (0.0 < self.G < math.inf):
             raise ValueError(f"linear losses need a finite G > 0, got {self.G!r}")
         if self.kind == QUADRATIC and not (0.0 < self.lam < math.inf):
@@ -122,7 +122,7 @@ class LossRound:
 
 
 def _draw_round(
-    spec: LossSpec, t: int, domain: Optional[FeasibleSet], rng: np.random.Generator
+    spec: LossSpec, t: int, domain: FeasibleSet, rng: np.random.Generator
 ) -> LossRound:
     """Round t drawn from ``rng``, a generator already seeded for round t."""
     if spec.kind == LINEAR:
@@ -135,31 +135,17 @@ def _draw_round(
     return LossRound(t=t, kind=QUADRATIC, target=domain.random_feasible(rng), lam=spec.lam)
 
 
-def make_linear_round(spec: LossSpec, t: int) -> LossRound:
-    """Round t of a linear adversary; the gradient has norm exactly G."""
-    if spec.kind != LINEAR:
-        raise ValueError(f"spec kind is {spec.kind!r}, expected {LINEAR!r}")
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    return _draw_round(spec, t, None, np.random.default_rng(round_seed(spec.seed, t)))
+def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
+    """Round t of the adversary, drawn from ``default_rng(round_seed(seed, t))``.
 
-
-def make_quadratic_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
-    """Round t of a quadratic adversary with a feasible minimizer."""
-    if spec.kind != QUADRATIC:
-        raise ValueError(f"spec kind is {spec.kind!r}, expected {QUADRATIC!r}")
+    A linear round's gradient has norm exactly G; a quadratic round's
+    target is a feasible point of ``domain``.
+    """
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
     if spec.dim != domain.dim:
         raise ValueError(f"loss dim {spec.dim} does not match set dim {domain.dim}")
     return _draw_round(spec, t, domain, np.random.default_rng(round_seed(spec.seed, t)))
-
-
-def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
-    """Dispatch on the spec kind."""
-    if spec.kind == LINEAR:
-        return make_linear_round(spec, t)
-    return make_quadratic_round(spec, t, domain)
 
 
 # Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of
@@ -239,10 +225,7 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> list[LossRound]:
     """
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
-    if spec.kind == LINEAR:
-        reference = make_linear_round(spec, 1)
-    else:
-        reference = make_quadratic_round(spec, 1, domain)
+    reference = make_round(spec, 1, domain)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     seeded = {"state": 0, "inc": 0}
@@ -277,8 +260,3 @@ def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float
     if spec.kind == LINEAR:
         return spec.G, 0.0
     return spec.lam * domain.diameter, spec.lam
-
-
-def zero_round(t: int, dim: int) -> LossRound:
-    """An identically-zero loss; handy for fixed-point tests."""
-    return LossRound(t=t, kind=LINEAR, gradient=np.zeros(dim))

@@ -2,8 +2,8 @@
 
 Surrogate snapshots with exact value/gradient evaluation, a certified
 surrogate minimizer, the offline comparator that regret is measured
-against, and a brute-force line-search oracle. These routines are allowed
-to project; the online learners never are.
+against. These routines are allowed to project; the online learners never
+are.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .core import dot, prefix_sums, row_blocks, row_dots
 from .learners import (
     OFW_CURVATURE,
-    BaselineState,
     OfwState,
     ScOfwState,
     ofw_gradient,
@@ -33,7 +32,6 @@ __all__ = [
     "surrogate_of",
     "surrogate_argmin",
     "offline_comparator",
-    "grid_line_search",
 ]
 
 DEFAULT_ORACLE_TOL = 1e-9
@@ -115,8 +113,6 @@ def surrogate_of(state) -> OfwSurrogate | ScOfwSurrogate | None:
             state.t,
             state.lam,
         )
-    if isinstance(state, BaselineState) and state.grad_sum is not None:
-        return OfwSurrogate(state.domain, state.grad_sum, state.x1, state.eta)
     return None
 
 
@@ -202,16 +198,3 @@ def _vector_sum(vectors: Iterable[np.ndarray], dim: int) -> np.ndarray:
     for _, rows in row_blocks(vectors):
         total = prefix_sums(rows, total)[-1]
     return total
-
-
-def grid_line_search(a: float, b: float, grid_size: int) -> float:
-    """Brute-force minimizer of sigma*a + sigma**2*b over a uniform grid.
-
-    Test oracle for the closed-form line search; returns the best grid
-    point in [0, 1].
-    """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    sigma = np.linspace(0.0, 1.0, grid_size)
-    values = a * sigma + b * sigma * sigma
-    return float(sigma[int(np.argmin(values))])

@@ -4,8 +4,9 @@ Each set exposes a linear minimization oracle (``lmo``), which is the only
 piece the projection-free learners touch, plus a Euclidean projection used
 by reference oracles and the projected-gradient baseline. ``lmo_rows`` and
 ``project_rows`` apply them to each row of an (n, dim) array, row i equal
-bit for bit to the per-vector call. Balls are centered at the origin; the
-simplex is the probability simplex.
+bit for bit to the per-vector call. ``sample_rows`` draws a batch of
+feasible points, and each ball's ``norm_rows`` is its norm of each row.
+Balls are centered at the origin; the simplex is the probability simplex.
 
 ``strong_convexity`` is the modulus with which the set body is strongly
 convex with respect to the Euclidean norm (0 for polytopes). ``diameter``
@@ -117,6 +118,14 @@ class FeasibleSet:
         """
         raise NotImplementedError
 
+    def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` feasible points drawn from ``rng``, as the rows of an (n, dim) array.
+
+        The batch sampler for checks and tests; it does not reproduce
+        ``random_feasible``'s stream.
+        """
+        raise NotImplementedError
+
     @property
     def diameter(self) -> float:
         raise NotImplementedError
@@ -149,6 +158,11 @@ class _Ball(FeasibleSet):
     def _norm(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
+    def norm_rows(self, x) -> np.ndarray:
+        """The ball's norm of each row of an (n, dim) array, row i equal
+        bit for bit to the norm of ``x[i]``."""
+        raise NotImplementedError
+
     def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
         x = as_vector(x, self.dim)
         return self._norm(x) <= self.radius + tol
@@ -171,6 +185,12 @@ class _Ball(FeasibleSet):
         scale = self.radius * u ** (1.0 / self.dim) / n
         return scale * z
 
+    def sample_rows(self, n, rng):
+        # random_feasible's law, without its redraw of near-zero directions.
+        z = rng.standard_normal((n, self.dim))
+        u = rng.uniform(size=n) ** (1.0 / self.dim)
+        return z * (self.radius * u / self.norm_rows(z))[:, None]
+
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -182,6 +202,9 @@ class L2Ball(_Ball):
 
     def _norm(self, x):
         return l2_norm(x)
+
+    def norm_rows(self, x):
+        return row_l2_norms(as_rows(x, self.dim))
 
     def _lmo(self, g):
         return (-self.radius / l2_norm(g)) * g
@@ -230,6 +253,21 @@ class LpBall(_Ball):
     def _norm(self, x):
         return lp_norm(x, self.p)
 
+    def norm_rows(self, x):
+        x = as_rows(x, self.dim)
+        if self.p == 2:
+            return row_l2_norms(x)
+        a = np.abs(x)
+        m = a.max(axis=1)
+        # lp_norm's steps: scale by the largest entry, which leaves zero
+        # rows at zero.
+        a /= np.where(m > 0.0, m, 1.0)[:, None]
+        a **= self.p
+        sums = a.sum(axis=1)
+        # A scalar power: numpy's vectorised power rounds some values
+        # differently from the per-vector ``lp_norm``.
+        return m * np.array([s ** (1.0 / self.p) for s in sums.tolist()])
+
     def _lmo(self, g):
         # First-order condition on the boundary: the minimizer has
         # |x_i| proportional to |g_i|^(q-1) with q the dual exponent.
@@ -247,23 +285,11 @@ class LpBall(_Ball):
         w = np.abs(g)
         w /= w.max(axis=1, keepdims=True)
         w **= q - 1.0
-        w /= self._row_norms(w)[:, None]
+        w /= self.norm_rows(w)[:, None]
         out = np.sign(g)
         out *= -self.radius
         out *= w
         return out
-
-    def _row_norms(self, w):
-        """``lp_norm(w[i], p)`` of each row, bit for bit."""
-        if self.p == 2:
-            return row_l2_norms(w)
-        m = w.max(axis=1)
-        powers = w / m[:, None]
-        powers **= self.p
-        sums = powers.sum(axis=1)
-        # A scalar power: numpy's vectorised power rounds some values
-        # differently from the per-vector ``lp_norm``.
-        return m * np.array([s ** (1.0 / self.p) for s in sums.tolist()])
 
     def project(self, x):
         """Euclidean projection onto the ball.
@@ -438,6 +464,9 @@ class L1Ball(_Ball):
     def _norm(self, x):
         return float(np.abs(x).sum())
 
+    def norm_rows(self, x):
+        return np.abs(as_rows(x, self.dim)).sum(axis=1)
+
     def _lmo(self, g):
         j = int(np.argmax(np.abs(g)))
         out = np.zeros(self.dim)
@@ -461,7 +490,7 @@ class L1Ball(_Ball):
     def project_rows(self, x):
         x = as_rows(x, self.dim)
         out = x.copy()
-        outside = np.abs(x).sum(axis=1) > self.radius
+        outside = self.norm_rows(x) > self.radius
         w = _project_simplex_rows(np.abs(x[outside]), self.radius)
         out[outside] = np.sign(x[outside]) * w
         return out
@@ -503,6 +532,10 @@ class Simplex(FeasibleSet):
         rng = np.random.default_rng(seed)
         e = rng.exponential(size=self.dim)
         return e / float(e.sum())
+
+    def sample_rows(self, n, rng):
+        e = rng.exponential(size=(n, self.dim))
+        return e / e.sum(axis=1, keepdims=True)
 
     @property
     def diameter(self) -> float:

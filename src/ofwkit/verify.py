@@ -17,22 +17,17 @@ from .harness import (
     ALGO_OFW_LS,
     ALGO_SC_OFW,
     ExperimentSpec,
+    _init_learner,
     gap_bound,
     run_experiment,
     theorem_bound,
-)
-from .learners import (
-    ofw_init,
-    ofw_update,
-    scofw_init,
-    scofw_update,
 )
 from .losses import (
     LINEAR,
     QUADRATIC,
     LossSpec,
     certify_constants,
-    make_round,
+    make_rounds,
 )
 from .oracle import surrogate_argmin, surrogate_of
 from .sets import L1Ball, L2Ball, LpBall, Simplex
@@ -81,33 +76,11 @@ def _canonical_sets():
     ]
 
 
-def _sample_feasible_batch(domain, n: int, rng) -> np.ndarray:
-    if isinstance(domain, Simplex):
-        e = rng.exponential(size=(n, domain.dim))
-        return e / e.sum(axis=1, keepdims=True)
-    z = rng.standard_normal((n, domain.dim))
-    if isinstance(domain, L2Ball):
-        norms = np.linalg.norm(z, axis=1)
-    elif isinstance(domain, L1Ball):
-        norms = np.abs(z).sum(axis=1)
-    else:
-        norms = (np.abs(z) ** domain.p).sum(axis=1) ** (1.0 / domain.p)
-    u = rng.uniform(size=n) ** (1.0 / domain.dim)
-    return z * (_radius(domain) * u / norms)[:, None]
-
-
-def _radius(domain) -> float:
-    return getattr(domain, "radius", 1.0)
-
-
 def _sample_ambient_batch(domain, n: int, rng) -> np.ndarray:
     # Mix of far-out and near-feasible points so projections exercise
     # both branches.
-    spread = 2.5 * _radius(domain)
-    raw = rng.standard_normal((n, domain.dim)) * spread
-    if isinstance(domain, Simplex):
-        raw = raw * 0.5 + domain.anchor()[None, :]
-    feas = _sample_feasible_batch(domain, n, rng)
+    raw = domain.anchor() + 1.25 * domain.diameter * rng.standard_normal((n, domain.dim))
+    feas = domain.sample_rows(n, rng)
     pick = rng.uniform(size=n) < 0.5
     return np.where(pick[:, None], raw, feas)
 
@@ -119,7 +92,7 @@ def _check_lmo_optimality(kind, domain, n=10_000, seed=91) -> CheckResult:
     name = f"sets.lmo_optimality.{kind}"
     rng = np.random.default_rng(seed)
     grads = rng.standard_normal((n, domain.dim))
-    points = _sample_feasible_batch(domain, n, rng)
+    points = domain.sample_rows(n, rng)
     for i in range(n):
         g = grads[i]
         out = domain.lmo(g)
@@ -145,18 +118,15 @@ def _check_strong_convexity_definition(kind, domain, n=10_000, seed=92) -> Check
     name = f"sets.strong_convexity_definition.{kind}"
     alpha = domain.strong_convexity
     rng = np.random.default_rng(seed)
-    x = _sample_feasible_batch(domain, n, rng)
-    y = _sample_feasible_batch(domain, n, rng)
+    x = domain.sample_rows(n, rng)
+    y = domain.sample_rows(n, rng)
     gamma = rng.uniform(size=(n, 1))
     z = rng.standard_normal((n, domain.dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     dist_sq = ((x - y) ** 2).sum(axis=1, keepdims=True)
     m = gamma * x + (1.0 - gamma) * y + gamma * (1.0 - gamma) * 0.5 * alpha * dist_sq * z
-    if isinstance(domain, L2Ball):
-        norms = np.linalg.norm(m, axis=1)
-    else:
-        norms = (np.abs(m) ** domain.p).sum(axis=1) ** (1.0 / domain.p)
-    bad = np.nonzero(norms > _radius(domain) + FEAS_SLACK)[0]
+    norms = domain.norm_rows(m)
+    bad = np.nonzero(norms > domain.radius + FEAS_SLACK)[0]
     if bad.size:
         i = int(bad[0])
         return CheckResult(
@@ -164,7 +134,7 @@ def _check_strong_convexity_definition(kind, domain, n=10_000, seed=92) -> Check
             "sets",
             False,
             f"{bad.size} of {n} certificates infeasible; first at sample {i}: "
-            f"norm={float(norms[i])!r} radius={_radius(domain)!r} "
+            f"norm={float(norms[i])!r} radius={domain.radius!r} "
             f"x={x[i].tolist()} y={y[i].tolist()} gamma={float(gamma[i, 0])!r}",
         )
     return CheckResult(name, "sets", True, f"{n} certificates feasible (modulus {alpha:.6g})")
@@ -208,8 +178,8 @@ def _check_projection_nonexpansive(kind, domain, n, seed=94) -> CheckResult:
 def _check_diameter(kind, domain, n=10_000, seed=95) -> CheckResult:
     name = f"sets.diameter.{kind}"
     rng = np.random.default_rng(seed)
-    a = _sample_feasible_batch(domain, n, rng)
-    b = _sample_feasible_batch(domain, n, rng)
+    a = domain.sample_rows(n, rng)
+    b = domain.sample_rows(n, rng)
     dists = np.linalg.norm(a - b, axis=1)
     worst = float(dists.max())
     if worst > domain.diameter + FEAS_SLACK:
@@ -221,16 +191,10 @@ def _check_diameter(kind, domain, n=10_000, seed=95) -> CheckResult:
             f"sampled distance {worst!r} exceeds diameter {domain.diameter!r}: "
             f"a={a[i].tolist()} b={b[i].tolist()}",
         )
-    # Achievability witness: antipodal boundary points or two vertices.
-    if isinstance(domain, Simplex):
-        w1 = np.zeros(domain.dim)
-        w2 = np.zeros(domain.dim)
-        w1[0] = 1.0
-        w2[min(1, domain.dim - 1)] = 1.0
-    else:
-        w1 = np.zeros(domain.dim)
-        w1[0] = _radius(domain)
-        w2 = -w1
+    # Achievability witness: the oracle's points for -e_1 and e_1, a
+    # diameter apart on every set here (antipodal points, or two vertices).
+    e1 = np.eye(1, domain.dim)[0]
+    w1, w2 = domain.lmo(-e1), domain.lmo(e1)
     witness = float(np.linalg.norm(w1 - w2))
     if not domain.contains(w1, FEAS_SLACK) or not domain.contains(w2, FEAS_SLACK):
         return CheckResult(name, "sets", False, "diameter witness pair infeasible")
@@ -260,16 +224,11 @@ def _set_checks() -> list[CheckResult]:
 
 
 def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
-    G, lam = certify_constants(loss_spec, domain)
-    if algo == ALGO_OFW_LS:
-        state, update = ofw_init(domain, horizon, G), ofw_update
-    else:
-        state, update = scofw_init(domain, lam), scofw_update
+    spec = ExperimentSpec(domain=domain, loss=loss_spec, algo=algo, horizon=horizon)
+    state, update = _init_learner(spec, *certify_constants(loss_spec, domain))
     states = [state]
-    rounds = []
-    for t in range(1, horizon + 1):
-        rnd = make_round(loss_spec, t, domain)
-        rounds.append(rnd)
+    rounds = make_rounds(loss_spec, horizon, domain)
+    for rnd in rounds:
         state = update(state, rnd.grad_at(state.x))
         states.append(state)
     return states, rounds
@@ -286,7 +245,7 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
         state = states[t]
         surr = surrogate_of(state)
         for _ in range(5):
-            y = _sample_feasible_batch(domain, 1, rng)[0]
+            y = domain.sample_rows(1, rng)[0]
             naive_grad = 2.0 * (y - state.x1)
             naive_val = float(np.dot(y - state.x1, y - state.x1))
             for g in grads[:t]:
@@ -312,7 +271,7 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
         state = states[t]
         surr = surrogate_of(state)
         for _ in range(5):
-            y = _sample_feasible_batch(domain, 1, rng)[0]
+            y = domain.sample_rows(1, rng)[0]
             naive_grad = np.zeros(domain.dim)
             naive_val = 0.0
             for tau in range(t):
@@ -415,11 +374,10 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> CheckResult:
     G, lam = certify_constants(spec, domain)
     lip = G + lam * domain.diameter
     rng = np.random.default_rng(seed + 1)
-    xs = _sample_feasible_batch(domain, n, rng)
-    ys = _sample_feasible_batch(domain, n, rng)
-    zs = _sample_feasible_batch(domain, n, rng)
-    for i in range(n):
-        rnd = make_round(spec, i + 1, domain)
+    xs = domain.sample_rows(n, rng)
+    ys = domain.sample_rows(n, rng)
+    zs = domain.sample_rows(n, rng)
+    for i, rnd in enumerate(make_rounds(spec, n, domain)):
         x_t = xs[i]
         g_t = rnd.grad_at(x_t)
 

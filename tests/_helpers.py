@@ -1,0 +1,23 @@
+"""Test-only helpers: a brute-force line-search oracle and an all-zero loss round."""
+
+import numpy as np
+
+from ofwkit.losses import LINEAR, LossRound
+
+
+def grid_line_search(a: float, b: float, grid_size: int) -> float:
+    """Brute-force minimizer of sigma*a + sigma**2*b over a uniform grid.
+
+    Test oracle for the closed-form line search; returns the best grid
+    point in [0, 1].
+    """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    sigma = np.linspace(0.0, 1.0, grid_size)
+    values = a * sigma + b * sigma * sigma
+    return float(sigma[int(np.argmin(values))])
+
+
+def zero_round(t: int, dim: int) -> LossRound:
+    """An identically-zero loss; handy for fixed-point tests."""
+    return LossRound(t=t, kind=LINEAR, gradient=np.zeros(dim))

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from _helpers import grid_line_search
 
 from ofwkit.cli import main
 from ofwkit.core import line_search_quadratic
@@ -19,13 +20,8 @@ from ofwkit.harness import (
     sweep,
 )
 from ofwkit.losses import LINEAR, QUADRATIC, LossSpec
-from ofwkit.oracle import grid_line_search
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
-from ofwkit.verify import (
-    _check_contraction,
-    _check_strong_convexity_definition,
-    _sample_feasible_batch,
-)
+from ofwkit.verify import _check_contraction, _check_strong_convexity_definition
 
 SEEDS = (1, 2, 3, 4, 5)
 HORIZONS = tuple(2**k for k in range(8, 14))  # 256 .. 8192
@@ -243,7 +239,7 @@ def test_criterion_8_oracle_equivalence():
         ("simplex", Simplex(10)),
     ]
     for name, dom in sets:
-        cloud = _sample_feasible_batch(dom, 10_000, np.random.default_rng(82))
+        cloud = dom.sample_rows(10_000, np.random.default_rng(82))
         grads = np.random.default_rng(83).standard_normal((20, dom.dim))
         for g in grads:
             out = dom.lmo(g)

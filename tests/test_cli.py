@@ -146,6 +146,9 @@ INF_CONFIGS = {
     "T_1e300": GOOD_CONFIG.replace("T = 32", "T = 1" + "0" * 300).replace(
         "algo = ofw_ls", "algo = ogd"
     ),
+    # seeds outside [-2**63, 2**64) would alias modulo 2**64
+    "seed_2**70": GOOD_CONFIG.replace("seed = 1", f"seed = {2**70}"),
+    "seed_-2**64": GOOD_CONFIG.replace("seed = 1", f"seed = {-(2**64)}"),
 }
 
 

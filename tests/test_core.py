@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _helpers import grid_line_search
 
 from ofwkit.core import (
     BLOCK_ROWS,
@@ -12,7 +13,6 @@ from ofwkit.core import (
     row_blocks,
     row_dots,
 )
-from ofwkit.oracle import grid_line_search
 
 
 def test_dot_examples():

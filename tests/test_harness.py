@@ -6,6 +6,7 @@ from dataclasses import replace
 import _comparator_reference as reference
 import numpy as np
 import pytest
+from _helpers import zero_round
 
 import ofwkit.harness
 from ofwkit.harness import (
@@ -26,7 +27,7 @@ from ofwkit.harness import (
     theorem_bound,
     theorem_constant,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_rounds, zero_round
+from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_rounds
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """

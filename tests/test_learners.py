@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ofwkit.learners import (
-    BaselineState,
+    OfwState,
     baseline_update,
     ofw_decay_init,
+    ofw_decay_update,
     ofw_init,
     ofw_gradient,
     ofw_step_size_parameter,
@@ -168,27 +169,27 @@ def test_baseline_decay_step_schedule():
     # drive with a fixed gradient; after the first update the iterate sits
     # exactly on the oracle vertex because sigma_1 = 1
     g = np.array([1.0, 0.0])
-    state = baseline_update(state, g)
+    state = ofw_decay_update(state, g)
     np.testing.assert_allclose(state.x, [-1.0, 0.0], rtol=1e-12)
     for _ in range(3):
-        state = baseline_update(state, g)
+        state = ofw_decay_update(state, g)
     assert state.t == 4
 
 
 def test_baseline_decay_sigma_half_at_t4():
     dom = L2Ball(1, 1.0)
-    state = BaselineState(
-        variant="ofw_decay",
+    state = OfwState(
         domain=dom,
         x=np.array([0.5]),
-        t=3,
-        grad_sum=np.array([0.0]),
         x1=np.zeros(1),
+        grad_sum=np.array([0.0]),
+        t=3,
         eta=1.0,
+        horizon=4,
     )
     # gradient 0 and x1=0 make the surrogate gradient 2x, vertex -1;
     # sigma_4 = 1/2 moves halfway there
-    nxt = baseline_update(state, np.array([0.0]))
+    nxt = ofw_decay_update(state, np.array([0.0]))
     assert nxt.x[0] == pytest.approx(0.5 + 0.5 * (-1.0 - 0.5), rel=1e-12)
 
 
@@ -225,7 +226,7 @@ def test_baselines_stay_feasible():
     ogd = ogd_init(dom, G=1.0)
     for t in range(1, 51):
         rnd = make_round(spec, t, dom)
-        decay = baseline_update(decay, rnd.grad_at(decay.x))
+        decay = ofw_decay_update(decay, rnd.grad_at(decay.x))
         ogd = baseline_update(ogd, rnd.grad_at(ogd.x))
         assert dom.contains(decay.x, 1e-9)
         assert dom.contains(ogd.x, 1e-9)
@@ -261,7 +262,7 @@ class CountingL2Ball(L2Ball):
     [
         (lambda dom: ofw_init(dom, horizon=64, G=1.0), ofw_update),
         (lambda dom: scofw_init(dom, lam=1.0), scofw_update),
-        (lambda dom: ofw_decay_init(dom, horizon=64, G=1.0), baseline_update),
+        (lambda dom: ofw_decay_init(dom, horizon=64, G=1.0), ofw_decay_update),
     ],
     ids=["ofw_ls", "sc_ofw", "ofw_decay"],
 )

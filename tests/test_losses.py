@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _helpers import zero_round
 
 from ofwkit import losses
 from ofwkit.losses import (
@@ -7,13 +8,10 @@ from ofwkit.losses import (
     QUADRATIC,
     LossSpec,
     certify_constants,
-    make_linear_round,
-    make_quadratic_round,
     make_round,
     make_rounds,
     mix64,
     round_seed,
-    zero_round,
 )
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
@@ -49,22 +47,23 @@ def test_round_seed_separates_rounds_and_streams():
 def test_linear_round_gradient_norm_is_exactly_G():
     spec = LossSpec(kind=LINEAR, dim=12, seed=3, G=2.5)
     for t in (1, 2, 17, 400):
-        rnd = make_linear_round(spec, t)
+        rnd = make_round(spec, t, L2Ball(12, 1.0))
         assert float(np.linalg.norm(rnd.gradient)) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_linear_round_is_deterministic_and_t_dependent():
     spec = LossSpec(kind=LINEAR, dim=6, seed=9, G=1.0)
-    a = make_linear_round(spec, 5)
-    b = make_linear_round(spec, 5)
+    dom = L2Ball(6, 1.0)
+    a = make_round(spec, 5, dom)
+    b = make_round(spec, 5, dom)
     np.testing.assert_array_equal(a.gradient, b.gradient)
-    c = make_linear_round(spec, 6)
+    c = make_round(spec, 6, dom)
     assert not np.array_equal(a.gradient, c.gradient)
 
 
 def test_linear_round_value_and_gradient_agree():
     spec = LossSpec(kind=LINEAR, dim=6, seed=9, G=1.0)
-    rnd = make_linear_round(spec, 1)
+    rnd = make_round(spec, 1, L2Ball(6, 1.0))
     x = np.linspace(-0.3, 0.3, 6)
     assert rnd.value_at(x) == pytest.approx(float(rnd.gradient @ x), rel=1e-12)
     assert rnd.value_at(np.zeros(6)) == 0.0
@@ -72,18 +71,17 @@ def test_linear_round_value_and_gradient_agree():
 
 
 def test_linear_round_kind_checks():
-    spec = LossSpec(kind=QUADRATIC, dim=3, seed=0, lam=1.0)
-    with pytest.raises(ValueError):
-        make_linear_round(spec, 1)
     lin = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
     with pytest.raises(ValueError):
-        make_linear_round(lin, 0)
+        make_round(lin, 0, L2Ball(3, 1.0))
+    with pytest.raises(ValueError):
+        make_round(lin, 1, L2Ball(4, 1.0))
 
 
 def test_quadratic_round_minimizer_is_feasible_target():
     dom = L2Ball(8, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=8, seed=4, lam=2.0)
-    rnd = make_quadratic_round(spec, 3, dom)
+    rnd = make_round(spec, 3, dom)
     assert dom.contains(rnd.target, 1e-12)
     assert rnd.value_at(rnd.target) == 0.0
     np.testing.assert_array_equal(rnd.grad_at(rnd.target), np.zeros(8))
@@ -93,7 +91,7 @@ def test_quadratic_round_example_value():
     # lam=1 and distance 0.5 from the target gives loss 0.125
     dom = L2Ball(2, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=2, seed=4, lam=1.0)
-    rnd = make_quadratic_round(spec, 1, dom)
+    rnd = make_round(spec, 1, dom)
     x = rnd.target + np.array([0.5, 0.0])
     assert rnd.value_at(x) == pytest.approx(0.125, rel=1e-12)
 
@@ -101,7 +99,7 @@ def test_quadratic_round_example_value():
 def test_quadratic_round_gradient_matches_finite_differences():
     dom = Simplex(5)
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=7, lam=1.7)
-    rnd = make_quadratic_round(spec, 2, dom)
+    rnd = make_round(spec, 2, dom)
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.standard_normal(5)
@@ -118,7 +116,7 @@ def test_quadratic_round_strong_convexity_is_exact():
     # quadratic losses meet the strong convexity lower bound with equality
     dom = L2Ball(6, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=10, lam=0.8)
-    rnd = make_quadratic_round(spec, 1, dom)
+    rnd = make_round(spec, 1, dom)
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = rng.standard_normal(6)
@@ -135,7 +133,7 @@ def test_quadratic_round_strong_convexity_is_exact():
 def test_quadratic_round_dim_mismatch():
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=0, lam=1.0)
     with pytest.raises(ValueError):
-        make_quadratic_round(spec, 1, L2Ball(5, 1.0))
+        make_round(spec, 1, L2Ball(5, 1.0))
 
 
 def test_linear_losses_are_G_lipschitz_sampled():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _helpers import grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
 from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round
@@ -7,7 +8,6 @@ from ofwkit.oracle import (
     ConvergenceError,
     OfwSurrogate,
     ScOfwSurrogate,
-    grid_line_search,
     offline_comparator,
     surrogate_argmin,
     surrogate_of,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofwkit.core import lp_norm
-from ofwkit.sets import ZERO_GRADIENT_TOL, L1Ball, L2Ball, LpBall, Simplex, is_tie
+from ofwkit.core import l2_norm, lp_norm
+from ofwkit.sets import MIN_P_GAP, ZERO_GRADIENT_TOL, L1Ball, L2Ball, LpBall, Simplex, is_tie
 
 ALL_SETS = [
     L2Ball(10, 1.0),
@@ -353,3 +355,64 @@ def test_row_oracles_reject_bad_rows(dom):
             oracle(np.zeros(dom.dim))
         with pytest.raises(ValueError):
             oracle(bad)
+
+
+WITNESS_SETS = ROW_SETS + [Simplex(1), L2Ball(1, 3.0)]
+
+
+@pytest.mark.parametrize("dom", WITNESS_SETS, ids=_ids(WITNESS_SETS))
+def test_lmo_of_minus_and_plus_e1_is_a_diameter_apart(dom):
+    # verify's diameter witness; dim 1 leaves the simplex a single point.
+    e1 = np.eye(1, dom.dim)[0]
+    assert float(np.linalg.norm(dom.lmo(-e1) - dom.lmo(e1))) == dom.diameter
+
+
+@st.composite
+def sets(draw, balls_only=False):
+    """Any of the four set types at dims 1 to 50."""
+    dim = draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["l2", "lp", "l1"] + ([] if balls_only else ["simplex"])))
+    if kind == "simplex":
+        return Simplex(dim)
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    if kind == "lp":
+        return LpBall(dim, radius, draw(st.one_of(st.just(2.0), st.floats(1.0 + MIN_P_GAP, 2.0))))
+    return (L2Ball if kind == "l2" else L1Ball)(dim, radius)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sets(), SEEDS)
+def test_sample_rows_are_feasible(dom, seed):
+    rows = dom.sample_rows(200, np.random.default_rng(seed))
+    assert rows.shape == (200, dom.dim)
+    for x in rows:
+        assert dom.contains(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sets(), SEEDS, st.floats(-300.0, 300.0))
+def test_lmo_is_feasible_and_beats_sampled_points_at_every_scale(dom, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(dom.dim) * 10.0**log_scale
+    v = dom.lmo(g)
+    assert dom.contains(v)
+    # Ties return the anchor, which a sample may beat by up to
+    # ZERO_GRADIENT_TOL * diameter.
+    slack = (1e-9 * l2_norm(g) + ZERO_GRADIENT_TOL) * dom.diameter
+    assert float(g @ v) <= float((dom.sample_rows(300, rng) @ g).min()) + slack
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sets(balls_only=True), SEEDS)
+def test_norm_rows_equal_norm_bit_for_bit(dom, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, dom.dim)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 1))
+    x[0] = 0.0
+    x[1] = 1e200 * rng.standard_normal(dom.dim)
+    x[2] = -1e200
+    out = dom.norm_rows(x)
+    expected = np.array([dom._norm(row) for row in x])
+    assert _bits(out) == _bits(expected)

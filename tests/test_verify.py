@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ofwkit.sets import L2Ball
-from ofwkit.verify import verify_suite
+from ofwkit.verify import _check_diameter, verify_suite
 
 
 def test_sets_scope_passes():
@@ -68,6 +68,17 @@ def test_corrupted_projection_is_detected(monkeypatch):
     assert not report.passed
     failed = {r.name for r in report.results if not r.passed}
     assert any("projection" in name and "l2_ball" in name for name in failed)
+
+
+def test_overstated_diameter_is_detected(monkeypatch):
+    # Sampled distances stay below a diameter 5% too large; the witness
+    # pair lmo(-e_1), lmo(e_1) does not reach it.
+    true_diameter = L2Ball.diameter.fget
+    monkeypatch.setattr(L2Ball, "diameter", property(lambda self: 1.05 * true_diameter(self)))
+    result = _check_diameter("l2_ball", L2Ball(10, 1.0))
+    assert result.name == "sets.diameter.l2_ball"
+    assert not result.passed
+    assert "does not attain" in result.detail
 
 
 def test_corrupted_line_search_is_detected(monkeypatch):
