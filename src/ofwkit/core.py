@@ -5,16 +5,14 @@ closed-form minimizer of the one-dimensional model ``sigma*a + sigma**2*b``
 on [0, 1] that the Frank-Wolfe updates use to pick a step size.
 
 The row-wise helpers (``as_rows``, ``row_dots``, ``row_l2_norms``,
-``row_blocks``, ``prefix_sums``) batch the same arithmetic over (n, dim)
-arrays. Row i of each result equals the per-vector computation on row i
-bit for bit, so batched bookkeeping reproduces the sequential one exactly.
+``prefix_sums``) batch the same arithmetic over (n, dim) arrays. Row i of
+each result equals the per-vector computation on row i bit for bit, so
+batched bookkeeping reproduces the sequential one exactly.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,14 +25,13 @@ __all__ = [
     "l2_norm",
     "row_l2_norms",
     "lp_norm",
-    "row_blocks",
     "prefix_sums",
     "line_search_quadratic",
 ]
 
-# Rows stacked per block by ``row_blocks``. Batched bookkeeping works one
-# block at a time, so its temporary (block, dim) arrays stay small however
-# long the sequence is. The comparator holds up to about nine of them at
+# Rows per block of the batched bookkeeping. It works one block at a time,
+# so its temporary (block, dim) arrays stay small however long the
+# sequence is. The comparator holds up to about nine of them at
 # once (a simplex projection of quadratic rounds); at dim 100, blocks of
 # 128 rows raised a T = 4096 run's peak heap by 0.75 MB over its rounds'
 # generation, and blocks of 64 by 0.33 MB, for 0.4 us more per round.
@@ -146,20 +143,6 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     if m == 0.0:
         return 0.0
     return m * float(np.sum((a / m) ** p) ** (1.0 / p))
-
-
-def row_blocks(vectors: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """``(start, rows)`` for consecutive blocks of up to ``BLOCK_ROWS`` vectors.
-
-    ``rows`` stacks the vectors numbered ``start`` to ``start + len(rows) - 1``,
-    which must share one length. ``vectors`` is read lazily, so a generator
-    costs no list of the whole sequence.
-    """
-    it = iter(vectors)
-    start = 0
-    while chunk := list(islice(it, BLOCK_ROWS)):
-        yield start, np.array(chunk, dtype=np.float64)
-        start += len(chunk)
 
 
 def prefix_sums(rows: np.ndarray, carry) -> np.ndarray:

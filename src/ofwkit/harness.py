@@ -7,11 +7,13 @@ played so far, the regret against it, the a priori regret bound when one
 applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
-Only the learner's work runs round by round. The columns that do not
-depend on the learner (cumulative loss, the prefix comparators, regret)
-and the CSV text are computed afterwards, ``core.BLOCK_ROWS`` rounds at a
-time with the sets' row-wise oracles, equal bit for bit to the per-round
-computation.
+The adversary is one ``losses.Rounds``, a (T, dim) array of gradients or
+targets; losses injected from outside are checked once, by ``as_rounds``.
+Only the learner's work runs round by round, one row per round. The
+columns that do not depend on the learner (cumulative loss, the prefix
+comparators, regret) and the CSV text are computed afterwards, on slices
+of ``core.BLOCK_ROWS`` rounds with the sets' row-wise oracles, equal bit
+for bit to the per-round computation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_ROWS, prefix_sums, row_blocks, row_dots
+from .core import BLOCK_ROWS, prefix_sums, row_dots
 from .learners import (
     baseline_update,
     ofw_decay_init,
@@ -41,7 +43,10 @@ from .losses import (
     QUADRATIC,
     LossRound,
     LossSpec,
+    Rounds,
+    as_rounds,
     certify_constants,
+    loss_at,
     make_rounds,
 )
 from .oracle import offline_comparator, surrogate_argmin, surrogate_of
@@ -412,42 +417,9 @@ def _allocate_logs(T: int) -> np.ndarray:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
 
-def _check_rounds(spec: ExperimentSpec, rounds: Sequence[LossRound]):
-    """Raise ``ValueError`` naming the first round that does not fit ``spec``.
-
-    Every round must have the spec's loss kind and dim, finite data, and
-    the lam of round 1.
-    """
-    if len(rounds) != spec.horizon:
-        raise ValueError(f"expected {spec.horizon} rounds, got {len(rounds)}")
-    kind, shape, lam = spec.loss.kind, (spec.domain.dim,), rounds[0].lam
-    data = [r.gradient if kind == LINEAR else r.target for r in rounds]
-    first, why = len(rounds), None
-    for i, (rnd, d) in enumerate(zip(rounds, data)):
-        if rnd.kind != kind:
-            why = f"kind {rnd.kind!r}, expected {kind!r}"
-        elif rnd.lam != lam:
-            why = f"lam {rnd.lam!r} differs from round 1's {lam!r}"
-        elif not isinstance(d, np.ndarray) or d.shape != shape:
-            why = f"data of shape {np.shape(d)}, expected {shape}"
-        else:
-            continue
-        first = i
-        break
-    # Finiteness is checked a block at a time, up to the first round
-    # already found bad.
-    for start, rows in row_blocks(data[:first]):
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
-            first, why = start + int(bad[0]), "non-finite data"
-            break
-    if why is not None:
-        raise ValueError(f"round {first + 1} (t = {rounds[first].t}): {why}")
-
-
 def run_experiment(
     spec: ExperimentSpec,
-    rounds: Optional[Sequence[LossRound]] = None,
+    rounds: Rounds | Sequence[LossRound] | None = None,
 ) -> RegretTrace:
     """Play ``spec.horizon`` rounds and log the trace.
 
@@ -459,29 +431,33 @@ def run_experiment(
 
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
-    longer sequence, and tests inject fixed losses. There must be one per
-    round, each of the spec's loss kind and dim, with finite data and one
-    shared lam, else ``ValueError`` names the first bad round before the
-    learner moves. The final comparator is recomputed from the
-    full sequence by the offline oracle, so the reported ``final_regret``
-    does not lean on the per-round prefix comparators.
+    longer ``Rounds``, used as it is; a sequence of ``LossRound`` objects is
+    checked by ``as_rounds``: one per round, each of the spec's loss kind
+    and dim, with finite data and one shared lam, else ``ValueError`` is
+    raised before the learner moves. The final comparator is recomputed
+    from the full sequence by the offline oracle, so the reported
+    ``final_regret`` does not lean on the per-round prefix comparators.
 
     A horizon too long to log raises ``ConfigError`` before any round is
     generated.
     """
     cert = certificate(spec)
+    T, dim = spec.horizon, spec.domain.dim
     if rounds is not None:
-        _check_rounds(spec, rounds)
+        if not isinstance(rounds, Rounds):
+            rounds = as_rounds(rounds, dim)
+        got, want = (len(rounds), rounds.kind, rounds.data.shape[1]), (T, spec.loss.kind, dim)
+        if got != want:
+            raise ValueError(f"expected (rounds, kind, dim) = {want}, got {got}")
     state, update = _init_learner(spec, cert.G, cert.lam)
-    T = spec.horizon
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
     if rounds is None:
         rounds = make_rounds(spec.loss, T, spec.domain)
     measure_until = spec.gap_cap if spec.gap_check else 0
-
-    for i, rnd in enumerate(rounds):
+    kind, lam = rounds.kind, rounds.lam
+    for i, row in enumerate(rounds.data):
         x_t = state.x
         if i < measure_until:
             surrogate = surrogate_of(state)
@@ -491,8 +467,8 @@ def run_experiment(
                 gb = cert.gap(i + 1)
                 if gb is not None:
                     gapb_v[i] = gb
-        loss_v[i] = rnd.value_at(x_t)
-        state = update(state, rnd.grad_at(x_t))
+        loss_v[i], g_t = loss_at(kind, lam, row, x_t)
+        state = update(state, g_t)
 
     # Summed from 0.0 as a running Python float would be.
     cum_v[:] = prefix_sums(loss_v, 0.0)
@@ -518,7 +494,7 @@ def run_experiment(
     )
 
 
-def _prefix_comparators(domain: FeasibleSet, rounds: Sequence[LossRound], out: np.ndarray):
+def _prefix_comparators(domain: FeasibleSet, rounds: Rounds, out: np.ndarray):
     """``out[i]``: the total loss over rounds 1..i+1 of the best fixed point for them.
 
     Linear rounds: the lmo of the gradient prefix sum, scored against it.
@@ -527,23 +503,21 @@ def _prefix_comparators(domain: FeasibleSet, rounds: Sequence[LossRound], out: n
     the row-wise oracles; each entry equals the one-round-at-a-time
     computation bit for bit.
     """
-    if rounds[0].kind == LINEAR:
-        grad_sum = np.zeros(domain.dim)
-        for start, g in row_blocks(r.gradient for r in rounds):
-            prefix = prefix_sums(g, grad_sum)
-            grad_sum = prefix[-1]
-            out[start : start + len(g)] = row_dots(prefix, domain.lmo_rows(prefix))
-        return
-    lam = rounds[0].lam
-    target_sum, target_sq_sum = np.zeros(domain.dim), 0.0
-    for start, targets in row_blocks(r.target for r in rounds):
-        ts = np.arange(start + 1, start + len(targets) + 1, dtype=float)
-        prefix = prefix_sums(targets, target_sum)
-        sq_prefix = prefix_sums(row_dots(targets, targets), target_sq_sum)
-        target_sum, target_sq_sum = prefix[-1], sq_prefix[-1]
+    row_sum, sq_sum = np.zeros(domain.dim), 0.0
+    for start in range(0, len(rounds), BLOCK_ROWS):
+        rows = rounds.data[start : start + BLOCK_ROWS]
+        block = slice(start, start + len(rows))
+        prefix = prefix_sums(rows, row_sum)
+        row_sum = prefix[-1]
+        if rounds.kind == LINEAR:
+            out[block] = row_dots(prefix, domain.lmo_rows(prefix))
+            continue
+        ts = np.arange(start + 1, block.stop + 1, dtype=float)
+        sq_prefix = prefix_sums(row_dots(rows, rows), sq_sum)
+        sq_sum = sq_prefix[-1]
         x = domain.project_rows(prefix / ts[:, None])
-        out[start : start + len(targets)] = (
-            0.5 * lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
+        out[block] = (
+            0.5 * rounds.lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
         )
 
 

@@ -10,20 +10,23 @@ Two kinds of per-round loss:
 
 Rounds are generated independently per index from a counter-mixed seed, so
 round t can be reproduced without replaying rounds 1..t-1. ``make_round``
-builds one round from ``np.random.default_rng(round_seed(seed, t))``;
-``make_rounds`` builds rounds 1..T bit-identical to it, computing every
-round's generator state in one vectorised pass.
+builds one round, a ``LossRound``, from
+``np.random.default_rng(round_seed(seed, t))``; ``make_rounds`` builds
+rounds 1..T bit-identical to it as one ``Rounds``, a read-only (T, dim)
+array of gradients or targets, computing every round's generator state in
+one vectorised pass. ``as_rounds`` stacks ``LossRound`` objects given from
+outside into checked ``Rounds``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import l2_norm
+from .core import l2_norm, row_l2_norms
 from .sets import FeasibleSet
 
 __all__ = [
@@ -32,9 +35,12 @@ __all__ = [
     "mix64",
     "round_seed",
     "LossSpec",
+    "loss_at",
     "LossRound",
+    "Rounds",
     "make_round",
     "make_rounds",
+    "as_rounds",
     "certify_constants",
 ]
 
@@ -94,6 +100,14 @@ class LossSpec:
             raise ValueError(f"quadratic losses need a finite lam > 0, got {self.lam!r}")
 
 
+def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(f(x), gradient at x) of the round of ``kind`` whose gradient or target is ``row``."""
+    if kind == LINEAR:
+        return float(row.dot(x)), row
+    d = x - row
+    return 0.5 * lam * float(d.dot(d)), lam * d
+
+
 @dataclass(frozen=True, slots=True)
 class LossRound:
     """One revealed loss, as plain data.
@@ -109,30 +123,47 @@ class LossRound:
     target: Optional[np.ndarray] = None
     lam: float = 0.0
 
+    @property
+    def data(self) -> Optional[np.ndarray]:
+        return self.gradient if self.kind == LINEAR else self.target
+
     def value_at(self, x: np.ndarray) -> float:
-        if self.kind == LINEAR:
-            return float(self.gradient.dot(x))
-        d = x - self.target
-        return 0.5 * self.lam * float(d.dot(d))
+        return loss_at(self.kind, self.lam, self.data, x)[0]
 
     def grad_at(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == LINEAR:
-            return self.gradient
-        return self.lam * (x - self.target)
+        return loss_at(self.kind, self.lam, self.data, x)[1]
 
 
-def _draw_round(
-    spec: LossSpec, t: int, domain: FeasibleSet, rng: np.random.Generator
-) -> LossRound:
-    """Round t drawn from ``rng``, a generator already seeded for round t."""
-    if spec.kind == LINEAR:
-        z = rng.standard_normal(spec.dim)
-        n = l2_norm(z)
-        while n < 1e-12:
-            z = rng.standard_normal(spec.dim)
-            n = l2_norm(z)
-        return LossRound(t=t, kind=LINEAR, gradient=(spec.G / n) * z)
-    return LossRound(t=t, kind=QUADRATIC, target=domain.random_feasible(rng), lam=spec.lam)
+@dataclass(frozen=True)
+class Rounds:
+    """Rounds 1..T of one loss kind, as one array.
+
+    Row i of ``data``, a read-only (T, dim) array that ``make_rounds`` and
+    ``as_rounds`` fill with finite values, is round i + 1's gradient or
+    target; ``lam`` is their modulus (0.0 if linear). ``rounds[:h]`` is a
+    view of rounds 1..h, h >= 1, and ``rounds[i]`` round i + 1 as a
+    ``LossRound``.
+    """
+
+    kind: str
+    lam: float
+    data: np.ndarray
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if start != 0 or step != 1 or stop == 0:
+                raise IndexError("a slice of rounds must be a prefix rounds[:h], h >= 1")
+            return Rounds(self.kind, self.lam, self.data[:stop])
+        i = range(len(self))[key]
+        row = {"gradient" if self.kind == LINEAR else "target": self.data[i]}
+        return LossRound(t=i + 1, kind=self.kind, lam=self.lam, **row)
+
+
+_MIN_NORM = 1e-12  # linear rounds redraw a direction shorter than this
 
 
 def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
@@ -145,7 +176,15 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
         raise ValueError(f"round index must be >= 1, got {t}")
     if spec.dim != domain.dim:
         raise ValueError(f"loss dim {spec.dim} does not match set dim {domain.dim}")
-    return _draw_round(spec, t, domain, np.random.default_rng(round_seed(spec.seed, t)))
+    rng = np.random.default_rng(round_seed(spec.seed, t))
+    if spec.kind == LINEAR:
+        z = rng.standard_normal(spec.dim)
+        n = l2_norm(z)
+        while n < _MIN_NORM:
+            z = rng.standard_normal(spec.dim)
+            n = l2_norm(z)
+        return LossRound(t=t, kind=LINEAR, gradient=(spec.G / n) * z)
+    return LossRound(t=t, kind=QUADRATIC, target=domain.random_feasible(rng), lam=spec.lam)
 
 
 # Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of
@@ -214,14 +253,15 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> list[LossRound]:
+def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     """Rounds 1..T, round t bit-identical to ``make_round(spec, t, domain)``.
 
     Every round's PCG64 state is computed by ``_pcg64_states``, a chunk of
     rounds at a time, and set on one reused generator, in place of a
-    ``SeedSequence`` and a ``PCG64`` built per round. Round 1 is compared
-    with ``make_round``'s; a ``RuntimeError`` naming the NumPy version
-    says that NumPy's seeding no longer matches the kernel.
+    ``SeedSequence`` and a ``PCG64`` built per round, and each round draws
+    into its row; linear rows are scaled to norm G a chunk at a time. Row 1
+    is compared with ``make_round``'s; a ``RuntimeError`` naming the NumPy
+    version says that NumPy's seeding no longer matches the kernel.
     """
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
@@ -230,22 +270,70 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> list[LossRound]:
     rng = np.random.Generator(bitgen)
     seeded = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    rounds = []
-    for start in range(1, T + 1, _CHUNK):
-        ts = range(start, min(start + _CHUNK, T + 1))
-        seeds = round_seed(spec.seed, np.arange(ts.start, ts.stop, dtype=np.uint64))
-        for t, (state, inc) in zip(ts, _pcg64_states(seeds)):
+    linear = spec.kind == LINEAR
+    data = np.empty((T, spec.dim))
+    for start in range(0, T, _CHUNK):
+        rows = data[start : start + _CHUNK]
+        seeds = round_seed(spec.seed, np.arange(start + 1, start + len(rows) + 1, dtype=np.uint64))
+        for row, (state, inc) in zip(rows, _pcg64_states(seeds)):
             seeded["state"] = state
             seeded["inc"] = inc
             bitgen.state = full
-            rounds.append(_draw_round(spec, t, domain, rng))
-    data = "gradient" if spec.kind == LINEAR else "target"
-    if not np.array_equal(getattr(rounds[0], data), getattr(reference, data)):
+            if linear:
+                rng.standard_normal(out=row)
+            else:
+                row[:] = domain.random_feasible(rng)
+        if linear:
+            norms = row_l2_norms(rows)
+            # A first draw too short to scale is redrawn by make_round, whose
+            # row has norm G already: G / G is exactly 1.
+            for i in np.flatnonzero(norms < _MIN_NORM).tolist():
+                rows[i] = make_round(spec, start + i + 1, domain).gradient
+                norms[i] = spec.G
+            rows *= (spec.G / norms)[:, None]
+    if not np.array_equal(data[0], reference.data):
         raise RuntimeError(
             f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
             "round 1 does not match make_round"
         )
-    return rounds
+    data.flags.writeable = False
+    return Rounds(spec.kind, 0.0 if linear else spec.lam, data)
+
+
+def as_rounds(rounds: Sequence[LossRound], dim: int) -> Rounds:
+    """Stack ``LossRound`` objects given from outside into ``Rounds``, a copy.
+
+    Every round must have round 1's kind and lam, and a finite gradient or
+    target of shape (dim,), else ``ValueError`` names the first that does
+    not: ``round k (t = t_k): why``.
+    """
+    if len(rounds) == 0:
+        raise ValueError("need at least one round")
+    kind, lam = rounds[0].kind, rounds[0].lam
+    if kind not in (LINEAR, QUADRATIC):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    first = next((i for i, r in enumerate(rounds) if _misfit(r, kind, lam, dim)), len(rounds))
+    data = np.array([rounds[i].data for i in range(first)], dtype=np.float64).reshape(first, dim)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        first, why = int(bad[0]), "non-finite data"
+    elif first < len(rounds):
+        why = _misfit(rounds[first], kind, lam, dim)
+    else:
+        data.flags.writeable = False
+        return Rounds(kind, lam, data)
+    raise ValueError(f"round {first + 1} (t = {rounds[first].t}): {why}")
+
+
+def _misfit(rnd: LossRound, kind: str, lam: float, dim: int) -> Optional[str]:
+    """Why ``rnd`` does not fit rounds of ``kind``, ``lam`` and ``dim``, or None."""
+    if rnd.kind != kind:
+        return f"kind {rnd.kind!r}, expected {kind!r}"
+    if rnd.lam != lam:
+        return f"lam {rnd.lam!r} differs from round 1's {lam!r}"
+    if not isinstance(rnd.data, np.ndarray) or rnd.data.shape != (dim,):
+        return f"data of shape {np.shape(rnd.data)}, expected {(dim,)}"
+    return None
 
 
 def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float]:

@@ -9,11 +9,11 @@ are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import dot, prefix_sums, row_blocks, row_dots
+from .core import BLOCK_ROWS, dot, prefix_sums, row_dots
 from .learners import (
     OFW_CURVATURE,
     OfwState,
@@ -21,7 +21,7 @@ from .learners import (
     ofw_gradient,
     scofw_gradient,
 )
-from .losses import LINEAR, QUADRATIC, LossRound
+from .losses import LINEAR, LossRound, Rounds, as_rounds
 from .sets import FeasibleSet
 
 __all__ = [
@@ -150,51 +150,36 @@ def surrogate_argmin(surrogate, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.nda
 
 def offline_comparator(
     domain: FeasibleSet,
-    rounds: Sequence[LossRound],
+    rounds: Rounds | Sequence[LossRound],
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> tuple[np.ndarray, float]:
     """Best fixed feasible point in hindsight and its total loss.
 
-    Linear rounds reduce to one oracle call on the summed gradient, which
-    is exact. The total of quadratic rounds is minimized by the projection
-    of their mean target, whose Frank-Wolfe gap is certified to ``tol``
-    (``ConvergenceError`` otherwise). Sums run over blocks of rounds and
-    equal the round-by-round sums bit for bit.
+    A sequence of ``LossRound`` objects goes through ``as_rounds``. Linear
+    rounds reduce to one oracle call on the summed gradient, which is
+    exact. The total of quadratic rounds is minimized by the projection of
+    their mean target, whose Frank-Wolfe gap is certified to ``tol``
+    (``ConvergenceError`` otherwise). Sums run over slices of
+    ``BLOCK_ROWS`` rounds and equal the round-by-round sums bit for bit.
     """
-    if len(rounds) == 0:
-        raise ValueError("need at least one round")
-    kinds = {r.kind for r in rounds}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed loss kinds {sorted(kinds)!r}")
-    kind = kinds.pop()
+    if not isinstance(rounds, Rounds):
+        rounds = as_rounds(rounds, domain.dim)
+    blocks = [rounds.data[s : s + BLOCK_ROWS] for s in range(0, len(rounds), BLOCK_ROWS)]
+    # Each round's gradient or target added in round order to zeros.
+    row_sum = np.zeros(domain.dim)
+    for rows in blocks:
+        row_sum = prefix_sums(rows, row_sum)[-1]
 
-    if kind == LINEAR:
-        total_grad = _vector_sum((r.gradient for r in rounds), domain.dim)
-        x_star = domain.lmo(total_grad)
-        return x_star, dot(total_grad, x_star)
+    if rounds.kind == LINEAR:
+        x_star = domain.lmo(row_sum)
+        return x_star, dot(row_sum, x_star)
 
-    if kind == QUADRATIC:
-        lams = {r.lam for r in rounds}
-        if len(lams) > 1:
-            raise ValueError(f"mixed strong-convexity moduli {sorted(lams)!r}")
-        lam = lams.pop()
-        n = len(rounds)
-        target_sum = _vector_sum((r.target for r in rounds), domain.dim)
-        x = domain.project(target_sum / n)
-        _certify(domain, lam * (n * x - target_sum), x, tol)
-        # Each round's value_at(x), summed in round order.
-        total = 0.0
-        for _, rows in row_blocks(r.target for r in rounds):
-            d = x - rows
-            total = prefix_sums(0.5 * lam * row_dots(d, d), total)[-1]
-        return x, float(total)
-
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def _vector_sum(vectors: Iterable[np.ndarray], dim: int) -> np.ndarray:
-    """Sum of ``vectors`` added one at a time to zeros, a block at a time."""
-    total = np.zeros(dim)
-    for _, rows in row_blocks(vectors):
-        total = prefix_sums(rows, total)[-1]
-    return total
+    lam, n = rounds.lam, len(rounds)
+    x = domain.project(row_sum / n)
+    _certify(domain, lam * (n * x - row_sum), x, tol)
+    # Each round's value_at(x), summed in round order.
+    total = 0.0
+    for rows in blocks:
+        d = x - rows
+        total = prefix_sums(0.5 * lam * row_dots(d, d), total)[-1]
+    return x, float(total)

@@ -547,15 +547,11 @@ class Simplex(FeasibleSet):
         return 0.0
 
 
-# The threshold test holds at index 0 in exact arithmetic, but fails in
-# floating point once max(v) is so large that max(v) - total rounds to it.
-_SIMPLEX_TOO_LARGE = "simplex projection: entries too large to resolve a sum of {!r}"
-
-
 def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto {w : w >= 0, sum w = total}.
 
-    Sort-based active-set threshold; O(d log d).
+    Sort-based active-set threshold; O(d log d). Where max(v) swamps
+    ``total`` and no threshold passes, v - max(v) is projected instead.
     """
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - total
@@ -563,7 +559,7 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     mask = u - cumulative / counts > 0.0
     hits = np.flatnonzero(mask)
     if hits.size == 0:
-        raise ValueError(_SIMPLEX_TOO_LARGE.format(total))
+        return _project_simplex(v - u[0], total)
     rho = int(hits[-1])
     theta = cumulative[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
@@ -584,9 +580,10 @@ def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
     excess = cumulative / np.arange(1, d + 1)
     np.subtract(u, excess, out=excess)
     mask = excess > 0.0
-    if not mask.any(axis=1).all():
-        raise ValueError(_SIMPLEX_TOO_LARGE.format(total))
     rho = d - 1 - np.argmax(mask[:, ::-1], axis=1)
     theta = cumulative[np.arange(v.shape[0]), rho] / (rho + 1.0)
     np.subtract(v, theta[:, None], out=excess)
-    return np.maximum(excess, 0.0, out=excess)
+    np.maximum(excess, 0.0, out=excess)
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        excess[i] = _project_simplex(v[i], total)
+    return excess

@@ -240,7 +240,6 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
     spec = LossSpec(kind=LINEAR, dim=6, seed=seed, G=1.0)
     states, rounds = _run_with_states(ALGO_OFW_LS, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
-    grads = [r.gradient for r in rounds]
     for t in (1, 7, 23, 48):
         state = states[t]
         surr = surrogate_of(state)
@@ -248,7 +247,7 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
             y = domain.sample_rows(1, rng)[0]
             naive_grad = 2.0 * (y - state.x1)
             naive_val = float(np.dot(y - state.x1, y - state.x1))
-            for g in grads[:t]:
+            for g in rounds.data[:t]:
                 naive_grad = naive_grad + state.eta * g
                 naive_val += state.eta * float(np.dot(g, y))
             if float(np.linalg.norm(surr.gradient(y) - naive_grad)) > 1e-9:
@@ -264,9 +263,7 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
     states, rounds = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
-    grads = []
-    for t, rnd in enumerate(rounds, start=1):
-        grads.append(rnd.grad_at(states[t - 1].x))
+    grads = [rnd.grad_at(state.x) for rnd, state in zip(rounds, states)]
     for t in (1, 7, 23, 48):
         state = states[t]
         surr = surrogate_of(state)

@@ -200,3 +200,16 @@ def test_horizon_too_long_to_log_exits_two_without_generating_rounds(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_bounds_answers_a_horizon_that_run_cannot_log(tmp_path, capsys):
+    # bounds evaluates closed forms and logs nothing, so it exits 0 where
+    # run must refuse to allocate its per-round logs.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        GOOD_CONFIG.replace("T = 32", f"T = {2**62}").replace("algo = ofw_ls", "algo = ogd")
+    )
+    assert main(["bounds", str(cfg)]) == 0
+    assert f"T = {2**62}\n" in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: horizon {2**62} is too long to log")

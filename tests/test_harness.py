@@ -9,6 +9,7 @@ import pytest
 from _helpers import zero_round
 
 import ofwkit.harness
+import ofwkit.oracle
 from ofwkit.harness import (
     ALGO_OFW_DECAY,
     ALGO_OFW_LS,
@@ -27,7 +28,15 @@ from ofwkit.harness import (
     theorem_bound,
     theorem_constant,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_rounds
+from ofwkit.losses import (
+    LINEAR,
+    QUADRATIC,
+    LossRound,
+    LossSpec,
+    Rounds,
+    as_rounds,
+    make_rounds,
+)
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
@@ -343,6 +352,35 @@ def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
     spec, rounds, bad = _bad_rounds(case)
     with pytest.raises(ValueError, match=rf"^round {bad} \(t = {bad}\)"):
         run_experiment(spec, rounds=rounds)
+
+
+def test_injected_rounds_are_stacked_once_into_read_only_rows():
+    spec, rounds = _spec(horizon=8), [zero_round(t, 10) for t in range(1, 9)]
+    data = as_rounds(rounds, 10).data
+    assert not data.flags.writeable
+    with pytest.raises(ValueError):
+        data[0, 0] = np.nan
+    assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
+    quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
+    wrong_kind = make_rounds(quad, 8, spec.domain)
+    with pytest.raises(ValueError, match=r"= \(8, 'linear', 10\), got \(8, 'quadratic', 10\)"):
+        run_experiment(spec, rounds=wrong_kind)
+
+
+def test_sweep_and_runs_never_recheck_or_rebuild_their_own_rounds(monkeypatch):
+    def no_check(*args):
+        raise AssertionError("rounds built by make_rounds were checked again")
+
+    def no_round_object(self, key):
+        raise AssertionError("the round loop built a LossRound")
+
+    spec = _spec(horizon=300, gap_check=True, gap_cap=5)
+    expected = sweep(spec, [16, 100, 300])
+    monkeypatch.setattr(ofwkit.harness, "as_rounds", no_check)
+    monkeypatch.setattr(ofwkit.oracle, "as_rounds", no_check)
+    assert sweep(spec, [16, 100, 300]).regrets == expected.regrets
+    monkeypatch.setattr(Rounds, "__getitem__", no_round_object)
+    assert run_experiment(spec).final_regret == expected.regrets[-1]
 
 
 _BLOCK_SETS = [L2Ball(6, 1.5), LpBall(6, 1.2, 1.5), L1Ball(6, 2.0), Simplex(6)]

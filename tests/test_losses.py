@@ -225,6 +225,38 @@ def test_make_rounds_equals_make_round(dom, kind):
                 np.testing.assert_array_equal(rnd.target, ref.target)
 
 
+def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
+    # At a minimum norm of 2, most dim-3 draws are redrawn, some twice or more.
+    monkeypatch.setattr(losses, "_MIN_NORM", 2.0)
+    dom = L2Ball(3, 1.0)
+    spec = LossSpec(kind=LINEAR, dim=3, seed=9, G=1.5)
+    rounds = make_rounds(spec, 130, dom)
+    expected = np.array([make_round(spec, t, dom).gradient for t in range(1, 131)])
+    assert rounds.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_make_rounds_is_one_read_only_array_with_prefix_views(kind):
+    dom = Simplex(4)
+    spec = LossSpec(kind=kind, dim=4, seed=2, G=1.0, lam=0.5)
+    rounds = make_rounds(spec, 100, dom)
+    assert (rounds.kind, rounds.data.shape, rounds.data.dtype) == (kind, (100, 4), np.float64)
+    assert not rounds.data.flags.writeable
+    with pytest.raises(ValueError):
+        rounds.data[3, 0] = np.inf
+    with pytest.raises(ValueError):
+        rounds[3].data[0] = np.inf
+    prefix = rounds[:40]
+    assert (len(prefix), prefix.kind, prefix.lam) == (40, kind, rounds.lam)
+    assert np.shares_memory(prefix.data, rounds.data)
+    assert prefix[-1].t == 40 and rounds[-1].t == 100
+    for key in (slice(1, 5), slice(None, None, 2), slice(0, 0)):
+        with pytest.raises(IndexError):
+            rounds[key]
+    with pytest.raises(IndexError):
+        rounds[100]
+
+
 def test_make_rounds_validation():
     dom = L2Ball(3, 1.0)
     lin = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)

@@ -3,7 +3,7 @@ import pytest
 from _helpers import grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round
+from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round, make_rounds
 from ofwkit.oracle import (
     ConvergenceError,
     OfwSurrogate,
@@ -168,6 +168,16 @@ def test_offline_comparator_validation():
     quad2 = make_round(LossSpec(kind=QUADRATIC, dim=2, seed=0, lam=2.0), 2, dom)
     with pytest.raises(ValueError):
         offline_comparator(dom, [quad, quad2])
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind):
+    dom = Simplex(5)
+    spec = LossSpec(kind=kind, dim=5, seed=4, G=1.0, lam=0.9)
+    rounds = make_rounds(spec, 200, dom)
+    x_star, total = offline_comparator(dom, rounds)
+    x_list, total_list = offline_comparator(dom, list(rounds))
+    assert x_star.tobytes() == x_list.tobytes() and total == total_list
 
 
 def test_prefix_minimizers_beat_any_fixed_point():

@@ -107,6 +107,9 @@ def test_project_simplex_examples():
     np.testing.assert_allclose(out, [1 / 3] * 3, rtol=1e-12)
     fixed = Simplex(2).project(np.array([0.7, 0.3]))
     np.testing.assert_array_equal(fixed, [0.7, 0.3])
+    # An entry that swamps the sum projects to its vertex.
+    np.testing.assert_array_equal(Simplex(3).project(np.array([1e17, 0.0, 0.0])), [1, 0, 0])
+    np.testing.assert_array_equal(L1Ball(3, 1.0).project(np.array([1e17, 0.0, 0.0])), [1, 0, 0])
 
 
 def test_project_inside_is_identity():
@@ -324,9 +327,9 @@ def test_lmo_rows_equal_lmo_bit_for_bit(dom):
 
 @pytest.mark.parametrize("dom", ROW_SETS, ids=_ids(ROW_SETS))
 def test_project_rows_equal_project_bit_for_bit(dom):
-    # Only the L2 ball projects rows near 1e200: the Lp projection refuses
-    # points beyond 1e60 times the radius, and the simplex and l1 ones
-    # points whose entries swamp the sum they project to.
+    # Only the L2 ball projects rows near 1e200 here; the simplex and l1
+    # ones are checked on them below, and the Lp projection refuses points
+    # beyond 1e60 times the radius.
     lp = isinstance(dom, LpBall)
     x = _row_cases(dom.dim, huge=isinstance(dom, L2Ball), tiny=not lp)
     with np.errstate(all="raise"):
@@ -335,13 +338,18 @@ def test_project_rows_equal_project_bit_for_bit(dom):
         assert _bits(out) == _bits(expected)
         assert _bits(dom.project_rows(x[:1])) == _bits(expected[:1])
     assert dom.project_rows(np.empty((0, dom.dim))).shape == (0, dom.dim)
-    if not isinstance(dom, L2Ball):
-        huge = _row_cases(dom.dim)[-2:]
-        for row in huge:
+    huge = np.concatenate([x[:3], _row_cases(dom.dim)[-2:]])
+    if lp:
+        for row in huge[3:]:
             with pytest.raises(ValueError):
                 dom.project(row)
         with pytest.raises(ValueError):
-            dom.project_rows(np.concatenate([x[:3], huge]))
+            dom.project_rows(huge)
+    elif not isinstance(dom, L2Ball):
+        # Entries that swamp the sum they project to.
+        with np.errstate(all="raise"):
+            expected = np.array([dom.project(row) for row in huge])
+            assert _bits(dom.project_rows(huge)) == _bits(expected)
 
 
 @pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
