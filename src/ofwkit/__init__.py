@@ -45,13 +45,7 @@ from .losses import (
     make_round,
     make_rounds,
 )
-from .oracle import (
-    OfwSurrogate,
-    ScOfwSurrogate,
-    offline_comparator,
-    surrogate_argmin,
-    surrogate_of,
-)
+from .oracle import offline_comparator, surrogate_argmin
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 from .verify import CheckResult, VerifyReport, verify_suite
 
@@ -90,11 +84,8 @@ __all__ = [
     "certify_constants",
     "make_round",
     "make_rounds",
-    "OfwSurrogate",
-    "ScOfwSurrogate",
     "offline_comparator",
     "surrogate_argmin",
-    "surrogate_of",
     "FeasibleSet",
     "L1Ball",
     "L2Ball",

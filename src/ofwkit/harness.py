@@ -49,7 +49,7 @@ from .losses import (
     loss_at,
     make_rounds,
 )
-from .oracle import offline_comparator, surrogate_argmin, surrogate_of
+from .oracle import offline_comparator, surrogate_argmin
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 __all__ = [
@@ -427,7 +427,8 @@ def run_experiment(
     reveals the loss, the loss and gradient at the committed point are
     recorded, then the learner updates. When ``gap_check`` is on, the
     surrogate optimality gap of the committed point is measured by the
-    reference oracle for rounds up to ``gap_cap`` before the update.
+    reference oracle for rounds up to ``gap_cap`` before the update, for
+    every learner but OGD and once the surrogate has positive curvature.
 
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
@@ -455,18 +456,17 @@ def run_experiment(
     gapb_v.fill(np.nan)
     if rounds is None:
         rounds = make_rounds(spec.loss, T, spec.domain)
-    measure_until = spec.gap_cap if spec.gap_check else 0
+    # The Frank-Wolfe learners' states are their surrogates; OGD has none.
+    measure_until = spec.gap_cap if spec.gap_check and spec.algo != ALGO_OGD else 0
     kind, lam = rounds.kind, rounds.lam
     for i, row in enumerate(rounds.data):
         x_t = state.x
-        if i < measure_until:
-            surrogate = surrogate_of(state)
-            if surrogate is not None:
-                _, best = surrogate_argmin(surrogate)
-                gap_v[i] = surrogate.value(x_t) - best
-                gb = cert.gap(i + 1)
-                if gb is not None:
-                    gapb_v[i] = gb
+        if i < measure_until and state.curvature > 0.0:
+            _, best = surrogate_argmin(state)
+            gap_v[i] = state.value(x_t) - best
+            gb = cert.gap(i + 1)
+            if gb is not None:
+                gapb_v[i] = gb
         loss_v[i], g_t = loss_at(kind, lam, row, x_t)
         state = update(state, g_t)
 
@@ -595,7 +595,8 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
 
     The adversary's rounds are generated once, for the largest horizon, and
     each run plays their prefix: round t is a function of (seed, t), so
-    this equals a separate ``run_experiment`` per horizon. The slope is
+    this equals a separate ``run_experiment`` per horizon. Gaps are not
+    measured, since only final regrets and bounds are kept. The slope is
     fitted when at least 3 horizons produce positive regret, else left
     None. Every horizon is validated, and the logs of the longest run
     allocated, before any round is generated; a bad or unloggable horizon
@@ -608,7 +609,7 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
         if not (b > a):
             raise ConfigError("horizons must be strictly increasing")
     try:
-        specs = [replace(spec, horizon=h) for h in hs]
+        specs = [replace(spec, horizon=h, gap_check=False) for h in hs]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     result = SweepResult(spec=spec)

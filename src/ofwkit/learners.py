@@ -14,6 +14,9 @@ eta, and projected online gradient descent.
 
 Updates are pure: each consumes one gradient and returns a fresh state.
 States hold running sums only, so a step costs O(dim) regardless of t.
+The states of the two Frank-Wolfe learners are their current surrogates:
+each has ``value(x)``, ``gradient(x)`` and ``curvature``, the modulus of
+the isotropic quadratic, which ``oracle.surrogate_argmin`` minimizes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector, line_search_quadratic
+from .core import as_vector, dot, line_search_quadratic
 from .sets import FeasibleSet
 
 __all__ = [
@@ -30,7 +33,6 @@ __all__ = [
     "OfwState",
     "ScOfwState",
     "OgdState",
-    "OFW_CURVATURE",
     "ofw_step_size_parameter",
     "ofw_decay_step_size_parameter",
     "ofw_gradient",
@@ -48,9 +50,6 @@ __all__ = [
 # When the oracle vertex coincides with the iterate to this Euclidean
 # distance, the step is skipped rather than fed to the line search.
 ZERO_STEP_TOL = 1e-12
-
-# Curvature of the anchored surrogate: the Hessian of ||x - x1||^2 is 2I.
-OFW_CURVATURE = 2.0
 
 
 def ofw_gradient(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -93,6 +92,7 @@ class OfwState:
 
     Both learners on the anchored surrogate hold it: ``ofw_ls`` and the
     ``ofw_decay`` baseline, which differ only in eta and the step size.
+    The state is that surrogate, F(x) = eta * <grad_sum, x> + ||x - x1||^2.
     """
 
     domain: FeasibleSet
@@ -102,6 +102,16 @@ class OfwState:
     t: int
     eta: float
     horizon: int
+
+    # The Hessian of ||x - x1||^2 is 2I.
+    curvature = 2.0
+
+    def value(self, x: np.ndarray) -> float:
+        d = x - self.x1
+        return self.eta * dot(self.grad_sum, x) + dot(d, d)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return ofw_gradient(self.eta, self.grad_sum, self.x1, x)
 
 
 def ofw_step_size_parameter(diameter: float, G: float, horizon: int) -> float:
@@ -156,7 +166,7 @@ def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
         raise ValueError(f"horizon {state.horizon} exhausted")
     grad_sum = state.grad_sum + g
     grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
-    x_next = _fw_step(state.domain, state.x, grad_f, curvature=OFW_CURVATURE, sigma=sigma)
+    x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.curvature, sigma=sigma)
     return OfwState(
         domain=state.domain,
         x=x_next,
@@ -183,8 +193,11 @@ def ofw_decay_update(state: OfwState, g) -> OfwState:
 class ScOfwState:
     """State of the strongly-convex variant after absorbing t gradients.
 
-    ``iterate_sum`` and ``iterate_sq_sum`` carry sum x_tau and
-    sum ||x_tau||^2 so surrogate gradients and values stay O(dim).
+    The state is the surrogate
+    F(x) = <grad_sum, x> + (lam/2) * sum_tau ||x - x_tau||^2. Its sum over
+    played iterates is carried by ``iterate_sum`` and ``iterate_sq_sum``
+    (sum x_tau and sum ||x_tau||^2), so evaluation never replays history
+    and stays O(dim). Before the first round its curvature is 0.
     """
 
     domain: FeasibleSet
@@ -194,6 +207,17 @@ class ScOfwState:
     iterate_sq_sum: float
     t: int
     lam: float
+
+    @property
+    def curvature(self) -> float:
+        return self.lam * self.t
+
+    def value(self, x: np.ndarray) -> float:
+        quad = self.t * dot(x, x) - 2.0 * dot(self.iterate_sum, x) + self.iterate_sq_sum
+        return dot(self.grad_sum, x) + 0.5 * self.lam * quad
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return scofw_gradient(self.lam, self.t, self.grad_sum, self.iterate_sum, x)
 
 
 def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:

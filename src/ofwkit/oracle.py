@@ -1,35 +1,24 @@
 """Reference computations the learners are checked against.
 
-Surrogate snapshots with exact value/gradient evaluation, a certified
-surrogate minimizer, the offline comparator that regret is measured
+A certified minimizer of a learner's surrogate, which the learner's state
+is (see ``learners``), and the offline comparator that regret is measured
 against. These routines are allowed to project; the online learners never
 are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import BLOCK_ROWS, dot, prefix_sums, row_dots
-from .learners import (
-    OFW_CURVATURE,
-    OfwState,
-    ScOfwState,
-    ofw_gradient,
-    scofw_gradient,
-)
 from .losses import LINEAR, LossRound, Rounds, as_rounds
 from .sets import FeasibleSet
 
 __all__ = [
     "DEFAULT_ORACLE_TOL",
     "ConvergenceError",
-    "OfwSurrogate",
-    "ScOfwSurrogate",
-    "surrogate_of",
     "surrogate_argmin",
     "offline_comparator",
 ]
@@ -39,81 +28,6 @@ DEFAULT_ORACLE_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """A computed minimizer failed its Frank-Wolfe-gap certificate."""
-
-
-@dataclass(frozen=True)
-class OfwSurrogate:
-    """Snapshot of F(x) = eta * <grad_sum, x> + ||x - x1||^2."""
-
-    domain: FeasibleSet
-    grad_sum: np.ndarray
-    x1: np.ndarray
-    eta: float
-
-    curvature = OFW_CURVATURE
-
-    def value(self, x: np.ndarray) -> float:
-        d = x - self.x1
-        return self.eta * dot(self.grad_sum, x) + dot(d, d)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return ofw_gradient(self.eta, self.grad_sum, self.x1, x)
-
-
-@dataclass(frozen=True)
-class ScOfwSurrogate:
-    """Snapshot of F(x) = <grad_sum, x> + (lam/2) * sum_tau ||x - x_tau||^2.
-
-    The sum over played iterates is carried by ``iterate_sum`` and
-    ``iterate_sq_sum``, so evaluation never replays history. Defined for
-    t >= 1 only; before the first gradient there is no curvature.
-    """
-
-    domain: FeasibleSet
-    grad_sum: np.ndarray
-    iterate_sum: np.ndarray
-    iterate_sq_sum: float
-    t: int
-    lam: float
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError(f"surrogate needs at least one round, got t={self.t}")
-        if not (self.lam > 0.0):
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
-
-    def value(self, x: np.ndarray) -> float:
-        quad = self.t * dot(x, x) - 2.0 * dot(self.iterate_sum, x) + self.iterate_sq_sum
-        return dot(self.grad_sum, x) + 0.5 * self.lam * quad
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return scofw_gradient(self.lam, self.t, self.grad_sum, self.iterate_sum, x)
-
-    @property
-    def curvature(self) -> float:
-        return self.lam * self.t
-
-
-def surrogate_of(state) -> OfwSurrogate | ScOfwSurrogate | None:
-    """The surrogate a learner state is currently minimizing, if any.
-
-    Returns None where no surrogate is defined (OGD, or the strongly
-    convex learner before its first round).
-    """
-    if isinstance(state, OfwState):
-        return OfwSurrogate(state.domain, state.grad_sum, state.x1, state.eta)
-    if isinstance(state, ScOfwState):
-        if state.t < 1:
-            return None
-        return ScOfwSurrogate(
-            state.domain,
-            state.grad_sum,
-            state.iterate_sum,
-            state.iterate_sq_sum,
-            state.t,
-            state.lam,
-        )
-    return None
 
 
 def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
@@ -129,23 +43,29 @@ def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
         )
 
 
-def surrogate_argmin(surrogate, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray, float]:
-    """Minimize a surrogate in closed form and certify the answer to ``tol``.
+def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray, float]:
+    """Minimize a learner state's surrogate in closed form, certified to ``tol``.
 
-    Both surrogates are isotropic quadratics, so from any point x0 their
-    minimizer over the set is the projection of the free minimizer
-    ``x0 - gradient(x0) / curvature``; x0 is the set's anchor, returned as
-    is where the gradient vanishes there (projecting a feasible point onto
-    the simplex can move it by rounding). The Frank-Wolfe gap at the
-    result must be at most ``tol``, else ``ConvergenceError`` is raised, so
-    the returned value is within ``tol`` of the true minimum.
+    ``state`` is an ``OfwState`` or ``ScOfwState``. Both surrogates are
+    isotropic quadratics, so from any point x0 their minimizer over the set
+    is the projection of the free minimizer ``x0 - gradient(x0) / curvature``;
+    x0 is the set's anchor, returned as is where the gradient vanishes
+    there (projecting a feasible point onto the simplex can move it by
+    rounding). The Frank-Wolfe gap at the result must be at most ``tol``,
+    else ``ConvergenceError`` is raised, so the returned value is within
+    ``tol`` of the true minimum. A surrogate without positive curvature
+    (the strongly convex learner before its first round) has no unique
+    minimizer and raises ``ValueError``.
     """
-    domain = surrogate.domain
+    curvature = state.curvature
+    if not curvature > 0.0:
+        raise ValueError(f"surrogate needs a positive curvature, got {curvature!r}")
+    domain = state.domain
     x0 = domain.anchor()
-    g0 = surrogate.gradient(x0)
-    x = domain.project(x0 - g0 / surrogate.curvature) if g0.any() else x0
-    _certify(domain, surrogate.gradient(x), x, tol)
-    return x, surrogate.value(x)
+    g0 = state.gradient(x0)
+    x = domain.project(x0 - g0 / curvature) if g0.any() else x0
+    _certify(domain, state.gradient(x), x, tol)
+    return x, state.value(x)
 
 
 def offline_comparator(

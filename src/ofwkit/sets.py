@@ -461,11 +461,14 @@ def _solve_entries(a, c, y, cap, k, tol):
 class L1Ball(_Ball):
     """l1 ball {x : ||x||_1 <= radius}. A polytope, so modulus 0."""
 
+    # A sum past the largest float is inf, which is beyond every radius.
     def _norm(self, x):
-        return float(np.abs(x).sum())
+        with np.errstate(over="ignore"):
+            return float(np.abs(x).sum())
 
     def norm_rows(self, x):
-        return np.abs(as_rows(x, self.dim)).sum(axis=1)
+        with np.errstate(over="ignore"):
+            return np.abs(as_rows(x, self.dim)).sum(axis=1)
 
     def _lmo(self, g):
         j = int(np.argmax(np.abs(g)))
@@ -552,8 +555,16 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
     Sort-based active-set threshold; O(d log d). Where max(v) swamps
     ``total`` and no threshold passes, v - max(v) is projected instead.
+    Where the sums could overflow, v and ``total`` are scaled by a power of
+    two first, which is exact unless entries fall below the normal range.
     """
     u = np.sort(v)[::-1]
+    # The sums below stay under d * scale + total.
+    scale = max(u[0], -u[-1], total)
+    if scale > 2.0**1000 / v.shape[0]:
+        f = 2.0 ** (1000 - math.frexp(scale)[1] - v.shape[0].bit_length())
+        with np.errstate(under="ignore"):
+            return _project_simplex(v * f, total * f) / f
     cumulative = np.cumsum(u) - total
     counts = np.arange(1, v.shape[0] + 1)
     mask = u - cumulative / counts > 0.0
@@ -570,20 +581,23 @@ def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
 
     The same steps along axis 1. On one vector it takes nearly twice as
     long as ``_project_simplex``, which the per-round oracle calls use.
+    Rows that fail its overflow test or pass no threshold are redone by it.
     """
     d = v.shape[1]
     u = np.sort(v, axis=1)[:, ::-1]
-    cumulative = np.cumsum(u, axis=1)
-    cumulative -= total
-    # u - cumulative / counts, then the result, in one buffer to spare
-    # block-sized temporaries.
-    excess = cumulative / np.arange(1, d + 1)
-    np.subtract(u, excess, out=excess)
-    mask = excess > 0.0
-    rho = d - 1 - np.argmax(mask[:, ::-1], axis=1)
-    theta = cumulative[np.arange(v.shape[0]), rho] / (rho + 1.0)
-    np.subtract(v, theta[:, None], out=excess)
-    np.maximum(excess, 0.0, out=excess)
-    for i in np.flatnonzero(~mask.any(axis=1)):
+    redo = np.maximum(np.maximum(u[:, 0], -u[:, -1]), total) > 2.0**1000 / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        cumulative = np.cumsum(u, axis=1)
+        cumulative -= total
+        # u - cumulative / counts, then the result, in one buffer to spare
+        # block-sized temporaries.
+        excess = cumulative / np.arange(1, d + 1)
+        np.subtract(u, excess, out=excess)
+        mask = excess > 0.0
+        rho = d - 1 - np.argmax(mask[:, ::-1], axis=1)
+        theta = cumulative[np.arange(v.shape[0]), rho] / (rho + 1.0)
+        np.subtract(v, theta[:, None], out=excess)
+        np.maximum(excess, 0.0, out=excess)
+    for i in np.flatnonzero(redo | ~mask.any(axis=1)):
         excess[i] = _project_simplex(v[i], total)
     return excess

@@ -18,7 +18,6 @@ from .harness import (
     ALGO_SC_OFW,
     ExperimentSpec,
     _init_learner,
-    gap_bound,
     run_experiment,
     theorem_bound,
 )
@@ -29,7 +28,7 @@ from .losses import (
     certify_constants,
     make_rounds,
 )
-from .oracle import surrogate_argmin, surrogate_of
+from .oracle import surrogate_argmin
 from .sets import L1Ball, L2Ball, LpBall, Simplex
 
 __all__ = ["CheckResult", "VerifyReport", "verify_suite", "SCOPES"]
@@ -242,7 +241,6 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
     rng = np.random.default_rng(seed + 1)
     for t in (1, 7, 23, 48):
         state = states[t]
-        surr = surrogate_of(state)
         for _ in range(5):
             y = domain.sample_rows(1, rng)[0]
             naive_grad = 2.0 * (y - state.x1)
@@ -250,9 +248,9 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
             for g in rounds.data[:t]:
                 naive_grad = naive_grad + state.eta * g
                 naive_val += state.eta * float(np.dot(g, y))
-            if float(np.linalg.norm(surr.gradient(y) - naive_grad)) > 1e-9:
+            if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
                 return CheckResult(name, "learners", False, f"gradient mismatch at t={t} y={y.tolist()}")
-            if abs(surr.value(y) - naive_val) > 1e-9:
+            if abs(state.value(y) - naive_val) > 1e-9:
                 return CheckResult(name, "learners", False, f"value mismatch at t={t} y={y.tolist()}")
     return CheckResult(name, "learners", True, "running sums match naive summation")
 
@@ -266,7 +264,6 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
     grads = [rnd.grad_at(state.x) for rnd, state in zip(rounds, states)]
     for t in (1, 7, 23, 48):
         state = states[t]
-        surr = surrogate_of(state)
         for _ in range(5):
             y = domain.sample_rows(1, rng)[0]
             naive_grad = np.zeros(domain.dim)
@@ -277,9 +274,9 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
                 naive_val += float(np.dot(grads[tau], y)) + 0.5 * spec.lam * float(
                     np.dot(y - x_tau, y - x_tau)
                 )
-            if float(np.linalg.norm(surr.gradient(y) - naive_grad)) > 1e-9:
+            if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
                 return CheckResult(name, "learners", False, f"gradient mismatch at t={t} y={y.tolist()}")
-            if abs(surr.value(y) - naive_val) > 1e-9:
+            if abs(state.value(y) - naive_val) > 1e-9:
                 return CheckResult(name, "learners", False, f"value mismatch at t={t} y={y.tolist()}")
     return CheckResult(name, "learners", True, "running sums match naive summation")
 
@@ -300,12 +297,11 @@ def _check_contraction(algo: str, n_steps=100, seed=33) -> CheckResult:
     alpha = domain.strong_convexity
     for t in sorted(int(v) for v in sampled):
         pre, post = states[t - 1], states[t]
-        surr = surrogate_of(post)
-        _, best = surrogate_argmin(surr, tol=1e-12)
-        h_in = surr.value(pre.x) - best
-        h_out = surr.value(post.x) - best
-        gnorm = float(np.linalg.norm(surr.gradient(pre.x)))
-        factor = max(0.5, 1.0 - alpha * gnorm / (8.0 * surr.curvature))
+        _, best = surrogate_argmin(post, tol=1e-12)
+        h_in = post.value(pre.x) - best
+        h_out = post.value(post.x) - best
+        gnorm = float(np.linalg.norm(post.gradient(pre.x)))
+        factor = max(0.5, 1.0 - alpha * gnorm / (8.0 * post.curvature))
         if h_out > h_in * factor + GAP_SLACK:
             return CheckResult(
                 name,
@@ -326,9 +322,9 @@ def _check_comparator_drift_ofw(seed=34) -> CheckResult:
     eta = states[0].eta
     tol = 1e-12
     slack = 2.0 * (2.0 * tol / 2.0) ** 0.5 + 1e-9
-    prev, _ = surrogate_argmin(surrogate_of(states[0]), tol=tol)
+    prev, _ = surrogate_argmin(states[0], tol=tol)
     for t in range(1, horizon + 1):
-        cur, _ = surrogate_argmin(surrogate_of(states[t]), tol=tol)
+        cur, _ = surrogate_argmin(states[t], tol=tol)
         move = float(np.linalg.norm(cur - prev))
         if move > eta * spec.G + slack:
             return CheckResult(
@@ -348,9 +344,9 @@ def _check_comparator_drift_scofw(seed=35) -> CheckResult:
     G, lam = certify_constants(spec, domain)
     tol = 1e-12
     lip = G + lam * domain.diameter
-    prev, _ = surrogate_argmin(surrogate_of(states[1]), tol=tol)
+    prev, _ = surrogate_argmin(states[1], tol=tol)
     for t in range(3, horizon + 2):
-        cur, _ = surrogate_argmin(surrogate_of(states[t - 1]), tol=tol)
+        cur, _ = surrogate_argmin(states[t - 1], tol=tol)
         move = float(np.linalg.norm(cur - prev))
         allowed = 2.0 * lip / (lam * (t - 1.0))
         slack = (2.0 * tol / (lam * (t - 2.0))) ** 0.5 + (2.0 * tol / (lam * (t - 1.0))) ** 0.5
@@ -393,28 +389,23 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> CheckResult:
     return CheckResult(name, "learners", True, f"{n} pairs within G + lam*D")
 
 
-def _time_run(horizon: int) -> float:
-    domain = L2Ball(10, 1.0)
-    spec = ExperimentSpec(
-        domain=domain,
-        loss=LossSpec(kind=LINEAR, dim=10, seed=7, G=1.0),
-        algo=ALGO_OFW_LS,
-        horizon=horizon,
-    )
-    best = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        run_experiment(spec)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _check_step_cost_linear() -> CheckResult:
     # Doubling the horizon should roughly double the runtime; a history
-    # scan per round would quadruple it.
+    # scan per round would quadruple it. The two horizons are timed in
+    # turn, best of 3 each, so a burst of load on the host slows both.
     name = "learners.per_round_cost_constant"
-    t_small = _time_run(4000)
-    t_big = _time_run(8000)
+    domain = L2Ball(10, 1.0)
+    loss = LossSpec(kind=LINEAR, dim=10, seed=7, G=1.0)
+    specs = [
+        ExperimentSpec(domain=domain, loss=loss, algo=ALGO_OFW_LS, horizon=h) for h in (4000, 8000)
+    ]
+    best = [float("inf")] * 2
+    for _ in range(3):
+        for k, spec in enumerate(specs):
+            start = time.perf_counter()
+            run_experiment(spec)
+            best[k] = min(best[k], time.perf_counter() - start)
+    t_small, t_big = best
     ratio = t_big / max(t_small, 1e-9)
     if ratio > 3.2:
         return CheckResult(
@@ -492,18 +483,14 @@ def _check_gap_schedule(tag: str, spec: ExperimentSpec) -> CheckResult:
         return CheckResult(
             name, "bounds", False, f"first-round gap {trace.gap[0]!r} should be 0"
         )
-    for i in np.nonzero(measured)[0]:
-        t = int(i + 1)
-        bound = gap_bound(spec, t)
-        if bound is None:
-            continue
-        if trace.gap[i] > bound + GAP_SLACK:
-            return CheckResult(
-                name,
-                "bounds",
-                False,
-                f"gap {trace.gap[i]!r} exceeds bound {bound!r} at t={t}",
-            )
+    # Comparisons with the NaN of an unmeasured or unbounded round are false.
+    over = np.flatnonzero(trace.gap > trace.gap_bound + GAP_SLACK)
+    if over.size:
+        i = int(over[0])
+        gap, bound = float(trace.gap[i]), float(trace.gap_bound[i])
+        return CheckResult(
+            name, "bounds", False, f"gap {gap!r} exceeds bound {bound!r} at t={i + 1}"
+        )
     worst = float(np.nanmax(trace.gap / np.where(measured, trace.gap_bound, np.nan)))
     return CheckResult(
         name, "bounds", True, f"gaps within schedule; worst gap/bound ratio {worst:.3g}"

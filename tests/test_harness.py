@@ -497,6 +497,42 @@ def test_golden_final_regret_values():
     assert sc.final_regret == pytest.approx(3.0961026445073117, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "algo,domain,loss,golden",
+    [
+        (
+            ALGO_OFW_LS,
+            LpBall(10, 1.0, 1.5),
+            LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0),
+            (0.002174723740315205, 2.076080805955675e-05, 1.4560880522233302e-05,
+             2.3945309457269748e-05),
+        ),
+        (
+            ALGO_SC_OFW,
+            Simplex(10),
+            LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0),
+            (0.3760912464487418, 0.023550114225872054, 0.017876459877983447,
+             0.0011393763760734754),
+        ),
+        (
+            ALGO_OFW_DECAY,
+            L2Ball(10, 1.0),
+            LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0),
+            (2.4597895026443446, 0.98443603515625, 0.03698814966153607,
+             0.0022268827883435514),
+        ),
+    ],
+)
+def test_golden_gap_values(algo, domain, loss, golden):
+    # frozen like the regret goldens: the gap column's sum and its rounds
+    # 2, 10 and 128
+    spec = _spec(domain=domain, loss=loss, algo=algo, horizon=256, gap_check=True, gap_cap=128)
+    gap = run_experiment(spec).gap
+    assert (~np.isnan(gap)).sum() == (127 if algo == ALGO_SC_OFW else 128)
+    got = (np.nansum(gap), gap[1], gap[9], gap[127])
+    assert got == pytest.approx(golden, rel=1e-9)
+
+
 def test_gap_measurement_respects_cap_and_definition():
     trace = run_experiment(_spec(horizon=64, gap_check=True, gap_cap=24))
     measured = ~np.isnan(trace.gap)
@@ -622,6 +658,25 @@ def test_sweep_equals_separate_runs_bit_for_bit(algo, kind):
         trace = run_experiment(replace(spec, horizon=h))
         assert result.regrets[k] == trace.final_regret
         assert result.bounds[k] == trace.final_bound
+
+
+def test_sweep_measures_no_gaps(monkeypatch):
+    # Sweeps keep only final regrets and bounds, so a gap_check spec sweeps
+    # without calling the gap oracle.
+    spec = _spec(
+        loss=LossSpec(kind=QUADRATIC, dim=10, seed=5, lam=1.0),
+        algo=ALGO_SC_OFW,
+        gap_check=True,
+        gap_cap=64,
+    )
+    expected = sweep(replace(spec, gap_check=False), [16, 48, 100])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep called the gap oracle")
+
+    monkeypatch.setattr(ofwkit.harness, "surrogate_argmin", refuse)
+    result = sweep(spec, [16, 48, 100])
+    assert result.regrets == expected.regrets and result.bounds == expected.bounds
 
 
 def test_sweep_validation():

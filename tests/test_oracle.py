@@ -4,14 +4,7 @@ from _helpers import grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
 from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round, make_rounds
-from ofwkit.oracle import (
-    ConvergenceError,
-    OfwSurrogate,
-    ScOfwSurrogate,
-    offline_comparator,
-    surrogate_argmin,
-    surrogate_of,
-)
+from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 SETS = {
@@ -22,29 +15,31 @@ SETS = {
 }
 
 
-def test_surrogate_of_fresh_ofw_is_anchored_quadratic():
+def test_fresh_ofw_state_is_anchored_quadratic():
     state = ofw_init(L2Ball(3, 1.0), horizon=4, G=1.0)
-    surr = surrogate_of(state)
-    assert isinstance(surr, OfwSurrogate)
+    assert state.curvature == 2.0
     # before any gradient the surrogate is ||x - x1||^2
     x = np.array([0.2, -0.1, 0.4])
-    assert surr.value(x) == pytest.approx(float(x @ x), rel=1e-12)
-    xh, val = surrogate_argmin(surr)
+    assert state.value(x) == pytest.approx(float(x @ x), rel=1e-12)
+    xh, val = surrogate_argmin(state)
     np.testing.assert_allclose(xh, np.zeros(3), atol=1e-9)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
-def test_surrogate_of_scofw_before_first_round_is_none():
+def test_scofw_state_before_first_round_has_no_minimizer():
+    # With no round played the surrogate is 0 everywhere: no curvature,
+    # so no unique minimizer to certify.
     state = scofw_init(L2Ball(3, 1.0), lam=1.0)
-    assert surrogate_of(state) is None
+    assert state.curvature == 0.0
+    with pytest.raises(ValueError, match="curvature"):
+        surrogate_argmin(state)
 
 
 def test_scofw_surrogate_argmin_1d_hand_value():
     # after one round on [-1, 1] with g=1, lam=1: minimize x + x^2/2,
     # unconstrained optimum -1 sits on the boundary, value -1/2
     state = scofw_update(scofw_init(L2Ball(1, 1.0), lam=1.0), np.array([1.0]))
-    surr = surrogate_of(state)
-    xh, val = surrogate_argmin(surr)
+    xh, val = surrogate_argmin(state)
     assert xh[0] == pytest.approx(-1.0, abs=1e-9)
     assert val == pytest.approx(-0.5, abs=1e-9)
 
@@ -61,16 +56,15 @@ def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
         state, update = scofw_init(dom, lam=1.0), scofw_update
     for t in range(1, 41):
         state = update(state, make_round(spec, t, dom).grad_at(state.x))
-    surr = surrogate_of(state)
     for tol in (1e-6, 1e-9, 1e-12):
-        xh, val = surrogate_argmin(surr, tol=tol)
-        grad = surr.gradient(xh)
+        xh, val = surrogate_argmin(state, tol=tol)
+        grad = state.gradient(xh)
         gap = float(grad @ (xh - dom.lmo(grad)))
         assert gap <= tol
-        assert val == pytest.approx(surr.value(xh), rel=1e-12)
+        assert val == pytest.approx(state.value(xh), rel=1e-12)
         assert dom.contains(xh, 1e-9)
     for k in range(500):
-        assert val <= surr.value(dom.random_feasible(k)) + 1e-9
+        assert val <= state.value(dom.random_feasible(k)) + 1e-9
 
 
 def test_surrogate_argmin_on_simplex():
@@ -79,12 +73,11 @@ def test_surrogate_argmin_on_simplex():
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=4, lam=1.0)
     for t in range(1, 21):
         state = scofw_update(state, make_round(spec, t, dom).grad_at(state.x))
-    surr = surrogate_of(state)
-    xh, val = surrogate_argmin(surr, tol=1e-10)
+    xh, val = surrogate_argmin(state, tol=1e-10)
     assert dom.contains(xh, 1e-9)
     # beat a feasible sample cloud
     for k in range(500):
-        assert val <= surr.value(dom.random_feasible(k)) + 1e-9
+        assert val <= state.value(dom.random_feasible(k)) + 1e-9
 
 
 def test_failed_certificate_raises(monkeypatch):
@@ -95,21 +88,19 @@ def test_failed_certificate_raises(monkeypatch):
     rounds = [make_round(spec, t, dom) for t in range(1, 5)]
     monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
     with pytest.raises(ConvergenceError):
-        surrogate_argmin(surrogate_of(state))
+        surrogate_argmin(state)
     with pytest.raises(ConvergenceError):
         offline_comparator(dom, rounds)
 
 
 def test_scofw_surrogate_requires_one_round():
-    with pytest.raises(ValueError):
-        ScOfwSurrogate(
-            domain=L2Ball(2, 1.0),
-            grad_sum=np.zeros(2),
-            iterate_sum=np.zeros(2),
-            iterate_sq_sum=0.0,
-            t=0,
-            lam=1.0,
-        )
+    state = scofw_init(L2Ball(2, 1.0), lam=2.0)
+    with pytest.raises(ValueError, match="curvature"):
+        surrogate_argmin(state, tol=1e-12)
+    state = scofw_update(state, np.array([1.0, 0.0]))
+    assert state.curvature == 2.0
+    xh, _ = surrogate_argmin(state, tol=1e-12)
+    np.testing.assert_allclose(xh, [-0.5, 0.0], atol=1e-12)
 
 
 def test_offline_comparator_linear_example():
@@ -203,7 +194,7 @@ def test_prefix_minimizers_beat_any_fixed_point():
     st = scofw_init(dom, lam=lam)
     for t, rnd in enumerate(rounds, start=1):
         st = scofw_update(st, rnd.grad_at(played[t - 1]))
-        xh, _ = surrogate_argmin(surrogate_of(st), tol=1e-12)
+        xh, _ = surrogate_argmin(st, tol=1e-12)
         mins.append(xh)
     lhs = sum(
         reg_loss(rounds[t], played[t], mins[t]) for t in range(len(rounds))
@@ -223,16 +214,15 @@ def test_strong_convexity_consequences_of_surrogates():
     state = ofw_init(dom, horizon=30, G=1.0)
     for t in range(1, 31):
         state = ofw_update(state, make_round(spec, t, dom).grad_at(state.x))
-    surr = surrogate_of(state)
-    alpha = surr.curvature
-    x_star, best = surrogate_argmin(surr, tol=1e-12)
+    alpha = state.curvature
+    x_star, best = surrogate_argmin(state, tol=1e-12)
     rng = np.random.default_rng(11)
     for k in range(300):
         x = dom.random_feasible(k)
-        subopt = surr.value(x) - best
+        subopt = state.value(x) - best
         dist_sq = float((x - x_star) @ (x - x_star))
         assert 0.5 * alpha * dist_sq <= subopt + 1e-9
-        gnorm = float(np.linalg.norm(surr.gradient(x)))
+        gnorm = float(np.linalg.norm(state.gradient(x)))
         assert gnorm + 1e-9 >= np.sqrt(0.5 * alpha) * np.sqrt(max(subopt, 0.0))
 
 

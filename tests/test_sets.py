@@ -110,6 +110,11 @@ def test_project_simplex_examples():
     # An entry that swamps the sum projects to its vertex.
     np.testing.assert_array_equal(Simplex(3).project(np.array([1e17, 0.0, 0.0])), [1, 0, 0])
     np.testing.assert_array_equal(L1Ball(3, 1.0).project(np.array([1e17, 0.0, 0.0])), [1, 0, 0])
+    # Entries whose sums overflow, projected without an overflow warning.
+    huge = np.array([1e308, -1e308, 0.0])
+    np.testing.assert_array_equal(Simplex(3).project(huge), [1, 0, 0])
+    np.testing.assert_array_equal(L1Ball(3, 1.0).project(huge), [0.5, -0.5, 0])
+    np.testing.assert_array_equal(Simplex(3).project(np.array([1.0, -1e308, -1e308])), [1, 0, 0])
 
 
 def test_project_inside_is_identity():
@@ -338,7 +343,11 @@ def test_project_rows_equal_project_bit_for_bit(dom):
         assert _bits(out) == _bits(expected)
         assert _bits(dom.project_rows(x[:1])) == _bits(expected[:1])
     assert dom.project_rows(np.empty((0, dom.dim))).shape == (0, dom.dim)
-    huge = np.concatenate([x[:3], _row_cases(dom.dim)[-2:]])
+    overflowing = np.zeros((2, dom.dim))
+    overflowing[0, :2] = [1e308, -1e308]
+    overflowing[1, 1:] = -1e308
+    overflowing[1, 0] = 1.0
+    huge = np.concatenate([x[:3], _row_cases(dom.dim)[-2:], overflowing])
     if lp:
         for row in huge[3:]:
             with pytest.raises(ValueError):

@@ -17,6 +17,26 @@ def test_sets_scope_passes():
     assert "sets.projection_idempotent.simplex" in names
 
 
+def test_learners_scope_passes():
+    # The wall-clock check is left to the verify command: a loaded host can
+    # fail it without any fault in the code.
+    report = verify_suite("learners")
+    results = {r.name: r for r in report.results}
+    wall_clock = "learners.per_round_cost_constant"
+    assert set(results) == {
+        "learners.surrogate_identity.ofw_ls",
+        "learners.surrogate_identity.sc_ofw",
+        "learners.contraction.ofw_ls",
+        "learners.contraction.sc_ofw",
+        "learners.comparator_drift.ofw_ls",
+        "learners.comparator_drift.sc_ofw",
+        "learners.regularized_loss_lipschitz",
+        wall_clock,
+    }
+    failing = [(n, r.detail) for n, r in results.items() if n != wall_clock and not r.passed]
+    assert not failing, f"failing checks: {failing}"
+
+
 def test_bounds_scope_passes():
     report = verify_suite("bounds")
     failing = [(r.name, r.detail) for r in report.results if not r.passed]
