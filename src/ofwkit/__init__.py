@@ -39,7 +39,6 @@ from .learners import (
     scofw_update,
 )
 from .losses import (
-    LossRound,
     LossSpec,
     certify_constants,
     make_round,
@@ -79,7 +78,6 @@ __all__ = [
     "ogd_init",
     "scofw_init",
     "scofw_update",
-    "LossRound",
     "LossSpec",
     "certify_constants",
     "make_round",

@@ -8,7 +8,7 @@ applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
 The adversary is one ``losses.Rounds``, a (T, dim) array of gradients or
-targets; losses injected from outside are checked once, by ``as_rounds``.
+targets; rounds injected from outside are checked once, by ``as_rounds``.
 Only the learner's work runs round by round, one row per round. The
 columns that do not depend on the learner (cumulative loss, the prefix
 comparators, regret) and the CSV text are computed afterwards, on slices
@@ -41,10 +41,8 @@ from .learners import (
 from .losses import (
     LINEAR,
     QUADRATIC,
-    LossRound,
     LossSpec,
     Rounds,
-    as_rounds,
     certify_constants,
     loss_at,
     make_rounds,
@@ -417,10 +415,7 @@ def _allocate_logs(T: int) -> np.ndarray:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    rounds: Rounds | Sequence[LossRound] | None = None,
-) -> RegretTrace:
+def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> RegretTrace:
     """Play ``spec.horizon`` rounds and log the trace.
 
     The protocol each round: the learner commits its point, the adversary
@@ -432,12 +427,12 @@ def run_experiment(
 
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
-    longer ``Rounds``, used as it is; a sequence of ``LossRound`` objects is
-    checked by ``as_rounds``: one per round, each of the spec's loss kind
-    and dim, with finite data and one shared lam, else ``ValueError`` is
-    raised before the learner moves. The final comparator is recomputed
-    from the full sequence by the offline oracle, so the reported
-    ``final_regret`` does not lean on the per-round prefix comparators.
+    longer ``Rounds``. Rounds from outside are checked by ``as_rounds``;
+    here only their count, kind and dim are held against the spec, and a
+    mismatch raises ``ValueError`` before the learner moves. The final
+    comparator is recomputed from the full sequence by the offline oracle,
+    so the reported ``final_regret`` does not lean on the per-round prefix
+    comparators.
 
     A horizon too long to log raises ``ConfigError`` before any round is
     generated.
@@ -445,8 +440,6 @@ def run_experiment(
     cert = certificate(spec)
     T, dim = spec.horizon, spec.domain.dim
     if rounds is not None:
-        if not isinstance(rounds, Rounds):
-            rounds = as_rounds(rounds, dim)
         got, want = (len(rounds), rounds.kind, rounds.data.shape[1]), (T, spec.loss.kind, dim)
         if got != want:
             raise ValueError(f"expected (rounds, kind, dim) = {want}, got {got}")

@@ -9,20 +9,18 @@ Two kinds of per-round loss:
   Lipschitz over the set.
 
 Rounds are generated independently per index from a counter-mixed seed, so
-round t can be reproduced without replaying rounds 1..t-1. ``make_round``
-builds one round, a ``LossRound``, from
-``np.random.default_rng(round_seed(seed, t))``; ``make_rounds`` builds
-rounds 1..T bit-identical to it as one ``Rounds``, a read-only (T, dim)
-array of gradients or targets, computing every round's generator state in
-one vectorised pass. ``as_rounds`` stacks ``LossRound`` objects given from
-outside into checked ``Rounds``.
+round t can be reproduced without replaying rounds 1..t-1. The adversary is
+one ``Rounds``: its kind, lam and a read-only (T, dim) array whose row t - 1
+is round t's gradient or target. ``make_round`` draws one such row from
+``np.random.default_rng(round_seed(seed, t))``; ``make_rounds`` builds rows
+1..T bit-identical to it, computing every round's generator state in one
+vectorised pass. ``as_rounds`` checks rounds given from outside as an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "round_seed",
     "LossSpec",
     "loss_at",
-    "LossRound",
     "Rounds",
     "make_round",
     "make_rounds",
@@ -108,32 +105,6 @@ def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[floa
     return 0.5 * lam * float(d.dot(d)), lam * d
 
 
-@dataclass(frozen=True, slots=True)
-class LossRound:
-    """One revealed loss, as plain data.
-
-    ``gradient`` is the constant gradient of a linear round; ``target`` is
-    the minimizer of a quadratic round, whose modulus is ``lam``. Exactly
-    one of them is set.
-    """
-
-    t: int
-    kind: str
-    gradient: Optional[np.ndarray] = None
-    target: Optional[np.ndarray] = None
-    lam: float = 0.0
-
-    @property
-    def data(self) -> Optional[np.ndarray]:
-        return self.gradient if self.kind == LINEAR else self.target
-
-    def value_at(self, x: np.ndarray) -> float:
-        return loss_at(self.kind, self.lam, self.data, x)[0]
-
-    def grad_at(self, x: np.ndarray) -> np.ndarray:
-        return loss_at(self.kind, self.lam, self.data, x)[1]
-
-
 @dataclass(frozen=True)
 class Rounds:
     """Rounds 1..T of one loss kind, as one array.
@@ -141,8 +112,7 @@ class Rounds:
     Row i of ``data``, a read-only (T, dim) array that ``make_rounds`` and
     ``as_rounds`` fill with finite values, is round i + 1's gradient or
     target; ``lam`` is their modulus (0.0 if linear). ``rounds[:h]`` is a
-    view of rounds 1..h, h >= 1, and ``rounds[i]`` round i + 1 as a
-    ``LossRound``.
+    view of rounds 1..h, h >= 1. A ``Rounds`` built directly is trusted.
     """
 
     kind: str
@@ -152,22 +122,20 @@ class Rounds:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
-            if start != 0 or step != 1 or stop == 0:
-                raise IndexError("a slice of rounds must be a prefix rounds[:h], h >= 1")
-            return Rounds(self.kind, self.lam, self.data[:stop])
-        i = range(len(self))[key]
-        row = {"gradient" if self.kind == LINEAR else "target": self.data[i]}
-        return LossRound(t=i + 1, kind=self.kind, lam=self.lam, **row)
+    def __getitem__(self, key: slice) -> Rounds:
+        if not isinstance(key, slice):
+            raise TypeError("rounds take a prefix slice rounds[:h]; row i is rounds.data[i]")
+        start, stop, step = key.indices(len(self))
+        if start != 0 or step != 1 or stop == 0:
+            raise IndexError("a slice of rounds must be a prefix rounds[:h], h >= 1")
+        return Rounds(self.kind, self.lam, self.data[:stop])
 
 
 _MIN_NORM = 1e-12  # linear rounds redraw a direction shorter than this
 
 
-def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
-    """Round t of the adversary, drawn from ``default_rng(round_seed(seed, t))``.
+def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
+    """Round t's (dim,) gradient or target, from ``default_rng(round_seed(seed, t))``.
 
     A linear round's gradient has norm exactly G; a quadratic round's
     target is a feasible point of ``domain``.
@@ -183,8 +151,8 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> LossRound:
         while n < _MIN_NORM:
             z = rng.standard_normal(spec.dim)
             n = l2_norm(z)
-        return LossRound(t=t, kind=LINEAR, gradient=(spec.G / n) * z)
-    return LossRound(t=t, kind=QUADRATIC, target=domain.random_feasible(rng), lam=spec.lam)
+        return (spec.G / n) * z
+    return domain.random_feasible(rng)
 
 
 # Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of
@@ -288,10 +256,10 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
             # A first draw too short to scale is redrawn by make_round, whose
             # row has norm G already: G / G is exactly 1.
             for i in np.flatnonzero(norms < _MIN_NORM).tolist():
-                rows[i] = make_round(spec, start + i + 1, domain).gradient
+                rows[i] = make_round(spec, start + i + 1, domain)
                 norms[i] = spec.G
             rows *= (spec.G / norms)[:, None]
-    if not np.array_equal(data[0], reference.data):
+    if not np.array_equal(data[0], reference):
         raise RuntimeError(
             f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
             "round 1 does not match make_round"
@@ -300,40 +268,27 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     return Rounds(spec.kind, 0.0 if linear else spec.lam, data)
 
 
-def as_rounds(rounds: Sequence[LossRound], dim: int) -> Rounds:
-    """Stack ``LossRound`` objects given from outside into ``Rounds``, a copy.
+def as_rounds(kind: str, lam: float, data) -> Rounds:
+    """Checked, read-only ``Rounds`` holding a copy of ``data``, rounds from outside.
 
-    Every round must have round 1's kind and lam, and a finite gradient or
-    target of shape (dim,), else ``ValueError`` names the first that does
-    not: ``round k (t = t_k): why``.
+    ``data`` is an (n, dim) array, n >= 1 and dim >= 1, whose row i is
+    round i + 1's gradient (``kind`` linear, ``lam`` 0.0) or target (``kind``
+    quadratic, ``lam`` finite and positive). Anything else raises
+    ``ValueError`` naming it; a non-finite row is named by its round number.
     """
-    if len(rounds) == 0:
-        raise ValueError("need at least one round")
-    kind, lam = rounds[0].kind, rounds[0].lam
     if kind not in (LINEAR, QUADRATIC):
         raise ValueError(f"unknown loss kind {kind!r}")
-    first = next((i for i, r in enumerate(rounds) if _misfit(r, kind, lam, dim)), len(rounds))
-    data = np.array([rounds[i].data for i in range(first)], dtype=np.float64).reshape(first, dim)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if not (lam == 0.0 if kind == LINEAR else 0.0 < lam < math.inf):
+        want = "lam 0.0" if kind == LINEAR else "a finite lam > 0"
+        raise ValueError(f"{kind} rounds need {want}, got {lam!r}")
+    rows = np.array(data, dtype=np.float64)
+    if rows.ndim != 2 or 0 in rows.shape:
+        raise ValueError(f"expected an (n, dim) array, n, dim >= 1, got shape {rows.shape}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        first, why = int(bad[0]), "non-finite data"
-    elif first < len(rounds):
-        why = _misfit(rounds[first], kind, lam, dim)
-    else:
-        data.flags.writeable = False
-        return Rounds(kind, lam, data)
-    raise ValueError(f"round {first + 1} (t = {rounds[first].t}): {why}")
-
-
-def _misfit(rnd: LossRound, kind: str, lam: float, dim: int) -> Optional[str]:
-    """Why ``rnd`` does not fit rounds of ``kind``, ``lam`` and ``dim``, or None."""
-    if rnd.kind != kind:
-        return f"kind {rnd.kind!r}, expected {kind!r}"
-    if rnd.lam != lam:
-        return f"lam {rnd.lam!r} differs from round 1's {lam!r}"
-    if not isinstance(rnd.data, np.ndarray) or rnd.data.shape != (dim,):
-        return f"data of shape {np.shape(rnd.data)}, expected {(dim,)}"
-    return None
+        raise ValueError(f"round {bad[0] + 1} has non-finite data")
+    rows.flags.writeable = False
+    return Rounds(kind, float(lam), rows)
 
 
 def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float]:

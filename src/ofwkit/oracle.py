@@ -1,19 +1,17 @@
 """Reference computations the learners are checked against.
 
 A certified minimizer of a learner's surrogate, which the learner's state
-is (see ``learners``), and the offline comparator that regret is measured
-against. These routines are allowed to project; the online learners never
-are.
+is (see ``learners``), and the offline comparator of a ``losses.Rounds``
+that regret is measured against. These routines are allowed to project;
+the online learners never are.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .core import BLOCK_ROWS, dot, prefix_sums, row_dots
-from .losses import LINEAR, LossRound, Rounds, as_rounds
+from .losses import LINEAR, Rounds
 from .sets import FeasibleSet
 
 __all__ = [
@@ -69,37 +67,31 @@ def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray
 
 
 def offline_comparator(
-    domain: FeasibleSet,
-    rounds: Rounds | Sequence[LossRound],
-    tol: float = DEFAULT_ORACLE_TOL,
+    domain: FeasibleSet, rounds: Rounds, tol: float = DEFAULT_ORACLE_TOL
 ) -> tuple[np.ndarray, float]:
     """Best fixed feasible point in hindsight and its total loss.
 
-    A sequence of ``LossRound`` objects goes through ``as_rounds``. Linear
-    rounds reduce to one oracle call on the summed gradient, which is
-    exact. The total of quadratic rounds is minimized by the projection of
+    Linear rounds reduce to one oracle call on the summed gradient, which is
+    exact. The total of quadratic rounds is minimized by the projection x of
     their mean target, whose Frank-Wolfe gap is certified to ``tol``
-    (``ConvergenceError`` otherwise). Sums run over slices of
-    ``BLOCK_ROWS`` rounds and equal the round-by-round sums bit for bit.
+    (``ConvergenceError`` otherwise), and scored in closed form,
+    0.5 * lam * (T ||x||^2 - 2 <S, x> + sum ||theta_t||^2) with S the target
+    sum. The sums run over slices of ``BLOCK_ROWS`` rounds and equal the
+    round-by-round sums bit for bit, so the total equals the harness's
+    prefix comparator at T.
     """
-    if not isinstance(rounds, Rounds):
-        rounds = as_rounds(rounds, domain.dim)
-    blocks = [rounds.data[s : s + BLOCK_ROWS] for s in range(0, len(rounds), BLOCK_ROWS)]
-    # Each round's gradient or target added in round order to zeros.
-    row_sum = np.zeros(domain.dim)
-    for rows in blocks:
+    linear = rounds.kind == LINEAR
+    row_sum, sq_sum = np.zeros(domain.dim), 0.0
+    for s in range(0, len(rounds), BLOCK_ROWS):
+        rows = rounds.data[s : s + BLOCK_ROWS]
         row_sum = prefix_sums(rows, row_sum)[-1]
-
-    if rounds.kind == LINEAR:
+        if not linear:
+            sq_sum = prefix_sums(row_dots(rows, rows), sq_sum)[-1]
+    if linear:
         x_star = domain.lmo(row_sum)
         return x_star, dot(row_sum, x_star)
 
     lam, n = rounds.lam, len(rounds)
     x = domain.project(row_sum / n)
     _certify(domain, lam * (n * x - row_sum), x, tol)
-    # Each round's value_at(x), summed in round order.
-    total = 0.0
-    for rows in blocks:
-        d = x - rows
-        total = prefix_sums(0.5 * lam * row_dots(d, d), total)[-1]
-    return x, float(total)
+    return x, 0.5 * lam * (n * dot(x, x) - 2.0 * dot(row_sum, x) + float(sq_sum))

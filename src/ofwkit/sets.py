@@ -75,19 +75,21 @@ class FeasibleSet:
         Ties (see ``is_tie``) are resolved to ``anchor()``.
         """
         g = as_vector(g, self.dim)
-        if is_tie(l2_norm(g)):
+        norm = l2_norm(g)
+        if is_tie(norm):
             return self.anchor()
-        return self._lmo(g)
+        return self._lmo(g, norm)
 
     def lmo_rows(self, g) -> np.ndarray:
         """``lmo`` of each row of an (n, dim) array, row i equal to ``lmo(g[i])``."""
         g = as_rows(g, self.dim)
-        tie = is_tie(row_l2_norms(g))
+        norms = row_l2_norms(g)
+        tie = is_tie(norms)
         if not tie.any():
-            return self._lmo_rows(g)
+            return self._lmo_rows(g, norms)
         out = np.empty_like(g)
         out[tie] = self.anchor()
-        out[~tie] = self._lmo_rows(g[~tie])
+        out[~tie] = self._lmo_rows(g[~tie], norms[~tie])
         return out
 
     def project(self, x) -> np.ndarray:
@@ -136,11 +138,12 @@ class FeasibleSet:
 
     # -- hooks -----------------------------------------------------------
 
-    def _lmo(self, g: np.ndarray) -> np.ndarray:
+    def _lmo(self, g: np.ndarray, norm: float) -> np.ndarray:
+        """``lmo`` of a finite gradient of Euclidean norm ``norm``, no tie."""
         raise NotImplementedError
 
-    def _lmo_rows(self, g: np.ndarray) -> np.ndarray:
-        """``_lmo`` of each row of a finite (n, dim) array with no tie rows."""
+    def _lmo_rows(self, g: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        """``_lmo`` of each row of a finite (n, dim) array, row norms ``norms``, no ties."""
         raise NotImplementedError
 
 
@@ -206,11 +209,11 @@ class L2Ball(_Ball):
     def norm_rows(self, x):
         return row_l2_norms(as_rows(x, self.dim))
 
-    def _lmo(self, g):
-        return (-self.radius / l2_norm(g)) * g
+    def _lmo(self, g, norm):
+        return (-self.radius / norm) * g
 
-    def _lmo_rows(self, g):
-        return (-self.radius / row_l2_norms(g))[:, None] * g
+    def _lmo_rows(self, g, norms):
+        return (-self.radius / norms)[:, None] * g
 
     def project(self, x):
         x = as_vector(x, self.dim)
@@ -268,7 +271,7 @@ class LpBall(_Ball):
         # differently from the per-vector ``lp_norm``.
         return m * np.array([s ** (1.0 / self.p) for s in sums.tolist()])
 
-    def _lmo(self, g):
+    def _lmo(self, g, norm):
         # First-order condition on the boundary: the minimizer has
         # |x_i| proportional to |g_i|^(q-1) with q the dual exponent.
         # Normalizing by max|g_i| keeps the powers in a safe range.
@@ -279,7 +282,7 @@ class LpBall(_Ball):
         w /= lp_norm(w, self.p)
         return -self.radius * np.sign(g) * w
 
-    def _lmo_rows(self, g):
+    def _lmo_rows(self, g, norms):
         # _lmo's steps, in place where they make a block-sized temporary.
         q = self.p / (self.p - 1.0)
         w = np.abs(g)
@@ -470,13 +473,13 @@ class L1Ball(_Ball):
         with np.errstate(over="ignore"):
             return np.abs(as_rows(x, self.dim)).sum(axis=1)
 
-    def _lmo(self, g):
+    def _lmo(self, g, norm):
         j = int(np.argmax(np.abs(g)))
         out = np.zeros(self.dim)
         out[j] = -self.radius * float(np.sign(g[j]))
         return out
 
-    def _lmo_rows(self, g):
+    def _lmo_rows(self, g, norms):
         rows = np.arange(g.shape[0])
         j = np.argmax(np.abs(g), axis=1)
         out = np.zeros_like(g)
@@ -511,12 +514,12 @@ class Simplex(FeasibleSet):
         x = as_vector(x, self.dim)
         return bool(np.all(x >= -tol)) and abs(float(x.sum()) - 1.0) <= tol
 
-    def _lmo(self, g):
+    def _lmo(self, g, norm):
         out = np.zeros(self.dim)
         out[int(np.argmin(g))] = 1.0
         return out
 
-    def _lmo_rows(self, g):
+    def _lmo_rows(self, g, norms):
         out = np.zeros_like(g)
         out[np.arange(g.shape[0]), np.argmin(g, axis=1)] = 1.0
         return out

@@ -26,6 +26,7 @@ from .losses import (
     QUADRATIC,
     LossSpec,
     certify_constants,
+    loss_at,
     make_rounds,
 )
 from .oracle import surrogate_argmin
@@ -227,8 +228,8 @@ def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
     state, update = _init_learner(spec, *certify_constants(loss_spec, domain))
     states = [state]
     rounds = make_rounds(loss_spec, horizon, domain)
-    for rnd in rounds:
-        state = update(state, rnd.grad_at(state.x))
+    for row in rounds.data:
+        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
         states.append(state)
     return states, rounds
 
@@ -261,7 +262,7 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
     states, rounds = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
-    grads = [rnd.grad_at(state.x) for rnd, state in zip(rounds, states)]
+    grads = [loss_at(QUADRATIC, spec.lam, row, st.x)[1] for row, st in zip(rounds.data, states)]
     for t in (1, 7, 23, 48):
         state = states[t]
         for _ in range(5):
@@ -370,9 +371,9 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> CheckResult:
     xs = domain.sample_rows(n, rng)
     ys = domain.sample_rows(n, rng)
     zs = domain.sample_rows(n, rng)
-    for i, rnd in enumerate(make_rounds(spec, n, domain)):
+    for i, row in enumerate(make_rounds(spec, n, domain).data):
         x_t = xs[i]
-        g_t = rnd.grad_at(x_t)
+        g_t = loss_at(QUADRATIC, lam, row, x_t)[1]
 
         def reg_loss(u):
             return float(np.dot(g_t, u)) + 0.5 * lam * float(np.dot(u - x_t, u - x_t))
@@ -477,11 +478,11 @@ def _check_gap_schedule(tag: str, spec: ExperimentSpec) -> CheckResult:
     if np.nanmin(trace.gap) < -FEAS_SLACK:
         i = int(np.nanargmin(trace.gap))
         return CheckResult(
-            name, "bounds", False, f"negative gap {trace.gap[i]!r} at t={i + 1}"
+            name, "bounds", False, f"negative gap {float(trace.gap[i])!r} at t={i + 1}"
         )
     if spec.algo == ALGO_OFW_LS and trace.gap[0] > FEAS_SLACK:
         return CheckResult(
-            name, "bounds", False, f"first-round gap {trace.gap[0]!r} should be 0"
+            name, "bounds", False, f"first-round gap {float(trace.gap[0])!r} should be 0"
         )
     # Comparisons with the NaN of an unmeasured or unbounded round are false.
     over = np.flatnonzero(trace.gap > trace.gap_bound + GAP_SLACK)

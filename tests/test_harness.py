@@ -6,7 +6,7 @@ from dataclasses import replace
 import _comparator_reference as reference
 import numpy as np
 import pytest
-from _helpers import zero_round
+from _helpers import zero_rounds
 
 import ofwkit.harness
 import ofwkit.oracle
@@ -31,7 +31,6 @@ from ofwkit.harness import (
 from ofwkit.losses import (
     LINEAR,
     QUADRATIC,
-    LossRound,
     LossSpec,
     Rounds,
     as_rounds,
@@ -276,8 +275,7 @@ def test_single_round_regret_nonnegative_scofw():
 @pytest.mark.parametrize("algo", [ALGO_OFW_LS, ALGO_OFW_DECAY, ALGO_OGD])
 def test_zero_adversary_gives_exactly_zero_regret(algo):
     spec = _spec(algo=algo, horizon=16)
-    rounds = [zero_round(t, 10) for t in range(1, 17)]
-    trace = run_experiment(spec, rounds=rounds)
+    trace = run_experiment(spec, rounds=zero_rounds(16, 10))
     assert trace.final_regret == 0.0
     assert np.all(trace.loss == 0.0)
     assert np.all(trace.regret == 0.0)
@@ -294,7 +292,7 @@ def test_horizon_beyond_array_length_refused_and_huge_horizon_fails_fast():
 
 def test_injected_rounds_length_checked():
     with pytest.raises(ValueError):
-        run_experiment(_spec(horizon=4), rounds=[zero_round(1, 10)])
+        run_experiment(_spec(horizon=4), rounds=zero_rounds(1, 10))
 
 
 def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch):
@@ -309,57 +307,45 @@ def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch)
         sweep(spec, [16, 2**62])
 
 
-def _quadratic_rounds(T, dim, lam=1.0):
-    rng = np.random.default_rng(3)
-    return [
-        LossRound(t=t, kind=QUADRATIC, target=0.1 * rng.standard_normal(dim), lam=lam)
-        for t in range(1, T + 1)
-    ]
-
-
 def _bad_rounds(case):
-    """(spec, rounds, the 1-based index of the first bad round)."""
-    linear = [zero_round(t, 10) for t in range(1, 9)]
+    """(spec, the injected rounds' kind, lam and data, the error they raise)."""
+    linear = np.zeros((8, 10))
     quad_spec = _spec(loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), horizon=8)
-    quad = _quadratic_rounds(8, 10)
-    if case == "kind":
-        linear[2] = quad[2]
-        return _spec(horizon=8), linear, 3
-    if case == "lam":
-        quad[4] = replace(quad[4], lam=2.0)
-        return quad_spec, quad, 5
+    quad = 0.1 * np.random.default_rng(3).standard_normal((8, 10))
     if case == "dim":
-        linear[1] = LossRound(t=2, kind=LINEAR, gradient=np.zeros(9))
-        return _spec(horizon=8), linear, 2
+        wrong = r"= \(8, 'linear', 10\), got \(8, 'linear', 9\)$"
+        return _spec(horizon=8), (LINEAR, 0.0, np.zeros((8, 9))), wrong
     if case == "missing":
-        linear[6] = LossRound(t=7, kind=LINEAR)
-        return _spec(horizon=8), linear, 7
+        # A row of missing entries reads as NaN.
+        rows = linear.tolist()
+        rows[6] = [None] * 10
+        return _spec(horizon=8), (LINEAR, 0.0, rows), "^round 7 has non-finite data$"
     if case == "non_finite":
-        quad[3] = replace(quad[3], target=np.full(10, np.nan))
-        return quad_spec, quad, 4
-    # A non-finite round before a round of the wrong kind: the earlier one is named.
-    linear[1] = LossRound(t=2, kind=LINEAR, gradient=np.full(10, np.inf))
-    linear[5] = quad[5]
-    return _spec(horizon=8), linear, 2
+        quad[3] = np.nan
+        return quad_spec, (QUADRATIC, 1.0, quad), "^round 4 has non-finite data$"
+    # Of two non-finite rounds, the earlier one is named.
+    linear[5, 0] = -np.inf
+    linear[1, 9] = np.inf
+    return _spec(horizon=8), (LINEAR, 0.0, linear), "^round 2 has non-finite data$"
 
 
-@pytest.mark.parametrize("case", ["kind", "lam", "dim", "missing", "non_finite", "first"])
+@pytest.mark.parametrize("case", ["dim", "missing", "non_finite", "first"])
 def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
     def no_update(*args):
         raise AssertionError("the learner moved before the rounds were checked")
 
     monkeypatch.setattr(ofwkit.harness, "ofw_update", no_update)
-    spec, rounds, bad = _bad_rounds(case)
-    with pytest.raises(ValueError, match=rf"^round {bad} \(t = {bad}\)"):
-        run_experiment(spec, rounds=rounds)
+    spec, (kind, lam, data), message = _bad_rounds(case)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(spec, rounds=as_rounds(kind, lam, data))
 
 
 def test_injected_rounds_are_stacked_once_into_read_only_rows():
-    spec, rounds = _spec(horizon=8), [zero_round(t, 10) for t in range(1, 9)]
-    data = as_rounds(rounds, 10).data
-    assert not data.flags.writeable
+    spec, rows = _spec(horizon=8), np.zeros((8, 10))
+    rounds = as_rounds(LINEAR, 0.0, rows)
+    assert not rounds.data.flags.writeable
     with pytest.raises(ValueError):
-        data[0, 0] = np.nan
+        rounds.data[0, 0] = np.nan
     assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
     wrong_kind = make_rounds(quad, 8, spec.domain)
@@ -371,16 +357,25 @@ def test_sweep_and_runs_never_recheck_or_rebuild_their_own_rounds(monkeypatch):
     def no_check(*args):
         raise AssertionError("rounds built by make_rounds were checked again")
 
-    def no_round_object(self, key):
-        raise AssertionError("the round loop built a LossRound")
+    def no_slice(self, key):
+        raise AssertionError("a run sliced its own rounds")
+
+    built = []
+
+    def counted_make_rounds(*args):
+        built.append(args)
+        return make_rounds(*args)
 
     spec = _spec(horizon=300, gap_check=True, gap_cap=5)
     expected = sweep(spec, [16, 100, 300])
-    monkeypatch.setattr(ofwkit.harness, "as_rounds", no_check)
-    monkeypatch.setattr(ofwkit.oracle, "as_rounds", no_check)
+    for module in (ofwkit.losses, ofwkit.harness, ofwkit.oracle):
+        monkeypatch.setattr(module, "as_rounds", no_check, raising=False)
+    monkeypatch.setattr(ofwkit.harness, "make_rounds", counted_make_rounds)
     assert sweep(spec, [16, 100, 300]).regrets == expected.regrets
-    monkeypatch.setattr(Rounds, "__getitem__", no_round_object)
+    assert len(built) == 1
+    monkeypatch.setattr(Rounds, "__getitem__", no_slice)
     assert run_experiment(spec).final_regret == expected.regrets[-1]
+    assert len(built) == 2
 
 
 _BLOCK_SETS = [L2Ball(6, 1.5), LpBall(6, 1.2, 1.5), L1Ball(6, 2.0), Simplex(6)]
@@ -416,7 +411,7 @@ def test_block_comparator_resolves_ties_like_the_lmo(domain):
     # Gradients +g, -g, ... bring every even prefix sum back to exactly
     # zero, so tie rows and ordinary rows share each block.
     g = np.random.default_rng(4).standard_normal(6)
-    rounds = [LossRound(t=t, kind=LINEAR, gradient=g if t % 2 else -g) for t in range(1, 301)]
+    rounds = as_rounds(LINEAR, 0.0, [g if t % 2 else -g for t in range(1, 301)])
     spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0), horizon=300)
     trace = run_experiment(spec, rounds=rounds)
     comp = reference.prefix_comparators(domain, rounds)
@@ -455,17 +450,24 @@ def test_trace_shapes_and_cumulative_consistency():
 
 
 def test_final_regret_matches_offline_comparator():
-    trace = run_experiment(_spec(horizon=128))
-    # the incremental prefix comparator at T and the offline recomputation
-    # are the same quantity
-    assert trace.final_regret == pytest.approx(trace.regret[-1], rel=1e-9, abs=1e-9)
-    assert trace.spec.domain.contains(trace.comparator_point, 1e-9)
+    # The prefix comparator at T and the offline recomputation are the same
+    # quantity, computed in the same order.
+    for domain in _BLOCK_SETS:
+        loss = LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0)
+        trace = run_experiment(_spec(domain=domain, loss=loss, horizon=300))
+        assert trace.final_regret == trace.regret[-1], domain
+        assert trace.comparator_total == trace.comparator_cum[-1], domain
+        assert domain.contains(trace.comparator_point, 1e-9)
 
 
 def test_final_regret_matches_offline_comparator_quadratic():
-    quad = LossSpec(kind=QUADRATIC, dim=10, seed=3, lam=1.0)
-    trace = run_experiment(_spec(loss=quad, algo=ALGO_SC_OFW, horizon=128))
-    assert trace.final_regret == pytest.approx(trace.regret[-1], rel=1e-9, abs=1e-9)
+    for domain in _BLOCK_SETS:
+        loss = LossSpec(kind=QUADRATIC, dim=6, seed=3, lam=0.7)
+        for algo in (ALGO_SC_OFW, ALGO_OFW_LS, ALGO_OGD):
+            trace = run_experiment(_spec(domain=domain, loss=loss, algo=algo, horizon=300))
+            assert trace.final_regret == trace.regret[-1], (domain, algo)
+            assert trace.comparator_total == trace.comparator_cum[-1], (domain, algo)
+            assert domain.contains(trace.comparator_point, 1e-9)
 
 
 def test_run_is_deterministic():

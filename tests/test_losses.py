@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from _helpers import zero_round
+from _helpers import zero_rounds
 
 from ofwkit import losses
 from ofwkit.losses import (
     LINEAR,
     QUADRATIC,
     LossSpec,
+    as_rounds,
     certify_constants,
+    loss_at,
     make_round,
     make_rounds,
     mix64,
@@ -47,8 +49,9 @@ def test_round_seed_separates_rounds_and_streams():
 def test_linear_round_gradient_norm_is_exactly_G():
     spec = LossSpec(kind=LINEAR, dim=12, seed=3, G=2.5)
     for t in (1, 2, 17, 400):
-        rnd = make_round(spec, t, L2Ball(12, 1.0))
-        assert float(np.linalg.norm(rnd.gradient)) == pytest.approx(2.5, rel=1e-12)
+        g = make_round(spec, t, L2Ball(12, 1.0))
+        assert g.shape == (12,)
+        assert float(np.linalg.norm(g)) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_linear_round_is_deterministic_and_t_dependent():
@@ -56,18 +59,19 @@ def test_linear_round_is_deterministic_and_t_dependent():
     dom = L2Ball(6, 1.0)
     a = make_round(spec, 5, dom)
     b = make_round(spec, 5, dom)
-    np.testing.assert_array_equal(a.gradient, b.gradient)
+    np.testing.assert_array_equal(a, b)
     c = make_round(spec, 6, dom)
-    assert not np.array_equal(a.gradient, c.gradient)
+    assert not np.array_equal(a, c)
 
 
 def test_linear_round_value_and_gradient_agree():
     spec = LossSpec(kind=LINEAR, dim=6, seed=9, G=1.0)
-    rnd = make_round(spec, 1, L2Ball(6, 1.0))
+    g = make_round(spec, 1, L2Ball(6, 1.0))
     x = np.linspace(-0.3, 0.3, 6)
-    assert rnd.value_at(x) == pytest.approx(float(rnd.gradient @ x), rel=1e-12)
-    assert rnd.value_at(np.zeros(6)) == 0.0
-    np.testing.assert_array_equal(rnd.grad_at(x), rnd.gradient)
+    value, grad = loss_at(LINEAR, 0.0, g, x)
+    assert value == pytest.approx(float(g @ x), rel=1e-12)
+    assert loss_at(LINEAR, 0.0, g, np.zeros(6))[0] == 0.0
+    np.testing.assert_array_equal(grad, g)
 
 
 def test_linear_round_kind_checks():
@@ -81,34 +85,39 @@ def test_linear_round_kind_checks():
 def test_quadratic_round_minimizer_is_feasible_target():
     dom = L2Ball(8, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=8, seed=4, lam=2.0)
-    rnd = make_round(spec, 3, dom)
-    assert dom.contains(rnd.target, 1e-12)
-    assert rnd.value_at(rnd.target) == 0.0
-    np.testing.assert_array_equal(rnd.grad_at(rnd.target), np.zeros(8))
+    target = make_round(spec, 3, dom)
+    assert dom.contains(target, 1e-12)
+    value, grad = loss_at(QUADRATIC, spec.lam, target, target)
+    assert value == 0.0
+    np.testing.assert_array_equal(grad, np.zeros(8))
 
 
 def test_quadratic_round_example_value():
     # lam=1 and distance 0.5 from the target gives loss 0.125
     dom = L2Ball(2, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=2, seed=4, lam=1.0)
-    rnd = make_round(spec, 1, dom)
-    x = rnd.target + np.array([0.5, 0.0])
-    assert rnd.value_at(x) == pytest.approx(0.125, rel=1e-12)
+    target = make_round(spec, 1, dom)
+    x = target + np.array([0.5, 0.0])
+    assert loss_at(QUADRATIC, spec.lam, target, x)[0] == pytest.approx(0.125, rel=1e-12)
 
 
 def test_quadratic_round_gradient_matches_finite_differences():
     dom = Simplex(5)
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=7, lam=1.7)
-    rnd = make_round(spec, 2, dom)
+    target = make_round(spec, 2, dom)
+
+    def value(x):
+        return loss_at(QUADRATIC, spec.lam, target, x)[0]
+
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.standard_normal(5)
-        g = rnd.grad_at(x)
+        g = loss_at(QUADRATIC, spec.lam, target, x)[1]
         h = 1e-6
         for j in range(5):
             e = np.zeros(5)
             e[j] = h
-            numeric = (rnd.value_at(x + e) - rnd.value_at(x - e)) / (2 * h)
+            numeric = (value(x + e) - value(x - e)) / (2 * h)
             assert numeric == pytest.approx(g[j], rel=1e-5, abs=1e-7)
 
 
@@ -116,17 +125,14 @@ def test_quadratic_round_strong_convexity_is_exact():
     # quadratic losses meet the strong convexity lower bound with equality
     dom = L2Ball(6, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=10, lam=0.8)
-    rnd = make_round(spec, 1, dom)
+    target = make_round(spec, 1, dom)
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
-        lhs = rnd.value_at(y)
-        rhs = (
-            rnd.value_at(x)
-            + float(rnd.grad_at(x) @ (y - x))
-            + 0.5 * spec.lam * float((y - x) @ (y - x))
-        )
+        lhs = loss_at(QUADRATIC, spec.lam, target, y)[0]
+        value, grad = loss_at(QUADRATIC, spec.lam, target, x)
+        rhs = value + float(grad @ (y - x)) + 0.5 * spec.lam * float((y - x) @ (y - x))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
@@ -141,10 +147,10 @@ def test_linear_losses_are_G_lipschitz_sampled():
     spec = LossSpec(kind=LINEAR, dim=10, seed=5, G=1.0)
     rng = np.random.default_rng(6)
     for t in range(1, 201):
-        rnd = make_round(spec, t, dom)
+        g = make_round(spec, t, dom)
         x = dom.random_feasible(int(rng.integers(1 << 30)))
         y = dom.random_feasible(int(rng.integers(1 << 30)))
-        gap = abs(rnd.value_at(x) - rnd.value_at(y))
+        gap = abs(loss_at(LINEAR, 0.0, g, x)[0] - loss_at(LINEAR, 0.0, g, y)[0])
         assert gap <= 1.0 * float(np.linalg.norm(x - y)) + 1e-9
 
 
@@ -156,12 +162,12 @@ def test_quadratic_losses_are_certified_lipschitz_over_set():
     assert lam == spec.lam
     rng = np.random.default_rng(7)
     for t in range(1, 201):
-        rnd = make_round(spec, t, dom)
+        target = make_round(spec, t, dom)
         x = dom.random_feasible(int(rng.integers(1 << 30)))
         y = dom.random_feasible(int(rng.integers(1 << 30)))
-        gap = abs(rnd.value_at(x) - rnd.value_at(y))
-        assert gap <= G * float(np.linalg.norm(x - y)) + 1e-9
-        assert float(np.linalg.norm(rnd.grad_at(x))) <= G + 1e-12
+        (fx, gx), (fy, _) = (loss_at(QUADRATIC, spec.lam, target, z) for z in (x, y))
+        assert abs(fx - fy) <= G * float(np.linalg.norm(x - y)) + 1e-9
+        assert float(np.linalg.norm(gx)) <= G + 1e-12
 
 
 def test_certify_constants_examples():
@@ -182,10 +188,12 @@ def test_certify_constants_dim_mismatch():
 
 
 def test_zero_round_is_identically_zero():
-    rnd = zero_round(1, 4)
+    rounds = zero_rounds(3, 4)
     x = np.array([0.1, -0.2, 0.3, 0.0])
-    assert rnd.value_at(x) == 0.0
-    np.testing.assert_array_equal(rnd.grad_at(x), np.zeros(4))
+    for row in rounds.data:
+        value, grad = loss_at(rounds.kind, rounds.lam, row, x)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(4))
 
 
 def test_seeding_kernel_matches_pcg64():
@@ -213,16 +221,10 @@ def test_make_rounds_equals_make_round(dom, kind):
     for seed in (0, 1, -3, 2**63, 12345678901234):
         spec = LossSpec(kind=kind, dim=5, seed=seed, G=1.5, lam=0.5)
         rounds = make_rounds(spec, T, dom)
-        assert len(rounds) == T
-        for t, rnd in enumerate(rounds, start=1):
-            ref = make_round(spec, t, dom)
-            assert (rnd.t, rnd.kind, rnd.lam) == (ref.t, ref.kind, ref.lam)
-            if kind == LINEAR:
-                assert rnd.target is None
-                np.testing.assert_array_equal(rnd.gradient, ref.gradient)
-            else:
-                assert rnd.gradient is None
-                np.testing.assert_array_equal(rnd.target, ref.target)
+        lam = spec.lam if kind == QUADRATIC else 0.0
+        assert (len(rounds), rounds.kind, rounds.lam) == (T, kind, lam)
+        for t, row in enumerate(rounds.data, start=1):
+            assert row.tobytes() == make_round(spec, t, dom).tobytes()
 
 
 def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
@@ -231,7 +233,7 @@ def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
     dom = L2Ball(3, 1.0)
     spec = LossSpec(kind=LINEAR, dim=3, seed=9, G=1.5)
     rounds = make_rounds(spec, 130, dom)
-    expected = np.array([make_round(spec, t, dom).gradient for t in range(1, 131)])
+    expected = np.array([make_round(spec, t, dom) for t in range(1, 131)])
     assert rounds.data.tobytes() == expected.tobytes()
 
 
@@ -244,17 +246,19 @@ def test_make_rounds_is_one_read_only_array_with_prefix_views(kind):
     assert not rounds.data.flags.writeable
     with pytest.raises(ValueError):
         rounds.data[3, 0] = np.inf
-    with pytest.raises(ValueError):
-        rounds[3].data[0] = np.inf
     prefix = rounds[:40]
+    with pytest.raises(ValueError):
+        prefix.data[3, 0] = np.inf
     assert (len(prefix), prefix.kind, prefix.lam) == (40, kind, rounds.lam)
     assert np.shares_memory(prefix.data, rounds.data)
-    assert prefix[-1].t == 40 and rounds[-1].t == 100
+    assert prefix.data.tobytes() == rounds.data[:40].tobytes()
     for key in (slice(1, 5), slice(None, None, 2), slice(0, 0)):
         with pytest.raises(IndexError):
             rounds[key]
-    with pytest.raises(IndexError):
-        rounds[100]
+    # A round is a row of the array, not an item of the rounds.
+    for key in (0, -1, 100):
+        with pytest.raises(TypeError, match="prefix slice"):
+            rounds[key]
 
 
 def test_make_rounds_validation():
@@ -272,3 +276,46 @@ def test_make_rounds_refuses_a_kernel_that_disagrees_with_numpy(monkeypatch):
     spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
     with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
         make_rounds(spec, 3, L2Ball(3, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind,lam,data,message",
+    [
+        ("cubic", 0.0, np.zeros((2, 3)), "unknown loss kind 'cubic'"),
+        (LINEAR, 1.0, np.zeros((2, 3)), "linear rounds need lam 0.0, got 1.0"),
+        (QUADRATIC, 0.0, np.zeros((2, 3)), "quadratic rounds need a finite lam > 0, got 0.0"),
+        (QUADRATIC, -1.0, np.zeros((2, 3)), "finite lam > 0, got -1.0"),
+        (QUADRATIC, np.inf, np.zeros((2, 3)), "finite lam > 0, got inf"),
+        (QUADRATIC, np.nan, np.zeros((2, 3)), "finite lam > 0, got nan"),
+        (LINEAR, 0.0, np.zeros(3), r"got shape \(3,\)"),
+        (LINEAR, 0.0, np.zeros((0, 3)), r"got shape \(0, 3\)"),
+        (LINEAR, 0.0, np.zeros((2, 0)), r"got shape \(2, 0\)"),
+        (LINEAR, 0.0, np.zeros((2, 3, 1)), r"got shape \(2, 3, 1\)"),
+    ],
+)
+def test_as_rounds_refuses_bad_input_and_names_it(kind, lam, data, message):
+    with pytest.raises(ValueError, match=message):
+        as_rounds(kind, lam, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_rounds_names_the_first_non_finite_round(bad):
+    data = np.ones((8, 3))
+    data[5, 2] = bad
+    data[7, 0] = bad
+    with pytest.raises(ValueError, match="^round 6 has non-finite data$"):
+        as_rounds(QUADRATIC, 0.5, data)
+
+
+def test_as_rounds_returns_a_read_only_copy():
+    data = np.arange(12.0).reshape(4, 3)
+    rounds = as_rounds(QUADRATIC, 0.5, data)
+    assert (rounds.kind, rounds.lam, len(rounds)) == (QUADRATIC, 0.5, 4)
+    assert not np.shares_memory(rounds.data, data)
+    data[0, 0] = 99.0
+    assert rounds.data[0, 0] == 0.0
+    assert not rounds.data.flags.writeable
+    with pytest.raises(ValueError):
+        rounds.data[0, 0] = 1.0
+    # Nested lists are rows too.
+    assert as_rounds(LINEAR, 0.0, [[1.0, 2.0]]).data.tolist() == [[1.0, 2.0]]

@@ -1,9 +1,10 @@
+import _comparator_reference as reference
 import numpy as np
 import pytest
 from _helpers import grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossRound, LossSpec, make_round, make_rounds
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, as_rounds, loss_at, make_rounds
 from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
@@ -13,6 +14,11 @@ SETS = {
     "l1": L1Ball(6, 1.0),
     "simplex": Simplex(6),
 }
+
+
+def _total_loss(rounds, x):
+    """The rounds' losses at x, summed one round at a time."""
+    return sum(loss_at(rounds.kind, rounds.lam, row, x)[0] for row in rounds.data)
 
 
 def test_fresh_ofw_state_is_anchored_quadratic():
@@ -54,8 +60,9 @@ def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
     else:
         spec = LossSpec(kind=QUADRATIC, dim=6, seed=3, lam=1.0)
         state, update = scofw_init(dom, lam=1.0), scofw_update
-    for t in range(1, 41):
-        state = update(state, make_round(spec, t, dom).grad_at(state.x))
+    rounds = make_rounds(spec, 40, dom)
+    for row in rounds.data:
+        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
     for tol in (1e-6, 1e-9, 1e-12):
         xh, val = surrogate_argmin(state, tol=tol)
         grad = state.gradient(xh)
@@ -71,8 +78,8 @@ def test_surrogate_argmin_on_simplex():
     dom = Simplex(5)
     state = scofw_init(dom, lam=1.0)
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=4, lam=1.0)
-    for t in range(1, 21):
-        state = scofw_update(state, make_round(spec, t, dom).grad_at(state.x))
+    for row in make_rounds(spec, 20, dom).data:
+        state = scofw_update(state, loss_at(QUADRATIC, spec.lam, row, state.x)[1])
     xh, val = surrogate_argmin(state, tol=1e-10)
     assert dom.contains(xh, 1e-9)
     # beat a feasible sample cloud
@@ -85,7 +92,7 @@ def test_failed_certificate_raises(monkeypatch):
     dom = L2Ball(4, 1.0)
     state = ofw_update(ofw_init(dom, horizon=4, G=1.0), np.array([1.0, 2.0, 0.0, -1.0]))
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
-    rounds = [make_round(spec, t, dom) for t in range(1, 5)]
+    rounds = make_rounds(spec, 4, dom)
     monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
     with pytest.raises(ConvergenceError):
         surrogate_argmin(state)
@@ -107,11 +114,7 @@ def test_offline_comparator_linear_example():
     # summed gradient (1, 1): the oracle point is the antipode on the unit
     # ball, total loss -sqrt(2)
     dom = L2Ball(2, 1.0)
-
-    def fixed_round(t, g):
-        return LossRound(t=t, kind=LINEAR, gradient=g)
-
-    rounds = [fixed_round(1, np.array([1.0, 0.0])), fixed_round(2, np.array([0.0, 1.0]))]
+    rounds = as_rounds(LINEAR, 0.0, [[1.0, 0.0], [0.0, 1.0]])
     x_star, total = offline_comparator(dom, rounds)
     np.testing.assert_allclose(x_star, [-np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-12)
     assert total == pytest.approx(-np.sqrt(2.0), rel=1e-12)
@@ -120,55 +123,57 @@ def test_offline_comparator_linear_example():
 def test_offline_comparator_single_quadratic_round():
     dom = L2Ball(4, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
-    rnd = make_round(spec, 1, dom)
-    x_star, total = offline_comparator(dom, [rnd])
-    np.testing.assert_allclose(x_star, rnd.target, atol=1e-9)
+    rounds = make_rounds(spec, 1, dom)
+    x_star, total = offline_comparator(dom, rounds)
+    np.testing.assert_allclose(x_star, rounds.data[0], atol=1e-9)
     assert total == pytest.approx(0.0, abs=1e-12)
 
 
 def test_offline_comparator_quadratic_matches_sample_cloud():
     dom = Simplex(6)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=6, lam=1.3)
-    rounds = [make_round(spec, t, dom) for t in range(1, 33)]
+    rounds = make_rounds(spec, 32, dom)
     x_star, total = offline_comparator(dom, rounds)
     assert dom.contains(x_star, 1e-9)
+    assert total == pytest.approx(_total_loss(rounds, x_star), rel=1e-12, abs=1e-12)
     for k in range(2000):
         x = dom.random_feasible(k)
-        assert total <= sum(r.value_at(x) for r in rounds) + 1e-6
+        assert total <= _total_loss(rounds, x) + 1e-6
 
 
 def test_offline_comparator_linear_matches_sample_cloud():
     dom = LpBall(3, 1.0, 1.5)
     spec = LossSpec(kind=LINEAR, dim=3, seed=7, G=1.0)
-    rounds = [make_round(spec, t, dom) for t in range(1, 17)]
+    rounds = make_rounds(spec, 16, dom)
     x_star, total = offline_comparator(dom, rounds)
     assert dom.contains(x_star, 1e-9)
     for k in range(5000):
         x = dom.random_feasible(k)
-        assert total <= sum(r.value_at(x) for r in rounds) + 1e-9
+        assert total <= _total_loss(rounds, x) + 1e-9
 
 
 def test_offline_comparator_validation():
+    # Rounds from outside reach the comparator through as_rounds, which
+    # refuses an empty sequence and a quadratic round without a modulus.
     dom = L2Ball(2, 1.0)
     with pytest.raises(ValueError):
-        offline_comparator(dom, [])
-    lin = make_round(LossSpec(kind=LINEAR, dim=2, seed=0, G=1.0), 1, dom)
-    quad = make_round(LossSpec(kind=QUADRATIC, dim=2, seed=0, lam=1.0), 1, dom)
+        offline_comparator(dom, as_rounds(LINEAR, 0.0, np.empty((0, 2))))
     with pytest.raises(ValueError):
-        offline_comparator(dom, [lin, quad])
-    quad2 = make_round(LossSpec(kind=QUADRATIC, dim=2, seed=0, lam=2.0), 2, dom)
-    with pytest.raises(ValueError):
-        offline_comparator(dom, [quad, quad2])
+        offline_comparator(dom, as_rounds(QUADRATIC, 0.0, np.zeros((3, 2))))
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind):
+    # The same rounds made by make_rounds, injected as nested lists, and
+    # summed one round at a time give the same point and total bit for bit.
     dom = Simplex(5)
     spec = LossSpec(kind=kind, dim=5, seed=4, G=1.0, lam=0.9)
     rounds = make_rounds(spec, 200, dom)
     x_star, total = offline_comparator(dom, rounds)
-    x_list, total_list = offline_comparator(dom, list(rounds))
+    x_list, total_list = offline_comparator(dom, as_rounds(kind, rounds.lam, rounds.data.tolist()))
     assert x_star.tobytes() == x_list.tobytes() and total == total_list
+    x_ref, total_ref = reference.offline_comparator(dom, rounds)
+    assert x_star.tobytes() == x_ref.tobytes() and total == total_ref
 
 
 def test_prefix_minimizers_beat_any_fixed_point():
@@ -178,22 +183,20 @@ def test_prefix_minimizers_beat_any_fixed_point():
     lam = 1.0
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=8, lam=lam)
     state = scofw_init(dom, lam=lam)
-    rounds, played = [], []
-    for t in range(1, 25):
-        rnd = make_round(spec, t, dom)
-        rounds.append(rnd)
+    rounds, played = make_rounds(spec, 24, dom).data, []
+    for row in rounds:
         played.append(state.x.copy())
-        state = scofw_update(state, rnd.grad_at(state.x))
+        state = scofw_update(state, loss_at(QUADRATIC, lam, row, state.x)[1])
 
-    def reg_loss(rnd, x_t, u):
-        g = rnd.grad_at(x_t)
+    def reg_loss(row, x_t, u):
+        g = loss_at(QUADRATIC, lam, row, x_t)[1]
         return float(g @ u) + 0.5 * lam * float((u - x_t) @ (u - x_t))
 
     # rebuild each prefix surrogate and take its certified minimizer
     mins = []
     st = scofw_init(dom, lam=lam)
-    for t, rnd in enumerate(rounds, start=1):
-        st = scofw_update(st, rnd.grad_at(played[t - 1]))
+    for t, row in enumerate(rounds, start=1):
+        st = scofw_update(st, loss_at(QUADRATIC, lam, row, played[t - 1])[1])
         xh, _ = surrogate_argmin(st, tol=1e-12)
         mins.append(xh)
     lhs = sum(
@@ -212,8 +215,8 @@ def test_strong_convexity_consequences_of_surrogates():
     dom = L2Ball(5, 1.0)
     spec = LossSpec(kind=LINEAR, dim=5, seed=10, G=1.0)
     state = ofw_init(dom, horizon=30, G=1.0)
-    for t in range(1, 31):
-        state = ofw_update(state, make_round(spec, t, dom).grad_at(state.x))
+    for row in make_rounds(spec, 30, dom).data:
+        state = ofw_update(state, loss_at(LINEAR, 0.0, row, state.x)[1])
     alpha = state.curvature
     x_star, best = surrogate_argmin(state, tol=1e-12)
     rng = np.random.default_rng(11)

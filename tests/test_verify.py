@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import ofwkit.verify
+from ofwkit.harness import ALGO_OFW_LS, ExperimentSpec
+from ofwkit.losses import LINEAR, LossSpec
 from ofwkit.sets import L2Ball
-from ofwkit.verify import _check_diameter, verify_suite
+from ofwkit.verify import _check_diameter, _check_gap_schedule, verify_suite
 
 
 def test_sets_scope_passes():
@@ -65,8 +68,8 @@ def test_corrupted_lmo_is_detected_and_named(monkeypatch):
     # check must fail with a counterexample rather than pass silently.
     true_lmo = L2Ball._lmo
 
-    def flipped(self, g):
-        return -true_lmo(self, g)
+    def flipped(self, g, norm):
+        return -true_lmo(self, g, norm)
 
     monkeypatch.setattr(L2Ball, "_lmo", flipped)
     report = verify_suite("sets")
@@ -111,3 +114,31 @@ def test_corrupted_line_search_is_detected(monkeypatch):
     assert not report.passed
     failed = {r.name for r in report.results if not r.passed}
     assert any("contraction" in name for name in failed)
+
+
+@pytest.mark.parametrize(
+    "at,gap,detail",
+    [(3, -0.5, "negative gap -0.5 at t=4"), (0, 0.25, "first-round gap 0.25 should be 0")],
+    ids=["negative", "first_round"],
+)
+def test_gap_schedule_failure_details_print_plain_floats(monkeypatch, at, gap, detail):
+    # Under numpy 2 the repr of a numpy scalar reads np.float64(...).
+    true_run = ofwkit.verify.run_experiment
+
+    def corrupted_run(spec):
+        trace = true_run(spec)
+        trace.gap[at] = gap
+        return trace
+
+    monkeypatch.setattr(ofwkit.verify, "run_experiment", corrupted_run)
+    spec = ExperimentSpec(
+        domain=L2Ball(4, 1.0),
+        loss=LossSpec(kind=LINEAR, dim=4, seed=1, G=1.0),
+        algo=ALGO_OFW_LS,
+        horizon=8,
+        gap_check=True,
+    )
+    result = _check_gap_schedule("probe", spec)
+    assert not result.passed
+    assert "np.float64" not in result.detail
+    assert result.detail == detail
