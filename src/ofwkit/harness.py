@@ -10,10 +10,10 @@ bound. The CSV layout is fixed; plotting and further analysis live outside.
 The adversary is one ``losses.Rounds``, a (T, dim) array of gradients or
 targets; rounds injected from outside are checked once, by ``as_rounds``.
 Only the learner's work runs round by round, one row per round. The
-columns that do not depend on the learner (cumulative loss, the prefix
-comparators, regret) and the CSV text are computed afterwards, on slices
-of ``core.BLOCK_ROWS`` rounds with the sets' row-wise oracles, equal bit
-for bit to the per-round computation.
+cumulative loss, regret and the CSV text are computed afterwards, on
+slices of ``core.BLOCK_ROWS`` rounds, and the prefix comparators come from
+one call of ``oracle.offline_comparator``; each equals the per-round
+computation bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_ROWS, prefix_sums, row_dots
+from .core import BLOCK_ROWS, prefix_sums
 from .learners import (
     baseline_update,
     ofw_decay_init,
@@ -404,13 +404,13 @@ def _init_learner(spec: ExperimentSpec, G: float, lam: float):
 
 
 def _allocate_logs(T: int) -> np.ndarray:
-    """The (6, T) array behind a trace's logged columns.
+    """The (5, T) array behind a trace's logged columns but ``comparator_cum``.
 
     A horizon too long to log is a config error, raised before any round is
     generated.
     """
     try:
-        return np.empty((6, T))
+        return np.empty((5, T))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
@@ -428,11 +428,11 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
     longer ``Rounds``. Rounds from outside are checked by ``as_rounds``;
-    here only their count, kind and dim are held against the spec, and a
-    mismatch raises ``ValueError`` before the learner moves. The final
-    comparator is recomputed from the full sequence by the offline oracle,
-    so the reported ``final_regret`` does not lean on the per-round prefix
-    comparators.
+    here only their count, kind, lam and dim are held against the spec's
+    (lam 0.0 for linear losses), and a mismatch raises ``ValueError``
+    before the learner moves. ``offline_comparator`` gives the comparator
+    point and column; ``comparator_total`` and ``final_regret`` are the
+    last cells of ``comparator_cum`` and ``regret``.
 
     A horizon too long to log raises ``ConfigError`` before any round is
     generated.
@@ -440,11 +440,12 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     cert = certificate(spec)
     T, dim = spec.horizon, spec.domain.dim
     if rounds is not None:
-        got, want = (len(rounds), rounds.kind, rounds.data.shape[1]), (T, spec.loss.kind, dim)
+        got = (len(rounds), rounds.kind, rounds.lam, rounds.data.shape[1])
+        want = (T, spec.loss.kind, cert.lam, dim)
         if got != want:
-            raise ValueError(f"expected (rounds, kind, dim) = {want}, got {got}")
+            raise ValueError(f"expected (rounds, kind, lam, dim) = {want}, got {got}")
     state, update = _init_learner(spec, cert.G, cert.lam)
-    loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
+    loss_v, cum_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
     if rounds is None:
@@ -465,11 +466,9 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
 
     # Summed from 0.0 as a running Python float would be.
     cum_v[:] = prefix_sums(loss_v, 0.0)
-    _prefix_comparators(spec.domain, rounds, comp_v)
+    x_star, comp_v = offline_comparator(spec.domain, rounds)
     np.subtract(cum_v, comp_v, out=regret_v)
     bound_v = cert.regret(np.arange(1, T + 1, dtype=float))
-    x_star, comp_total = offline_comparator(spec.domain, rounds)
-    cum = float(cum_v[-1])
     return RegretTrace(
         spec=spec,
         rounds=np.arange(1, T + 1),
@@ -481,37 +480,10 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
         gap=gap_v,
         gap_bound=gapb_v,
         comparator_point=x_star,
-        comparator_total=comp_total,
-        final_regret=cum - comp_total,
+        comparator_total=float(comp_v[-1]),
+        final_regret=float(regret_v[-1]),
         final_bound=None if cert.C is None else float(bound_v[-1]),
     )
-
-
-def _prefix_comparators(domain: FeasibleSet, rounds: Rounds, out: np.ndarray):
-    """``out[i]``: the total loss over rounds 1..i+1 of the best fixed point for them.
-
-    Linear rounds: the lmo of the gradient prefix sum, scored against it.
-    Quadratic rounds: the projection of the mean target, scored in closed
-    form from the target sums. Computed a block of rounds at a time with
-    the row-wise oracles; each entry equals the one-round-at-a-time
-    computation bit for bit.
-    """
-    row_sum, sq_sum = np.zeros(domain.dim), 0.0
-    for start in range(0, len(rounds), BLOCK_ROWS):
-        rows = rounds.data[start : start + BLOCK_ROWS]
-        block = slice(start, start + len(rows))
-        prefix = prefix_sums(rows, row_sum)
-        row_sum = prefix[-1]
-        if rounds.kind == LINEAR:
-            out[block] = row_dots(prefix, domain.lmo_rows(prefix))
-            continue
-        ts = np.arange(start + 1, block.stop + 1, dtype=float)
-        sq_prefix = prefix_sums(row_dots(rows, rows), sq_sum)
-        sq_sum = sq_prefix[-1]
-        x = domain.project_rows(prefix / ts[:, None])
-        out[block] = (
-            0.5 * rounds.lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
-        )
 
 
 # -- CSV --------------------------------------------------------------------

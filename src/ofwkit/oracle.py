@@ -1,9 +1,9 @@
 """Reference computations the learners are checked against.
 
 A certified minimizer of a learner's surrogate, which the learner's state
-is (see ``learners``), and the offline comparator of a ``losses.Rounds``
-that regret is measured against. These routines are allowed to project;
-the online learners never are.
+is (see ``learners``), and the offline comparator: every prefix's best
+fixed total of a ``losses.Rounds``, which regret is measured against.
+These routines are allowed to project; the online learners never are.
 """
 
 from __future__ import annotations
@@ -66,32 +66,39 @@ def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray
     return x, state.value(x)
 
 
-def offline_comparator(
-    domain: FeasibleSet, rounds: Rounds, tol: float = DEFAULT_ORACLE_TOL
-) -> tuple[np.ndarray, float]:
-    """Best fixed feasible point in hindsight and its total loss.
+def offline_comparator(domain: FeasibleSet, rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:
+    """Best fixed feasible point in hindsight, and each prefix's best total.
 
-    Linear rounds reduce to one oracle call on the summed gradient, which is
-    exact. The total of quadratic rounds is minimized by the projection x of
-    their mean target, whose Frank-Wolfe gap is certified to ``tol``
-    (``ConvergenceError`` otherwise), and scored in closed form,
-    0.5 * lam * (T ||x||^2 - 2 <S, x> + sum ||theta_t||^2) with S the target
-    sum. The sums run over slices of ``BLOCK_ROWS`` rounds and equal the
-    round-by-round sums bit for bit, so the total equals the harness's
-    prefix comparator at T.
+    Returns ``(x_star, totals)``, ``totals[t - 1]`` the least total loss of
+    one feasible point over rounds 1..t. Linear rounds: the lmo of the
+    gradient prefix sum, scored against it. Quadratic rounds: the
+    projection of the mean target, scored in closed form from the target
+    sums; the Frank-Wolfe gap of ``x_star`` is certified (``ConvergenceError``
+    otherwise). Worked ``BLOCK_ROWS`` rounds at a time with the row-wise
+    oracles, each entry equal bit for bit to a round-by-round loop. No
+    rounds, or rounds of another dim than the set's, raise ``ValueError``.
     """
-    linear = rounds.kind == LINEAR
+    if not len(rounds) or rounds.data.shape[1] != domain.dim:
+        raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rounds.data.shape}")
+    totals = np.empty(len(rounds))
     row_sum, sq_sum = np.zeros(domain.dim), 0.0
-    for s in range(0, len(rounds), BLOCK_ROWS):
-        rows = rounds.data[s : s + BLOCK_ROWS]
-        row_sum = prefix_sums(rows, row_sum)[-1]
-        if not linear:
-            sq_sum = prefix_sums(row_dots(rows, rows), sq_sum)[-1]
-    if linear:
-        x_star = domain.lmo(row_sum)
-        return x_star, dot(row_sum, x_star)
-
-    lam, n = rounds.lam, len(rounds)
-    x = domain.project(row_sum / n)
-    _certify(domain, lam * (n * x - row_sum), x, tol)
-    return x, 0.5 * lam * (n * dot(x, x) - 2.0 * dot(row_sum, x) + float(sq_sum))
+    for start in range(0, len(rounds), BLOCK_ROWS):
+        rows = rounds.data[start : start + BLOCK_ROWS]
+        block = slice(start, start + len(rows))
+        prefix = prefix_sums(rows, row_sum)
+        row_sum = prefix[-1]
+        if rounds.kind == LINEAR:
+            x = domain.lmo_rows(prefix)
+            totals[block] = row_dots(prefix, x)
+            continue
+        ts = np.arange(start + 1, block.stop + 1, dtype=float)
+        sq_prefix = prefix_sums(row_dots(rows, rows), sq_sum)
+        sq_sum = sq_prefix[-1]
+        x = domain.project_rows(prefix / ts[:, None])
+        totals[block] = (
+            0.5 * rounds.lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
+        )
+    x_star = x[-1].copy()
+    if rounds.kind != LINEAR:
+        _certify(domain, rounds.lam * (len(rounds) * x_star - row_sum), x_star, DEFAULT_ORACLE_TOL)
+    return x_star, totals

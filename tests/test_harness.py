@@ -36,7 +36,7 @@ from ofwkit.losses import (
     as_rounds,
     make_rounds,
 )
-from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
+from ofwkit.sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
 # unit euclidean ball, unit-norm linear losses
@@ -313,8 +313,12 @@ def _bad_rounds(case):
     quad_spec = _spec(loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), horizon=8)
     quad = 0.1 * np.random.default_rng(3).standard_normal((8, 10))
     if case == "dim":
-        wrong = r"= \(8, 'linear', 10\), got \(8, 'linear', 9\)$"
+        wrong = r"= \(8, 'linear', 0.0, 10\), got \(8, 'linear', 0.0, 9\)$"
         return _spec(horizon=8), (LINEAR, 0.0, np.zeros((8, 9))), wrong
+    if case == "lam":
+        # The learner and the ceilings would use the spec's lam, the losses the rounds'.
+        wrong = r"= \(8, 'quadratic', 1.0, 10\), got \(8, 'quadratic', 50.0, 10\)$"
+        return quad_spec, (QUADRATIC, 50.0, quad), wrong
     if case == "missing":
         # A row of missing entries reads as NaN.
         rows = linear.tolist()
@@ -329,7 +333,7 @@ def _bad_rounds(case):
     return _spec(horizon=8), (LINEAR, 0.0, linear), "^round 2 has non-finite data$"
 
 
-@pytest.mark.parametrize("case", ["dim", "missing", "non_finite", "first"])
+@pytest.mark.parametrize("case", ["dim", "lam", "missing", "non_finite", "first"])
 def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
     def no_update(*args):
         raise AssertionError("the learner moved before the rounds were checked")
@@ -349,8 +353,37 @@ def test_injected_rounds_are_stacked_once_into_read_only_rows():
     assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
     wrong_kind = make_rounds(quad, 8, spec.domain)
-    with pytest.raises(ValueError, match=r"= \(8, 'linear', 10\), got \(8, 'quadratic', 10\)"):
+    wrong = r"= \(8, 'linear', 0.0, 10\), got \(8, 'quadratic', 1.0, 10\)"
+    with pytest.raises(ValueError, match=wrong):
         run_experiment(spec, rounds=wrong_kind)
+
+
+def test_a_linear_spec_with_an_unused_lam_accepts_its_rounds():
+    # Linear rounds have lam 0.0, and so has the certified lam they are held
+    # against, whatever lam the spec carries.
+    loss = LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0, lam=0.7)
+    spec = _spec(loss=loss, horizon=64)
+    trace = run_experiment(spec, rounds=make_rounds(loss, 64, spec.domain))
+    assert trace.final_regret == run_experiment(spec).final_regret
+
+
+@pytest.mark.parametrize(
+    ("loss", "algo", "extra"), [(LINEAR, ALGO_OFW_LS, 0), (QUADRATIC, ALGO_SC_OFW, 1)]
+)
+def test_a_run_calls_the_lmo_once_per_round_and_once_to_certify(loss, algo, extra, monkeypatch):
+    # One lmo call per round for the learner; the comparator column needs
+    # none, and only the quadratic comparator point's certificate adds one.
+    calls = []
+    lmo = FeasibleSet.lmo
+
+    def counted_lmo(self, g):
+        calls.append(g)
+        return lmo(self, g)
+
+    monkeypatch.setattr(FeasibleSet, "lmo", counted_lmo)
+    spec = _spec(loss=LossSpec(kind=loss, dim=10, seed=2, G=1.0, lam=1.0), algo=algo, horizon=200)
+    run_experiment(spec)
+    assert len(calls) == 200 + extra
 
 
 def test_sweep_and_runs_never_recheck_or_rebuild_their_own_rounds(monkeypatch):
@@ -450,8 +483,8 @@ def test_trace_shapes_and_cumulative_consistency():
 
 
 def test_final_regret_matches_offline_comparator():
-    # The prefix comparator at T and the offline recomputation are the same
-    # quantity, computed in the same order.
+    # The comparator total and the final regret are the last cells of their
+    # columns, and the comparator point is feasible.
     for domain in _BLOCK_SETS:
         loss = LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0)
         trace = run_experiment(_spec(domain=domain, loss=loss, horizon=300))

@@ -4,7 +4,7 @@ import pytest
 from _helpers import grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, as_rounds, loss_at, make_rounds
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds, loss_at, make_rounds
 from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
@@ -94,6 +94,7 @@ def test_failed_certificate_raises(monkeypatch):
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
     rounds = make_rounds(spec, 4, dom)
     monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
+    monkeypatch.setattr(L2Ball, "project_rows", lambda self, x: 0.5 * x)
     with pytest.raises(ConvergenceError):
         surrogate_argmin(state)
     with pytest.raises(ConvergenceError):
@@ -115,25 +116,26 @@ def test_offline_comparator_linear_example():
     # ball, total loss -sqrt(2)
     dom = L2Ball(2, 1.0)
     rounds = as_rounds(LINEAR, 0.0, [[1.0, 0.0], [0.0, 1.0]])
-    x_star, total = offline_comparator(dom, rounds)
+    x_star, totals = offline_comparator(dom, rounds)
     np.testing.assert_allclose(x_star, [-np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-12)
-    assert total == pytest.approx(-np.sqrt(2.0), rel=1e-12)
+    assert totals[-1] == pytest.approx(-np.sqrt(2.0), rel=1e-12)
 
 
 def test_offline_comparator_single_quadratic_round():
     dom = L2Ball(4, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
     rounds = make_rounds(spec, 1, dom)
-    x_star, total = offline_comparator(dom, rounds)
+    x_star, totals = offline_comparator(dom, rounds)
     np.testing.assert_allclose(x_star, rounds.data[0], atol=1e-9)
-    assert total == pytest.approx(0.0, abs=1e-12)
+    assert totals[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_offline_comparator_quadratic_matches_sample_cloud():
     dom = Simplex(6)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=6, lam=1.3)
     rounds = make_rounds(spec, 32, dom)
-    x_star, total = offline_comparator(dom, rounds)
+    x_star, totals = offline_comparator(dom, rounds)
+    total = totals[-1]
     assert dom.contains(x_star, 1e-9)
     assert total == pytest.approx(_total_loss(rounds, x_star), rel=1e-12, abs=1e-12)
     for k in range(2000):
@@ -145,7 +147,8 @@ def test_offline_comparator_linear_matches_sample_cloud():
     dom = LpBall(3, 1.0, 1.5)
     spec = LossSpec(kind=LINEAR, dim=3, seed=7, G=1.0)
     rounds = make_rounds(spec, 16, dom)
-    x_star, total = offline_comparator(dom, rounds)
+    x_star, totals = offline_comparator(dom, rounds)
+    total = totals[-1]
     assert dom.contains(x_star, 1e-9)
     for k in range(5000):
         x = dom.random_feasible(k)
@@ -162,18 +165,29 @@ def test_offline_comparator_validation():
         offline_comparator(dom, as_rounds(QUADRATIC, 0.0, np.zeros((3, 2))))
 
 
+def test_offline_comparator_names_both_dims_of_a_mismatch():
+    rounds = as_rounds(LINEAR, 0.0, np.ones((4, 5)))
+    with pytest.raises(ValueError, match=r"^expected rounds of dim 3, got shape \(4, 5\)$"):
+        offline_comparator(L2Ball(3, 1.0), rounds)
+    # A Rounds built directly is trusted, but one with no rounds has no comparator.
+    with pytest.raises(ValueError, match=r"got shape \(0, 3\)$"):
+        offline_comparator(L2Ball(3, 1.0), Rounds(LINEAR, 0.0, np.empty((0, 3))))
+
+
+@pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
-def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind):
+def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind, name):
     # The same rounds made by make_rounds, injected as nested lists, and
-    # summed one round at a time give the same point and total bit for bit.
-    dom = Simplex(5)
-    spec = LossSpec(kind=kind, dim=5, seed=4, G=1.0, lam=0.9)
+    # summed one round at a time give the same point and totals bit for bit.
+    dom = SETS[name]
+    spec = LossSpec(kind=kind, dim=6, seed=4, G=1.0, lam=0.9)
     rounds = make_rounds(spec, 200, dom)
-    x_star, total = offline_comparator(dom, rounds)
-    x_list, total_list = offline_comparator(dom, as_rounds(kind, rounds.lam, rounds.data.tolist()))
-    assert x_star.tobytes() == x_list.tobytes() and total == total_list
+    x_star, totals = offline_comparator(dom, rounds)
+    x_list, totals_list = offline_comparator(dom, as_rounds(kind, rounds.lam, rounds.data.tolist()))
+    assert x_star.tobytes() == x_list.tobytes() and totals.tobytes() == totals_list.tobytes()
+    assert totals.tobytes() == reference.prefix_comparators(dom, rounds).tobytes()
     x_ref, total_ref = reference.offline_comparator(dom, rounds)
-    assert x_star.tobytes() == x_ref.tobytes() and total == total_ref
+    assert x_star.tobytes() == x_ref.tobytes() and totals[-1] == total_ref
 
 
 def test_prefix_minimizers_beat_any_fixed_point():
