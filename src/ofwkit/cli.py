@@ -4,8 +4,9 @@ Subcommands: ``run`` (one experiment to CSV), ``sweep`` (doubling horizons
 to CSV plus a fitted slope), ``verify`` (self-check battery as JSON),
 ``bounds`` (print the certified constants and bound values for a config).
 
-Exit codes: 0 success, 1 a verified property failed (bound violated or a
-check failed), 2 config or usage error.
+Exit codes: 0 success, 1 a verified property failed (bound violated, a
+check failed, or a reference minimizer failed its certificate), 2 config
+or usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .harness import (
     sweep_csv,
     theorem_bound,
 )
+from .oracle import ConvergenceError
 from .verify import SCOPES, verify_suite
 
 __all__ = ["main"]
@@ -148,6 +150,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

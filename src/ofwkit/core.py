@@ -5,9 +5,11 @@ closed-form minimizer of the one-dimensional model ``sigma*a + sigma**2*b``
 on [0, 1] that the Frank-Wolfe updates use to pick a step size.
 
 The row-wise helpers (``as_rows``, ``row_dots``, ``row_l2_norms``,
-``prefix_sums``) batch the same arithmetic over (n, dim) arrays. Row i of
-each result equals the per-vector computation on row i bit for bit, so
-batched bookkeeping reproduces the sequential one exactly.
+``prefix_sums``, ``running_sums``) batch the same arithmetic over (n, dim)
+arrays. Row i of each result equals the per-vector computation on row i
+bit for bit, so batched bookkeeping reproduces the sequential one exactly.
+Vectors and rows are made C-contiguous on the way in: numpy rounds dot
+products over strided memory differently.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "row_l2_norms",
     "lp_norm",
     "prefix_sums",
+    "running_sums",
     "line_search_quadratic",
 ]
 
@@ -39,8 +42,9 @@ BLOCK_ROWS = 64
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally checking length."""
-    v = np.asarray(x, dtype=np.float64)
+    """Coerce ``x`` to a finite, C-contiguous 1-D float64 array, optionally
+    checking length."""
+    v = np.asarray(x, dtype=np.float64, order="C")
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     # Finite squares imply finite entries; only when they are not is the
@@ -53,8 +57,8 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def as_rows(x, dim: int) -> np.ndarray:
-    """Coerce ``x`` to a finite (n, dim) float64 array, n >= 0."""
-    rows = np.asarray(x, dtype=np.float64)
+    """Coerce ``x`` to a finite, C-contiguous (n, dim) float64 array, n >= 0."""
+    rows = np.asarray(x, dtype=np.float64, order="C")
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise ValueError(f"expected an (n, {dim}) array, got shape {rows.shape}")
     if not np.isfinite(rows).all():
@@ -74,8 +78,10 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A stacked matmul of (1, dim) by (dim, 1) products, which rounds each
     row exactly as ``a[i].dot(b[i])`` does; ``einsum`` and ``(a * b).sum(1)``
-    round differently.
+    round differently, and so do rows that are not C-contiguous, which
+    are copied first.
     """
+    a, b = np.asarray(a, order="C"), np.asarray(b, order="C")
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
@@ -153,11 +159,16 @@ def prefix_sums(rows: np.ndarray, carry) -> np.ndarray:
     block equal that loop bit for bit. ``rows`` is (n,) with a scalar
     ``carry`` or (n, dim) with a (dim,) one.
     """
+    return running_sums(rows, carry)[1:]
+
+
+def running_sums(rows, carry) -> np.ndarray:
+    """``carry`` followed by ``prefix_sums(rows, carry)``: n + 1 sums down axis 0."""
     out = np.empty((rows.shape[0] + 1,) + rows.shape[1:])
     out[0] = carry
     out[1:] = rows
     np.cumsum(out, axis=0, out=out)
-    return out[1:]
+    return out
 
 
 def line_search_quadratic(a: float, b: float) -> float:

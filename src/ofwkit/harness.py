@@ -9,11 +9,14 @@ bound. The CSV layout is fixed; plotting and further analysis live outside.
 
 The adversary is one ``losses.Rounds``, a (T, dim) array of gradients or
 targets; rounds injected from outside are checked once, by ``as_rounds``.
-Only the learner's work runs round by round, one row per round. The
-cumulative loss, regret and the CSV text are computed afterwards, on
-slices of ``core.BLOCK_ROWS`` rounds, and the prefix comparators come from
-one call of ``oracle.offline_comparator``; each equals the per-round
-computation bit for bit.
+Only the learner's play, its loss and gradient, and its update run round
+by round, one row per round. The surrogate gaps are measured
+``core.BLOCK_ROWS`` rounds at a time by ``oracle.surrogate_gaps``, from
+the plays and gradients of one block. The cumulative loss, regret and the
+CSV text are computed after the rounds, on slices of ``core.BLOCK_ROWS``
+rounds, and the prefix comparators come from one call of
+``oracle.offline_comparator``; each equals the per-round computation bit
+for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .losses import (
     loss_at,
     make_rounds,
 )
-from .oracle import offline_comparator, surrogate_argmin
+from .oracle import offline_comparator, surrogate_gaps
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 __all__ = [
@@ -421,9 +424,13 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     The protocol each round: the learner commits its point, the adversary
     reveals the loss, the loss and gradient at the committed point are
     recorded, then the learner updates. When ``gap_check`` is on, the
-    surrogate optimality gap of the committed point is measured by the
-    reference oracle for rounds up to ``gap_cap`` before the update, for
-    every learner but OGD and once the surrogate has positive curvature.
+    surrogate optimality gap of the committed point is measured for rounds
+    up to ``gap_cap``, for every learner but OGD and once the surrogate
+    has positive curvature: the gap of the surrogate the learner held when
+    it committed, measured by ``surrogate_gaps`` once a block of
+    ``core.BLOCK_ROWS`` rounds, or the last measured round, has been
+    played. Only that block's plays and gradients are kept. A failed
+    certificate raises ``ConvergenceError`` naming its round.
 
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
@@ -451,17 +458,26 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     if rounds is None:
         rounds = make_rounds(spec.loss, T, spec.domain)
     # The Frank-Wolfe learners' states are their surrogates; OGD has none.
-    measure_until = spec.gap_cap if spec.gap_check and spec.algo != ALGO_OGD else 0
-    kind, lam = rounds.kind, rounds.lam
-    for i, row in enumerate(rounds.data):
-        x_t = state.x
-        if i < measure_until and state.curvature > 0.0:
-            _, best = surrogate_argmin(state)
-            gap_v[i] = state.value(x_t) - best
-            gb = cert.gap(i + 1)
-            if gb is not None:
-                gapb_v[i] = gb
-        loss_v[i], g_t = loss_at(kind, lam, row, x_t)
+    measured = min(spec.gap_cap, T) if spec.gap_check and spec.algo != ALGO_OGD else 0
+    kind, lam, data = rounds.kind, rounds.lam, rounds.data
+    if measured:
+        # One block of plays and gradients, measured when it fills.
+        xs, gs = np.empty((2, min(measured, BLOCK_ROWS), dim))
+    for start in range(0, measured, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, measured)
+        first = state
+        for k, row in enumerate(data[start:stop]):
+            xs[k] = x_t = state.x
+            loss_v[start + k], g_t = loss_at(kind, lam, row, x_t)
+            gs[k] = g_t
+            state = update(state, g_t)
+        gap_v[start:stop] = surrogate_gaps(first, xs[: stop - start], gs[: stop - start])
+    for t in range(1, measured + 1):
+        gb = cert.gap(t)
+        if gb is not None:
+            gapb_v[t - 1] = gb
+    for i, row in enumerate(data[measured:], start=measured):
+        loss_v[i], g_t = loss_at(kind, lam, row, state.x)
         state = update(state, g_t)
 
     # Summed from 0.0 as a running Python float would be.

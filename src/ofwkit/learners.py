@@ -17,15 +17,18 @@ States hold running sums only, so a step costs O(dim) regardless of t.
 The states of the two Frank-Wolfe learners are their current surrogates:
 each has ``value(x)``, ``gradient(x)`` and ``curvature``, the modulus of
 the isotropic quadratic, which ``oracle.surrogate_argmin`` minimizes.
+``surrogate_rows`` stacks the surrogates of a state and of the states
+after it, one row each, for ``oracle.surrogate_gaps``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import as_vector, dot, line_search_quadratic
+from .core import as_vector, line_search_quadratic, row_dots, running_sums
 from .sets import FeasibleSet
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "ofw_decay_step_size_parameter",
     "ofw_gradient",
     "scofw_gradient",
+    "ofw_values",
+    "scofw_values",
     "ofw_init",
     "ofw_update",
     "scofw_init",
@@ -66,6 +71,27 @@ def scofw_gradient(
     surrogate's curvature is lam * t.
     """
     return grad_sum + lam * (t * x - iterate_sum)
+
+
+def ofw_values(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Value at row i of ``x`` of the surrogate eta * <grad_sum[i], x> + ||x - x1||^2.
+
+    ``grad_sum`` and ``x`` are (n, dim) arrays.
+    """
+    d = x - x1
+    return eta * row_dots(grad_sum, x) + row_dots(d, d)
+
+
+def scofw_values(lam: float, t, grad_sum, iterate_sum, iterate_sq_sum, x) -> np.ndarray:
+    """Value at row i of ``x`` of <grad_sum[i], x> + (lam/2) * sum_tau ||x - x_tau||^2.
+
+    Row i's sum runs over ``t[i]`` iterates, of sum ``iterate_sum[i]`` and
+    squared norms summing to ``iterate_sq_sum[i]``. ``grad_sum``,
+    ``iterate_sum`` and ``x`` are (n, dim) arrays, ``t`` and
+    ``iterate_sq_sum`` have n entries.
+    """
+    quad = t * row_dots(x, x) - 2.0 * row_dots(iterate_sum, x) + iterate_sq_sum
+    return row_dots(grad_sum, x) + 0.5 * lam * quad
 
 
 def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> np.ndarray:
@@ -107,11 +133,22 @@ class OfwState:
     curvature = 2.0
 
     def value(self, x: np.ndarray) -> float:
-        d = x - self.x1
-        return self.eta * dot(self.grad_sum, x) + dot(d, d)
+        return float(ofw_values(self.eta, self.grad_sum[None], self.x1, x[None])[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return ofw_gradient(self.eta, self.grad_sum, self.x1, x)
+
+    def surrogate_rows(self, xs: np.ndarray, gs: np.ndarray):
+        """The surrogates of this state and of the n states after it, had the
+        learner played the rows of ``xs`` and seen those of ``gs``, (n, dim)
+        arrays: their curvatures, and their row-wise gradient and value
+        maps, row k for the k-th state after this one."""
+        grad_sum = running_sums(gs, self.grad_sum)
+        return (
+            np.full(len(grad_sum), self.curvature),
+            partial(ofw_gradient, self.eta, grad_sum, self.x1),
+            partial(ofw_values, self.eta, grad_sum, self.x1),
+        )
 
 
 def ofw_step_size_parameter(diameter: float, G: float, horizon: int) -> float:
@@ -213,11 +250,28 @@ class ScOfwState:
         return self.lam * self.t
 
     def value(self, x: np.ndarray) -> float:
-        quad = self.t * dot(x, x) - 2.0 * dot(self.iterate_sum, x) + self.iterate_sq_sum
-        return dot(self.grad_sum, x) + 0.5 * self.lam * quad
+        return float(
+            scofw_values(
+                self.lam, self.t, self.grad_sum[None], self.iterate_sum[None],
+                self.iterate_sq_sum, x[None],
+            )[0]
+        )
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return scofw_gradient(self.lam, self.t, self.grad_sum, self.iterate_sum, x)
+
+    def surrogate_rows(self, xs: np.ndarray, gs: np.ndarray):
+        """``OfwState.surrogate_rows`` for this surrogate, whose sums over
+        iterates take in the rows of ``xs``."""
+        t = np.arange(self.t, self.t + len(xs) + 1, dtype=float)
+        grad_sum = running_sums(gs, self.grad_sum)
+        iterate_sum = running_sums(xs, self.iterate_sum)
+        iterate_sq_sum = running_sums(row_dots(xs, xs), self.iterate_sq_sum)
+        return (
+            self.lam * t,
+            partial(scofw_gradient, self.lam, t[:, None], grad_sum, iterate_sum),
+            partial(scofw_values, self.lam, t, grad_sum, iterate_sum, iterate_sq_sum),
+        )
 
 
 def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:

@@ -1,9 +1,12 @@
 """Reference computations the learners are checked against.
 
-A certified minimizer of a learner's surrogate, which the learner's state
-is (see ``learners``), and the offline comparator: every prefix's best
+Certified minimizers of learners' surrogates, which the learners' states
+are (see ``learners``), and the offline comparator: every prefix's best
 fixed total of a ``losses.Rounds``, which regret is measured against.
-These routines are allowed to project; the online learners never are.
+``surrogate_gaps`` measures the surrogate gaps of a block of consecutive
+plays in one row-wise pass; ``surrogate_argmin`` is its one-row case, for
+a single state. These routines are allowed to project; the online
+learners never are.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "DEFAULT_ORACLE_TOL",
     "ConvergenceError",
     "surrogate_argmin",
+    "surrogate_gaps",
     "offline_comparator",
 ]
 
@@ -28,6 +32,10 @@ class ConvergenceError(RuntimeError):
     """A computed minimizer failed its Frank-Wolfe-gap certificate."""
 
 
+def _uncertified(gap: float, tol: float) -> str:
+    return f"minimizer failed its certificate: Frank-Wolfe gap {gap!r} > {tol!r}"
+
+
 def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
     """Raise unless the Frank-Wolfe gap <grad, x - lmo(grad)> is at most ``tol``.
 
@@ -36,34 +44,74 @@ def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
     """
     gap = dot(grad, x - domain.lmo(grad))
     if not gap <= tol:
-        raise ConvergenceError(
-            f"minimizer failed its certificate: Frank-Wolfe gap {gap!r} > {tol!r}"
-        )
+        raise ConvergenceError(_uncertified(gap, tol))
+
+
+def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
+    """Certified minimizers and minima of the surrogates of ``state`` and
+    of the ``len(xs)`` states after it (see ``surrogate_rows``), and the
+    surrogates' value map.
+
+    Both surrogates are isotropic quadratics, so from any point x0 each
+    minimizer over the set is the projection of the free minimizer
+    ``x0 - gradient(x0) / curvature``; x0 is the set's anchor, kept as is
+    by rows whose gradient vanishes there (projecting a feasible point
+    onto the simplex can move it by rounding). Each row's Frank-Wolfe gap
+    at the result must be at most ``tol``, else ``ConvergenceError`` names
+    the round of the first failing row. Rows without positive curvature
+    have no unique minimizer; their minima are NaN.
+    """
+    curvature, gradient, values = state.surrogate_rows(xs, gs)
+    live = curvature > 0.0
+    domain = state.domain
+    x0 = domain.anchor()
+    g0 = gradient(x0)
+    x = domain.project_rows(x0 - g0 / np.where(live, curvature, 1.0)[:, None])
+    x[~g0.any(axis=1)] = x0
+    grad = gradient(x)
+    fw_gaps = row_dots(grad, x - domain.lmo_rows(grad))
+    failed = np.flatnonzero(live & ~(fw_gaps <= tol))
+    if failed.size:
+        k = int(failed[0])
+        # The state after k rounds plays in round k + 1.
+        raise ConvergenceError(f"round {state.t + k + 1}: {_uncertified(float(fw_gaps[k]), tol)}")
+    best = values(x)
+    best[~live] = np.nan
+    return x, best, values
 
 
 def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray, float]:
     """Minimize a learner state's surrogate in closed form, certified to ``tol``.
 
-    ``state`` is an ``OfwState`` or ``ScOfwState``. Both surrogates are
-    isotropic quadratics, so from any point x0 their minimizer over the set
-    is the projection of the free minimizer ``x0 - gradient(x0) / curvature``;
-    x0 is the set's anchor, returned as is where the gradient vanishes
-    there (projecting a feasible point onto the simplex can move it by
-    rounding). The Frank-Wolfe gap at the result must be at most ``tol``,
-    else ``ConvergenceError`` is raised, so the returned value is within
-    ``tol`` of the true minimum. A surrogate without positive curvature
-    (the strongly convex learner before its first round) has no unique
-    minimizer and raises ``ValueError``.
+    ``state`` is an ``OfwState`` or ``ScOfwState``; this is the one-row
+    case of ``surrogate_gaps``' minimizer. The Frank-Wolfe gap at the
+    result must be at most ``tol``, else ``ConvergenceError`` is raised, so
+    the returned value is within ``tol`` of the true minimum. A surrogate
+    without positive curvature (the strongly convex learner before its
+    first round) has no unique minimizer and raises ``ValueError``.
     """
     curvature = state.curvature
     if not curvature > 0.0:
         raise ValueError(f"surrogate needs a positive curvature, got {curvature!r}")
-    domain = state.domain
-    x0 = domain.anchor()
-    g0 = state.gradient(x0)
-    x = domain.project(x0 - g0 / curvature) if g0.any() else x0
-    _certify(domain, state.gradient(x), x, tol)
-    return x, state.value(x)
+    none = np.empty((0, state.domain.dim))
+    x, best, _ = _minimize_rows(state, none, none, tol)
+    return x[0], float(best[0])
+
+
+def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray, tol: float = DEFAULT_ORACLE_TOL) -> np.ndarray:
+    """Surrogate gaps of n consecutive plays, one row-wise pass for all.
+
+    ``xs[k]`` is the point the learner played from the k-th state after
+    ``state`` (``xs[0] = state.x``) and ``gs[k]`` the gradient it then saw;
+    both are (n, dim) arrays, and the last gradient is not needed. Entry k
+    is that state's surrogate at ``xs[k]`` less its certified minimum, equal
+    bit for bit to ``state_k.value(xs[k]) - surrogate_argmin(state_k)[1]``;
+    NaN where the surrogate has no positive curvature. A failed
+    certificate raises ``ConvergenceError`` naming the first failing
+    row's round.
+    """
+    _, best, values = _minimize_rows(state, xs[:-1], gs[:-1], tol)
+    return values(xs) - best
 
 
 def offline_comparator(domain: FeasibleSet, rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import ofwkit.cli
 import ofwkit.harness
 from ofwkit.cli import main
 from ofwkit.harness import ConfigError
+from ofwkit.sets import L2Ball
 
 GOOD_CONFIG = """
 set.kind = l2_ball
@@ -180,6 +181,15 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
         with pytest.raises(ValueError, match="injected failure") as exc:
             main(argv + out)
         assert not isinstance(exc.value, ConfigError)
+
+
+def test_run_with_a_failed_gap_certificate_exits_one(config_path, tmp_path, monkeypatch, capsys):
+    # A wrong projection fails the gap oracle's certificate from round 2 on.
+    monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
+    monkeypatch.setattr(L2Ball, "project_rows", lambda self, x: 0.5 * x)
+    assert main(["run", config_path, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("self-check failed: round 2: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -154,3 +154,12 @@ def test_row_dots_equal_dot_bit_for_bit():
     a, b = rng.standard_normal((2, 500, 37))
     expected = np.array([u.dot(v) for u, v in zip(a, b)])
     assert row_dots(a, b).tobytes() == expected.tobytes()
+
+
+def test_row_dots_ignore_memory_layout():
+    # Dots over strided rows round differently; such rows are copied first.
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 500, 100))
+    expected = row_dots(a, b)
+    for layout in (np.asfortranarray, lambda m: np.repeat(m, 2, axis=1)[:, ::2]):
+        assert row_dots(layout(a), layout(b)).tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import _comparator_reference as reference
+import _gap_reference
 import numpy as np
 import pytest
 from _helpers import zero_rounds
@@ -439,6 +440,44 @@ def test_block_bookkeeping_equals_round_by_round_reference(domain, kind):
     assert emit_csv(trace) == reference.emit_csv(trace)
 
 
+_GAP_RUNS = [
+    (ALGO_OFW_LS, LINEAR),
+    (ALGO_OFW_LS, QUADRATIC),
+    (ALGO_SC_OFW, QUADRATIC),
+    (ALGO_OFW_DECAY, LINEAR),
+    (ALGO_OFW_DECAY, QUADRATIC),
+]
+
+
+@pytest.mark.parametrize("T, gap_cap", [(1, 512), (63, 64), (64, 64), (65, 64), (200, 129), (300, 0), (40, 512)])
+@pytest.mark.parametrize("algo, kind", _GAP_RUNS)
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_block_gaps_equal_round_by_round_reference(domain, algo, kind, T, gap_cap):
+    # Gap caps one short of, at and one past a block, and past T.
+    spec = _spec(
+        domain=domain,
+        loss=LossSpec(kind=kind, dim=6, seed=7, G=1.0, lam=0.7),
+        algo=algo,
+        horizon=T,
+        gap_check=True,
+        gap_cap=gap_cap,
+    )
+    trace = run_experiment(spec)
+    gap, gap_bound = _gap_reference.gap_columns(spec)
+    assert trace.gap.tobytes() == gap.tobytes()
+    assert trace.gap_bound.tobytes() == gap_bound.tobytes()
+
+
+def test_a_failed_gap_certificate_names_its_round(monkeypatch):
+    # Round 1's surrogate is minimized at the anchor, which is kept without
+    # a projection; from round 2 on a wrong projection fails the check.
+    monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
+    monkeypatch.setattr(L2Ball, "project_rows", lambda self, x: 0.5 * x)
+    spec = _spec(horizon=100, gap_check=True, gap_cap=100)
+    with pytest.raises(ofwkit.oracle.ConvergenceError, match=r"^round 2: "):
+        run_experiment(spec)
+
+
 @pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
 def test_block_comparator_resolves_ties_like_the_lmo(domain):
     # Gradients +g, -g, ... bring every even prefix sum back to exactly
@@ -709,7 +748,7 @@ def test_sweep_measures_no_gaps(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sweep called the gap oracle")
 
-    monkeypatch.setattr(ofwkit.harness, "surrogate_argmin", refuse)
+    monkeypatch.setattr(ofwkit.harness, "surrogate_gaps", refuse)
     result = sweep(spec, [16, 48, 100])
     assert result.regrets == expected.regrets and result.bounds == expected.bounds
 

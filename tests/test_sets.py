@@ -361,6 +361,23 @@ def test_project_rows_equal_project_bit_for_bit(dom):
             assert _bits(dom.project_rows(huge)) == _bits(expected)
 
 
+@pytest.mark.parametrize("dom", [L2Ball(100, 1.3), LpBall(100, 0.9, 1.5)], ids=["l2", "lp"])
+def test_oracles_ignore_memory_layout(dom):
+    # numpy rounds dot products over strided rows differently, so Fortran-
+    # ordered and column-strided inputs must give the C-ordered results,
+    # row-wise and per vector.
+    rng = np.random.default_rng(12)
+    # Norms of about 0 to 1.7 times the radius: both sides of the boundary.
+    x = rng.standard_normal((500, 100)) * rng.uniform(0.0, 0.1, size=(500, 1))
+    strided = np.repeat(x, 2, axis=1)[:, ::2]
+    for oracle, per_vector in ((dom.lmo_rows, dom.lmo), (dom.project_rows, dom.project)):
+        expected = oracle(x)
+        assert _bits(expected) == _bits(np.array([per_vector(row.copy()) for row in x]))
+        for layout in (np.asfortranarray(x), strided):
+            assert _bits(oracle(layout)) == _bits(expected)
+            assert _bits(np.array([per_vector(row) for row in layout])) == _bits(expected)
+
+
 @pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
 def test_row_oracles_reject_bad_rows(dom):
     bad = np.zeros((3, dom.dim))
