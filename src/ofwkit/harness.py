@@ -418,6 +418,28 @@ def _allocate_logs(T: int) -> np.ndarray:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
 
+def _play_measured(state, update, rounds: Rounds, measured: int, loss_v, gap_v):
+    """Play rounds 1..``measured``, logging their losses and surrogate gaps,
+    and return the learner's state after them.
+
+    One block of plays and gradients is held and measured when it fills,
+    or at the last measured round; it is freed on return, before the
+    comparator runs.
+    """
+    kind, lam, data = rounds.kind, rounds.lam, rounds.data
+    xs, gs = np.empty((2, min(measured, BLOCK_ROWS), data.shape[1]))
+    for start in range(0, measured, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, measured)
+        first = state
+        for k, row in enumerate(data[start:stop]):
+            xs[k] = x_t = state.x
+            loss_v[start + k], g_t = loss_at(kind, lam, row, x_t)
+            gs[k] = g_t
+            state = update(state, g_t)
+        gap_v[start:stop] = surrogate_gaps(first, xs[: stop - start], gs[: stop - start])
+    return state
+
+
 def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> RegretTrace:
     """Play ``spec.horizon`` rounds and log the trace.
 
@@ -459,24 +481,13 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
         rounds = make_rounds(spec.loss, T, spec.domain)
     # The Frank-Wolfe learners' states are their surrogates; OGD has none.
     measured = min(spec.gap_cap, T) if spec.gap_check and spec.algo != ALGO_OGD else 0
-    kind, lam, data = rounds.kind, rounds.lam, rounds.data
-    if measured:
-        # One block of plays and gradients, measured when it fills.
-        xs, gs = np.empty((2, min(measured, BLOCK_ROWS), dim))
-    for start in range(0, measured, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, measured)
-        first = state
-        for k, row in enumerate(data[start:stop]):
-            xs[k] = x_t = state.x
-            loss_v[start + k], g_t = loss_at(kind, lam, row, x_t)
-            gs[k] = g_t
-            state = update(state, g_t)
-        gap_v[start:stop] = surrogate_gaps(first, xs[: stop - start], gs[: stop - start])
+    state = _play_measured(state, update, rounds, measured, loss_v, gap_v)
     for t in range(1, measured + 1):
         gb = cert.gap(t)
         if gb is not None:
             gapb_v[t - 1] = gb
-    for i, row in enumerate(data[measured:], start=measured):
+    kind, lam = rounds.kind, rounds.lam
+    for i, row in enumerate(rounds.data[measured:], start=measured):
         loss_v[i], g_t = loss_at(kind, lam, row, state.x)
         state = update(state, g_t)
 

@@ -58,8 +58,17 @@ ZERO_STEP_TOL = 1e-12
 
 
 def ofw_gradient(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient at ``x`` of the surrogate eta * <grad_sum, x> + ||x - x1||^2."""
-    return eta * grad_sum + 2.0 * (x - x1)
+    """Gradient at ``x`` of the surrogate eta * <grad_sum, x> + ||x - x1||^2.
+
+    ``grad_sum`` may be an (n, dim) stack, and ``x`` a vector or such a
+    stack; row i is then the gradient of the i-th surrogate.
+    """
+    # eta * grad_sum + 2 * (x - x1), summed in place to spare a temporary.
+    out = eta * grad_sum
+    d = x - x1
+    d *= 2.0
+    out += d
+    return out
 
 
 def scofw_gradient(
@@ -68,9 +77,15 @@ def scofw_gradient(
     """Gradient at ``x`` of <grad_sum, x> + (lam/2) * sum_tau ||x - x_tau||^2.
 
     The sum runs over t iterates whose sum is ``iterate_sum``; the
-    surrogate's curvature is lam * t.
+    surrogate's curvature is lam * t. With ``t`` an (n, 1) column and the
+    sums (n, dim) stacks, row i is the gradient of the i-th surrogate.
     """
-    return grad_sum + lam * (t * x - iterate_sum)
+    # grad_sum + lam * (t * x - iterate_sum), in one buffer.
+    out = t * x
+    out -= iterate_sum
+    out *= lam
+    out += grad_sum
+    return out
 
 
 def ofw_values(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:

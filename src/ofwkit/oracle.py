@@ -61,15 +61,24 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     the round of the first failing row. Rows without positive curvature
     have no unique minimizer; their minima are NaN.
     """
-    curvature, gradient, values = state.surrogate_rows(xs, gs)
+    # The block's arrays set the process's peak memory, so the free
+    # minimizers x0 - g0 / curvature are worked in g0's buffer, and the
+    # surrogates' sums are dropped during the projection and rebuilt.
+    curvature, gradient = state.surrogate_rows(xs, gs)[:2]
     live = curvature > 0.0
     domain = state.domain
     x0 = domain.anchor()
-    g0 = gradient(x0)
-    x = domain.project_rows(x0 - g0 / np.where(live, curvature, 1.0)[:, None])
-    x[~g0.any(axis=1)] = x0
+    x = gradient(x0)
+    del gradient
+    stay = ~x.any(axis=1)
+    x /= np.where(live, curvature, 1.0)[:, None]
+    x = domain.project_rows(np.subtract(x0, x, out=x))
+    x[stay] = x0
+    gradient, values = state.surrogate_rows(xs, gs)[1:]
     grad = gradient(x)
-    fw_gaps = row_dots(grad, x - domain.lmo_rows(grad))
+    step = domain.lmo_rows(grad)
+    fw_gaps = row_dots(grad, np.subtract(x, step, out=step))
+    del grad, step
     failed = np.flatnonzero(live & ~(fw_gaps <= tol))
     if failed.size:
         k = int(failed[0])
@@ -98,7 +107,7 @@ def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray
     return x[0], float(best[0])
 
 
-def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray, tol: float = DEFAULT_ORACLE_TOL) -> np.ndarray:
+def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """Surrogate gaps of n consecutive plays, one row-wise pass for all.
 
     ``xs[k]`` is the point the learner played from the k-th state after
@@ -106,11 +115,11 @@ def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray, tol: float = DEFAULT_O
     both are (n, dim) arrays, and the last gradient is not needed. Entry k
     is that state's surrogate at ``xs[k]`` less its certified minimum, equal
     bit for bit to ``state_k.value(xs[k]) - surrogate_argmin(state_k)[1]``;
-    NaN where the surrogate has no positive curvature. A failed
-    certificate raises ``ConvergenceError`` naming the first failing
-    row's round.
+    NaN where the surrogate has no positive curvature. Each minimizer is
+    certified to ``DEFAULT_ORACLE_TOL``; a failed certificate raises
+    ``ConvergenceError`` naming the first failing row's round.
     """
-    _, best, values = _minimize_rows(state, xs[:-1], gs[:-1], tol)
+    best, values = _minimize_rows(state, xs[:-1], gs[:-1], DEFAULT_ORACLE_TOL)[1:]
     return values(xs) - best
 
 

@@ -303,12 +303,40 @@ class LpBall(_Ball):
         method at O(d) per iteration; see ``_shrink_to_lp_sphere``.
         """
         x = as_vector(x, self.dim)
-        ax = np.abs(x)
-        scale = float(ax.max())
+        # Work on |x| / max|x|, as lp_norm does, so no power overflows.
+        a = np.abs(x)
+        scale = float(a.max())
         if scale == 0.0:
             return x.copy()
-        # Work on |x| / max|x|, as lp_norm does, so no power overflows.
-        a = ax / scale
+        a /= scale
+        y = a ** (self.p - 1.0)
+        out = self._project_scaled(x, a, y, scale, float(a.dot(y)))
+        return x.copy() if out is None else out
+
+    def project_rows(self, x):
+        # project's steps, the scaling on all rows at once.
+        x = as_rows(x, self.dim)
+        a = np.abs(x)
+        scales = a.max(axis=1)
+        a /= np.where(scales > 0.0, scales, 1.0)[:, None]
+        y = a ** (self.p - 1.0)
+        masses = row_dots(a, y)
+        moved = []
+        for i, (scale, mass) in enumerate(zip(scales.tolist(), masses.tolist())):
+            if scale > 0.0:
+                row = self._project_scaled(x[i], a[i], y[i], scale, mass)
+                if row is not None:
+                    moved.append((i, row))
+        # y is spent; its buffer takes the result, sparing a block.
+        out = y
+        out[...] = x
+        for i, row in moved:
+            out[i] = row
+        return out
+
+    def _project_scaled(self, x, a, y, scale, mass):
+        """``project`` of a nonzero x from a = |x| / scale, scale = max|x|,
+        y = a**(p-1) and mass = <a, y> = ||a||_p^p; None if x is inside."""
         t = self.radius / scale
         if t < _MIN_RADIUS_RATIO:
             # The solve's sums scale like t**(2p-1) and would underflow.
@@ -316,31 +344,12 @@ class LpBall(_Ball):
                 f"lp projection: max|x| = {scale!r} exceeds the radius by more than "
                 f"{1.0 / _MIN_RADIUS_RATIO:g} times"
             )
-        y = a ** (self.p - 1.0)
-        mass = float(a.dot(y))  # ||a||_p^p
         if math.log(mass) / self.p <= math.log(t):
-            return x.copy()
+            return None
         b, mass = _shrink_to_lp_sphere(a, y, mass, t, self.p)
         # Snap to the boundary so feasibility checks at tight tolerances
         # see the projected point as inside.
         return np.copysign(b * (self.radius / mass ** (1.0 / self.p)), x)
-
-    def project_rows(self, x):
-        # project's test for a point inside, on all rows at once; only the
-        # other rows go through project, one at a time.
-        x = as_rows(x, self.dim)
-        a = np.abs(x)
-        scales = a.max(axis=1)
-        a /= np.where(scales > 0.0, scales, 1.0)[:, None]
-        masses = row_dots(a, a ** (self.p - 1.0))
-        out = x.copy()
-        for i, (scale, mass) in enumerate(zip(scales.tolist(), masses.tolist())):
-            if scale == 0.0:
-                continue
-            t = self.radius / scale
-            if t < _MIN_RADIUS_RATIO or not math.log(mass) / self.p <= math.log(t):
-                out[i] = self.project(x[i])
-        return out
 
     @property
     def strong_convexity(self) -> float:
@@ -600,24 +609,28 @@ def _project_simplex_rows(v: np.ndarray, total: float) -> np.ndarray:
     """``_project_simplex`` of each row of ``v``, bit for bit.
 
     The same steps along axis 1. On one vector it takes nearly twice as
-    long as ``_project_simplex``, which the per-round oracle calls use.
-    Rows that fail its overflow test or pass no threshold are redone by it.
+    long as ``_project_simplex``, which ``project`` uses. Rows that fail
+    its overflow test or pass no threshold are redone by it.
     """
     d = v.shape[1]
-    u = np.sort(v, axis=1)[:, ::-1]
+    # Each row sorted in decreasing order, in a C-contiguous buffer: numpy
+    # works through a reversed view with block-sized scratch buffers.
+    u = np.negative(v)
+    u.sort(axis=1)
+    np.negative(u, out=u)
     redo = np.maximum(np.maximum(u[:, 0], -u[:, -1]), total) > 2.0**1000 / d
     with np.errstate(over="ignore", invalid="ignore"):
-        cumulative = np.cumsum(u, axis=1)
-        cumulative -= total
-        # u - cumulative / counts, then the result, in one buffer to spare
-        # block-sized temporaries.
-        excess = cumulative / np.arange(1, d + 1)
-        np.subtract(u, excess, out=excess)
-        mask = excess > 0.0
+        # cumulative / counts, then the result, in one buffer, and u less
+        # it in u's, to spare block-sized temporaries.
+        means = np.cumsum(u, axis=1)
+        means -= total
+        means /= np.arange(1, d + 1)
+        mask = np.subtract(u, means, out=u) > 0.0
         rho = d - 1 - np.argmax(mask[:, ::-1], axis=1)
-        theta = cumulative[np.arange(v.shape[0]), rho] / (rho + 1.0)
-        np.subtract(v, theta[:, None], out=excess)
-        np.maximum(excess, 0.0, out=excess)
+        # cumulative[rho] / (rho + 1), as _project_simplex divides it.
+        theta = means[np.arange(v.shape[0]), rho]
+        out = np.subtract(v, theta[:, None], out=means)
+        np.maximum(out, 0.0, out=out)
     for i in np.flatnonzero(redo | ~mask.any(axis=1)):
-        excess[i] = _project_simplex(v[i], total)
-    return excess
+        out[i] = _project_simplex(v[i], total)
+    return out
