@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "BLOCK_ROWS",
     "as_vector",
+    "as_vector_and_norm",
     "as_rows",
     "dot",
     "row_dots",
@@ -44,16 +45,30 @@ BLOCK_ROWS = 64
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite, C-contiguous 1-D float64 array, optionally
     checking length."""
+    return _checked_vector(x, dim)[0]
+
+
+def as_vector_and_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """``as_vector(x, dim)`` and its ``l2_norm``, from the one dot product
+    that the check computes."""
+    v, sq = _checked_vector(x, dim)
+    n = math.sqrt(sq)
+    return v, (n if n != math.inf else _rescaled_l2_norm(v))
+
+
+def _checked_vector(x, dim):
+    """``as_vector(x, dim)`` and ``x . x``, inf where the squares overflow."""
     v = np.asarray(x, dtype=np.float64, order="C")
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     # Finite squares imply finite entries; only when they are not is the
     # entrywise test needed, so a finite vector costs one dot product.
-    if not math.isfinite(_sum_of_squares(v)) and not np.isfinite(v).all():
+    sq = _sum_of_squares(v)
+    if not math.isfinite(sq) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    return v
+    return v, sq
 
 
 def as_rows(x, dim: int) -> np.ndarray:
@@ -107,10 +122,13 @@ def l2_norm(v: np.ndarray) -> float:
     if v.ndim != 1:
         v = v.ravel()
     n = math.sqrt(_sum_of_squares(v))
-    if n == math.inf:
-        m = float(np.abs(v).max())
-        n = m * math.sqrt(_sum_of_squares(v / m))
-    return n
+    return n if n != math.inf else _rescaled_l2_norm(v)
+
+
+def _rescaled_l2_norm(v: np.ndarray) -> float:
+    """``l2_norm`` of a finite vector whose squares overflow, from ``v / max|v|``."""
+    m = float(np.abs(v).max())
+    return m * math.sqrt(_sum_of_squares(v / m))
 
 
 def row_l2_norms(rows: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ eta, and projected online gradient descent.
 
 Updates are pure: each consumes one gradient and returns a fresh state.
 States hold running sums only, so a step costs O(dim) regardless of t.
+A state is a frozen snapshot: an update shares the fields it leaves as
+they are and never writes into an array an earlier state holds.
 The states of the two Frank-Wolfe learners are their current surrogates:
 each has ``value(x)``, ``gradient(x)`` and ``curvature``, the modulus of
 the isotropic quadratic, which ``oracle.surrogate_argmin`` minimizes.
@@ -124,7 +126,23 @@ def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> n
         if dd <= ZERO_STEP_TOL**2:
             return x
         sigma = line_search_quadratic(float(grad_f.dot(d)), 0.5 * curvature * dd)
-    return x + sigma * d
+    # x + sigma * d in d's buffer: the same products and sums, commuted.
+    d *= sigma
+    d += x
+    return d
+
+
+def _successor(state, changed: dict):
+    """``state`` with the fields in ``changed`` replaced, sharing the rest.
+
+    Built without the frozen dataclass's ``__init__``, which sets each
+    field through ``object.__setattr__``; the result is as frozen.
+    """
+    new = object.__new__(type(state))
+    fields = new.__dict__
+    fields.update(state.__dict__)
+    fields.update(changed)
+    return new
 
 
 @dataclass(frozen=True)
@@ -219,15 +237,7 @@ def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
     grad_sum = state.grad_sum + g
     grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
     x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.curvature, sigma=sigma)
-    return OfwState(
-        domain=state.domain,
-        x=x_next,
-        x1=state.x1,
-        grad_sum=grad_sum,
-        t=state.t + 1,
-        eta=state.eta,
-        horizon=state.horizon,
-    )
+    return _successor(state, {"x": x_next, "grad_sum": grad_sum, "t": state.t + 1})
 
 
 def ofw_update(state: OfwState, g) -> OfwState:
@@ -314,14 +324,15 @@ def scofw_update(state: ScOfwState, g) -> ScOfwState:
     iterate_sq_sum = state.iterate_sq_sum + float(state.x.dot(state.x))
     grad_f = scofw_gradient(state.lam, t, grad_sum, iterate_sum, state.x)
     x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.lam * t)
-    return ScOfwState(
-        domain=state.domain,
-        x=x_next,
-        grad_sum=grad_sum,
-        iterate_sum=iterate_sum,
-        iterate_sq_sum=iterate_sq_sum,
-        t=t,
-        lam=state.lam,
+    return _successor(
+        state,
+        {
+            "x": x_next,
+            "grad_sum": grad_sum,
+            "iterate_sum": iterate_sum,
+            "iterate_sq_sum": iterate_sq_sum,
+            "t": t,
+        },
     )
 
 
@@ -357,10 +368,4 @@ def baseline_update(state: OgdState, g) -> OgdState:
         step = 1.0 / (state.lam * t)
     else:
         step = state.domain.diameter / (state.G * t**0.5)
-    return OgdState(
-        domain=state.domain,
-        x=state.domain.project(state.x - step * g),
-        t=t,
-        G=state.G,
-        lam=state.lam,
-    )
+    return _successor(state, {"x": state.domain.project(state.x - step * g), "t": t})

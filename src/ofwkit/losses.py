@@ -227,9 +227,12 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     Every round's PCG64 state is computed by ``_pcg64_states``, a chunk of
     rounds at a time, and set on one reused generator, in place of a
     ``SeedSequence`` and a ``PCG64`` built per round, and each round draws
-    into its row; linear rows are scaled to norm G a chunk at a time. Row 1
-    is compared with ``make_round``'s; a ``RuntimeError`` naming the NumPy
-    version says that NumPy's seeding no longer matches the kernel.
+    into its row. Linear rows are scaled to norm G a chunk at a time;
+    quadratic rows are the domain's ``feasible_rows``, which scales them a
+    chunk at a time too. A row whose first draw ``make_round`` would redraw
+    is ``make_round``'s. Row 1 is compared with ``make_round``'s; a
+    ``RuntimeError`` naming the NumPy version says that NumPy's seeding no
+    longer matches the kernel.
     """
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
@@ -238,27 +241,33 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     rng = np.random.Generator(bitgen)
     seeded = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+
+    def generators(states):
+        # The one generator, set to each round's state in turn (``seeded``
+        # is the state part of ``full``).
+        for seeded["state"], seeded["inc"] in states:
+            bitgen.state = full
+            yield rng
+
     linear = spec.kind == LINEAR
     data = np.empty((T, spec.dim))
     for start in range(0, T, _CHUNK):
         rows = data[start : start + _CHUNK]
         seeds = round_seed(spec.seed, np.arange(start + 1, start + len(rows) + 1, dtype=np.uint64))
-        for row, (state, inc) in zip(rows, _pcg64_states(seeds)):
-            seeded["state"] = state
-            seeded["inc"] = inc
-            bitgen.state = full
-            if linear:
-                rng.standard_normal(out=row)
-            else:
-                row[:] = domain.random_feasible(rng)
+        rngs = generators(_pcg64_states(seeds))
         if linear:
+            for row, gen in zip(rows, rngs):
+                gen.standard_normal(out=row)
             norms = row_l2_norms(rows)
             # A first draw too short to scale is redrawn by make_round, whose
             # row has norm G already: G / G is exactly 1.
-            for i in np.flatnonzero(norms < _MIN_NORM).tolist():
-                rows[i] = make_round(spec, start + i + 1, domain)
-                norms[i] = spec.G
+            redrawn = np.flatnonzero(norms < _MIN_NORM)
+            norms[redrawn] = spec.G
             rows *= (spec.G / norms)[:, None]
+        else:
+            redrawn = domain.feasible_rows(rows, rngs)
+        for i in redrawn.tolist():
+            rows[i] = make_round(spec, start + i + 1, domain)
     if not np.array_equal(data[0], reference):
         raise RuntimeError(
             f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "

@@ -4,8 +4,11 @@ Each set exposes a linear minimization oracle (``lmo``), which is the only
 piece the projection-free learners touch, plus a Euclidean projection used
 by reference oracles and the projected-gradient baseline. ``lmo_rows`` and
 ``project_rows`` apply them to each row of an (n, dim) array, row i equal
-bit for bit to the per-vector call. ``sample_rows`` draws a batch of
-feasible points, and each ball's ``norm_rows`` is its norm of each row.
+bit for bit to the per-vector call. ``random_feasible`` draws one
+feasible point from a generator and ``feasible_rows`` one per row from a
+generator each, by the same law; ``sample_rows`` draws a batch of feasible
+points from one generator, and each ball's ``norm_rows`` is its norm of
+each row.
 Balls are centered at the origin; the simplex is the probability simplex.
 
 ``strong_convexity`` is the modulus with which the set body is strongly
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rows, as_vector, l2_norm, lp_norm, row_dots, row_l2_norms
+from .core import as_rows, as_vector, as_vector_and_norm, l2_norm, lp_norm, row_dots, row_l2_norms
 
 __all__ = [
     "DEFAULT_FEASIBILITY_TOL",
@@ -38,6 +41,9 @@ DEFAULT_FEASIBILITY_TOL = 1e-9
 ZERO_GRADIENT_TOL = 1e-12
 # Smallest p - 1 an LpBall accepts.
 MIN_P_GAP = 1e-9
+# A ball's random direction shorter than this, in the ball's norm, is
+# drawn again before it is scaled.
+_MIN_DIRECTION_NORM = 1e-12
 
 
 def is_tie(norm):
@@ -74,8 +80,7 @@ class FeasibleSet:
 
         Ties (see ``is_tie``) are resolved to ``anchor()``.
         """
-        g = as_vector(g, self.dim)
-        norm = l2_norm(g)
+        g, norm = as_vector_and_norm(g, self.dim)
         if is_tie(norm):
             return self.anchor()
         return self._lmo(g, norm)
@@ -117,6 +122,18 @@ class FeasibleSet:
 
         ``seed`` is an integer seed or a ``np.random.Generator``, which is
         drawn from as it stands (``np.random.default_rng`` returns it).
+        """
+        raise NotImplementedError
+
+    def feasible_rows(self, rows: np.ndarray, rngs) -> np.ndarray:
+        """Fill row i of the (n, dim) array ``rows`` with ``random_feasible``
+        of the i-th generator of ``rngs``, bit for bit, scaling all rows at
+        once; return the indices of the rows whose first draw
+        ``random_feasible`` would have drawn again.
+
+        Each generator is drawn from once, as ``random_feasible`` draws
+        when it redraws nothing, before the next is taken. The rows
+        returned hold no feasible point; the caller fills them.
         """
         raise NotImplementedError
 
@@ -177,16 +194,36 @@ class _Ball(FeasibleSet):
         # Random direction, then a radial factor that keeps the law
         # spread over the interior rather than piled on the boundary.
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal(self.dim)
-        n = self._norm(z)
-        while n < 1e-12:
-            z = rng.standard_normal(self.dim)
-            n = self._norm(z)
+        z = rng.standard_normal((1, self.dim))
+        n = self._norm(z[0])
+        while n < _MIN_DIRECTION_NORM:
+            z = rng.standard_normal((1, self.dim))
+            n = self._norm(z[0])
         # random() draws the same double as uniform(0, 1), without the
         # argument broadcasting.
-        u = rng.random()
-        scale = self.radius * u ** (1.0 / self.dim) / n
-        return scale * z
+        return self._spread(z, [n], [rng.random()])[0]
+
+    def feasible_rows(self, rows, rngs):
+        us = np.empty(len(rows))
+        for i, (row, rng) in enumerate(zip(rows, rngs)):
+            rng.standard_normal(out=row)
+            us[i] = rng.random()
+        norms = self.norm_rows(rows)
+        short = np.flatnonzero(norms < _MIN_DIRECTION_NORM)
+        norms[short] = 1.0
+        self._spread(rows, norms.tolist(), us.tolist())
+        return short
+
+    def _spread(self, z, norms, us):
+        """Scale each direction row of ``z``, of norm ``norms[i]``, by
+        radius * us[i]**(1/dim) / norms[i] in place, and return ``z``.
+
+        The power is taken per row on floats: numpy's vectorised power
+        rounds some values differently.
+        """
+        e = 1.0 / self.dim
+        z *= np.array([self.radius * u**e / n for u, n in zip(us, norms)])[:, None]
+        return z
 
     def sample_rows(self, n, rng):
         # random_feasible's law, without its redraw of near-zero directions.
@@ -216,8 +253,7 @@ class L2Ball(_Ball):
         return (-self.radius / norms)[:, None] * g
 
     def project(self, x):
-        x = as_vector(x, self.dim)
-        n = l2_norm(x)
+        x, n = as_vector_and_norm(x, self.dim)
         if n <= self.radius:
             return x.copy()
         return (self.radius / n) * x
@@ -275,12 +311,16 @@ class LpBall(_Ball):
         # First-order condition on the boundary: the minimizer has
         # |x_i| proportional to |g_i|^(q-1) with q the dual exponent.
         # Normalizing by max|g_i| keeps the powers in a safe range.
+        # The steps run in place, in two buffers.
         q = self.p / (self.p - 1.0)
-        a = np.abs(g)
-        u = a / float(a.max())
-        w = u ** (q - 1.0)
+        w = np.abs(g)
+        w /= float(w.max())
+        w **= q - 1.0
         w /= lp_norm(w, self.p)
-        return -self.radius * np.sign(g) * w
+        out = np.sign(g)
+        out *= -self.radius
+        out *= w
+        return out
 
     def _lmo_rows(self, g, norms):
         # _lmo's steps, in place where they make a block-sized temporary.
@@ -561,9 +601,16 @@ class Simplex(FeasibleSet):
         return np.full(self.dim, 1.0 / self.dim)
 
     def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        e = rng.exponential(size=self.dim)
-        return e / float(e.sum())
+        rows = np.empty((1, self.dim))
+        self.feasible_rows(rows, [np.random.default_rng(seed)])
+        return rows[0]
+
+    def feasible_rows(self, rows, rngs):
+        # Exponential entries over their sum; no draw is redone.
+        for row, rng in zip(rows, rngs):
+            rng.standard_exponential(out=row)
+        rows /= rows.sum(axis=1, keepdims=True)
+        return np.empty(0, dtype=np.intp)
 
     def sample_rows(self, n, rng):
         e = rng.exponential(size=(n, self.dim))

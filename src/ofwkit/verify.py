@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import row_dots
 from .harness import (
     ALGO_OFW_LS,
     ALGO_SC_OFW,
@@ -93,21 +94,31 @@ def _check_lmo_optimality(kind, domain, n=10_000, seed=91) -> CheckResult:
     rng = np.random.default_rng(seed)
     grads = rng.standard_normal((n, domain.dim))
     points = domain.sample_rows(n, rng)
-    for i in range(n):
-        g = grads[i]
-        out = domain.lmo(g)
-        if not domain.contains(out, FEAS_SLACK):
-            return CheckResult(name, "sets", False, f"lmo output infeasible: g={g.tolist()}")
-        lhs = float(np.dot(g, out))
-        rhs = float(np.dot(g, points[i]))
-        if lhs > rhs + FEAS_SLACK:
-            return CheckResult(
-                name,
-                "sets",
-                False,
-                f"lmo beaten at sample {i}: g={g.tolist()} x={points[i].tolist()} "
-                f"lmo_value={lhs!r} sample_value={rhs!r}",
-            )
+    # One lmo call per sample, up to the first infeasible output; then the
+    # objective values of the samples before it, all at once.
+    outs = np.empty_like(grads)
+    infeasible = None
+    for i, g in enumerate(grads):
+        outs[i] = domain.lmo(g)
+        if not domain.contains(outs[i], FEAS_SLACK):
+            infeasible = i
+            break
+    m = n if infeasible is None else infeasible
+    lhs = row_dots(grads[:m], outs[:m])
+    rhs = row_dots(grads[:m], points[:m])
+    beaten = np.flatnonzero(lhs > rhs + FEAS_SLACK)
+    if beaten.size:
+        i = int(beaten[0])
+        return CheckResult(
+            name,
+            "sets",
+            False,
+            f"lmo beaten at sample {i}: g={grads[i].tolist()} x={points[i].tolist()} "
+            f"lmo_value={float(lhs[i])!r} sample_value={float(rhs[i])!r}",
+        )
+    if infeasible is not None:
+        g = grads[infeasible]
+        return CheckResult(name, "sets", False, f"lmo output infeasible: g={g.tolist()}")
     return CheckResult(name, "sets", True, f"{n} sampled objectives, none beat the oracle")
 
 

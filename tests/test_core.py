@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from _helpers import grid_line_search
@@ -5,6 +7,7 @@ from _helpers import grid_line_search
 from ofwkit.core import (
     BLOCK_ROWS,
     as_vector,
+    as_vector_and_norm,
     dot,
     l2_norm,
     line_search_quadratic,
@@ -65,6 +68,23 @@ def test_as_vector_validation():
         as_vector(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         as_vector(np.zeros(3), dim=4)
+
+
+def test_as_vector_and_norm_equal_as_vector_then_l2_norm():
+    rng = np.random.default_rng(8)
+    cases = [rng.standard_normal(d) * s for d in (1, 7, 100) for s in (1e-170, 1.0, 1e160)]
+    cases += [[3.0, 4.0], np.zeros(5), np.array([1e200, -1e200, 0.0]), np.arange(6.0)[::2]]
+    for x in cases:
+        for errstate in ("warn", "raise"):
+            with np.errstate(all=errstate):
+                v, n = as_vector_and_norm(x)
+                assert v.tobytes() == as_vector(x).tobytes() and v.flags.c_contiguous
+                assert n == l2_norm(as_vector(x))
+    for bad, dim in ((np.zeros((2, 2)), None), ([1.0, np.inf], None), (np.zeros(3), 4)):
+        with pytest.raises(ValueError) as want:
+            as_vector(bad, dim)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            as_vector_and_norm(bad, dim)
 
 
 def test_line_search_interior_minimum():

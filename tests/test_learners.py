@@ -1,8 +1,9 @@
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 import numpy as np
 import pytest
 
+import _learner_reference as reference
 from ofwkit.learners import (
     OfwState,
     baseline_update,
@@ -17,8 +18,8 @@ from ofwkit.learners import (
     scofw_init,
     scofw_update,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, loss_at, make_round
-from ofwkit.sets import L2Ball, LpBall, Simplex
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, loss_at, make_round, make_rounds
+from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 
 def test_ofw_init_step_parameter():
@@ -273,3 +274,77 @@ def test_projection_free_learners_use_one_lmo_and_no_projection_per_round(init, 
     for t in range(1, 65):
         state = update(state, rng.standard_normal(5))
         assert dom.calls == {"lmo": t, "project": 0}
+
+
+# Each learner with its reference update, and the loss kinds it accepts.
+LEARNERS = {
+    "ofw_ls": (lambda dom: ofw_init(dom, 200, G=2.0), ofw_update, reference.ofw_update),
+    "ofw_decay": (
+        lambda dom: ofw_decay_init(dom, 200, G=2.0), ofw_decay_update, reference.ofw_decay_update
+    ),
+    "sc_ofw": (lambda dom: scofw_init(dom, lam=0.5), scofw_update, reference.scofw_update),
+    "ogd": (lambda dom: ogd_init(dom, G=2.0), baseline_update, reference.baseline_update),
+}
+KINDS = {"ofw_ls": (LINEAR, QUADRATIC), "ofw_decay": (LINEAR, QUADRATIC), "sc_ofw": (QUADRATIC,),
+         "ogd": (LINEAR, QUADRATIC)}
+SETS = {
+    "l2_ball": L2Ball(6, 1.0),
+    "lp_ball": LpBall(6, 1.0, 1.5),
+    "l1_ball": L1Ball(6, 1.0),
+    "simplex": Simplex(6),
+}
+
+
+def _same_state(a, b):
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("set_kind", SETS)
+@pytest.mark.parametrize(
+    "algo, kind", [(a, k) for a in LEARNERS for k in KINDS[a]], ids=lambda v: str(v)
+)
+def test_updates_equal_the_reference_bit_for_bit(algo, kind, set_kind):
+    # Round 1's gradient is zero: its surrogate gradient is zero at the
+    # anchor, so the lmo ties and the Frank-Wolfe step is skipped.
+    dom = SETS[set_kind]
+    init, update, ref_update = LEARNERS[algo]
+    spec = LossSpec(kind=kind, dim=dom.dim, seed=17, G=2.0, lam=0.5)
+    rounds = make_rounds(spec, 120, dom)
+    state = ref = init(dom)
+    skipped = 0
+    for t, row in enumerate(rounds.data, start=1):
+        g = np.zeros(dom.dim) if t == 1 else loss_at(rounds.kind, rounds.lam, row, state.x)[1]
+        x_before = state.x
+        state, ref = update(state, g), ref_update(ref, g)
+        _same_state(state, ref)
+        skipped += state.x is x_before
+    if algo in ("ofw_ls", "sc_ofw"):
+        assert skipped >= 1
+
+
+@pytest.mark.parametrize("algo", LEARNERS)
+def test_states_are_snapshots_that_later_updates_leave_alone(algo):
+    init, update, _ = LEARNERS[algo]
+    dom = L2Ball(6, 1.0)
+    kind = QUADRATIC if algo == "sc_ofw" else LINEAR
+    rounds = make_rounds(LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5), 200, dom)
+    state = init(dom)
+    kept = [(state, {f.name: np.copy(getattr(state, f.name)) for f in fields(state)})]
+    for row in rounds.data:
+        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
+        kept.append((state, {f.name: np.copy(getattr(state, f.name)) for f in fields(state)}))
+    for state, copies in kept:
+        for name, value in copies.items():
+            now = getattr(state, name)
+            if isinstance(now, np.ndarray):
+                assert now.tobytes() == value.tobytes(), (state.t, name)
+        with pytest.raises(FrozenInstanceError):
+            state.x = np.zeros(6)
+        with pytest.raises(FrozenInstanceError):
+            state.t = 0

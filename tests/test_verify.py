@@ -7,7 +7,12 @@ import ofwkit.verify
 from ofwkit.harness import ALGO_OFW_LS, ExperimentSpec
 from ofwkit.losses import LINEAR, LossSpec
 from ofwkit.sets import L2Ball
-from ofwkit.verify import _check_diameter, _check_gap_schedule, verify_suite
+from ofwkit.verify import (
+    _check_diameter,
+    _check_gap_schedule,
+    _check_lmo_optimality,
+    verify_suite,
+)
 
 
 def test_sets_scope_passes():
@@ -78,6 +83,37 @@ def test_corrupted_lmo_is_detected_and_named(monkeypatch):
     assert any(r.name == "sets.lmo_optimality.l2_ball" for r in failed)
     culprit = next(r for r in failed if r.name == "sets.lmo_optimality.l2_ball")
     assert "g=" in culprit.detail  # witness objective included
+
+
+@pytest.mark.parametrize(
+    "beaten_at, infeasible_at, detail",
+    [(2, None, "beaten at sample 2"), (None, 4, "infeasible"), (2, 6, "beaten at sample 2"),
+     (7, 3, "infeasible"), (5, 5, "infeasible")],
+)
+def test_lmo_optimality_names_the_first_failing_sample(monkeypatch, beaten_at, infeasible_at, detail):
+    # Sample k's lmo output is flipped (beaten) or pushed outside the ball
+    # (infeasible); the first failing sample is named, and a sample that
+    # fails both is reported as infeasible.
+    true_lmo = L2Ball._lmo
+    calls = []
+
+    def corrupted(self, g, norm):
+        k = len(calls)
+        calls.append(k)
+        out = true_lmo(self, g, norm)
+        if k == beaten_at:
+            out = -out
+        if k == infeasible_at:
+            out = 1.5 * out
+        return out
+
+    monkeypatch.setattr(L2Ball, "_lmo", corrupted)
+    result = _check_lmo_optimality("l2_ball", L2Ball(4, 1.0), n=50)
+    assert not result.passed
+    assert detail in result.detail
+    grads = np.random.default_rng(91).standard_normal((50, 4))
+    named = min(k for k in (beaten_at, infeasible_at) if k is not None)
+    assert f"g={grads[named].tolist()}" in result.detail
 
 
 def test_corrupted_projection_is_detected(monkeypatch):
