@@ -266,6 +266,9 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
             rows *= (spec.G / norms)[:, None]
         else:
             redrawn = domain.feasible_rows(rows, rngs)
+        # The suspended generator holds this chunk's states; drop it before
+        # the next chunk's are computed.
+        del rngs
         for i in redrawn.tolist():
             rows[i] = make_round(spec, start + i + 1, domain)
     if not np.array_equal(data[0], reference):

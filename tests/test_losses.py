@@ -227,25 +227,25 @@ def test_make_rounds_equals_make_round(dom, kind):
             assert row.tobytes() == make_round(spec, t, dom).tobytes()
 
 
-@pytest.mark.parametrize(
-    "kind, dom, threshold",
-    [
+def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
+    # At a minimum norm of 2, most dim-3 draws are redrawn, some twice or
+    # more: linear directions by losses' threshold, the directions of
+    # quadratic targets on a ball by the ball sampler's.
+    cases = [
         (LINEAR, L2Ball(3, 1.0), (losses, "_MIN_NORM")),
         (QUADRATIC, L2Ball(3, 1.0), (sets, "_MIN_DIRECTION_NORM")),
         (QUADRATIC, LpBall(3, 2.0, 1.3), (sets, "_MIN_DIRECTION_NORM")),
         (QUADRATIC, L1Ball(3, 0.5), (sets, "_MIN_DIRECTION_NORM")),
-    ],
-    ids=["linear", "quadratic_l2", "quadratic_lp", "quadratic_l1"],
-)
-def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch, kind, dom, threshold):
-    # At a minimum norm of 2, most dim-3 draws are redrawn, some twice or more.
-    spec = LossSpec(kind=kind, dim=3, seed=9, G=1.5, lam=0.5)
-    unpatched = make_rounds(spec, 130, dom)
-    monkeypatch.setattr(*threshold, 2.0)
-    rounds = make_rounds(spec, 130, dom)
-    expected = np.array([make_round(spec, t, dom) for t in range(1, 131)])
-    assert rounds.data.tobytes() == expected.tobytes()
-    assert rounds.data.tobytes() != unpatched.data.tobytes()
+    ]
+    for kind, dom, threshold in cases:
+        spec = LossSpec(kind=kind, dim=3, seed=9, G=1.5, lam=0.5)
+        unpatched = make_rounds(spec, 130, dom)
+        with monkeypatch.context() as patch:
+            patch.setattr(*threshold, 2.0)
+            rounds = make_rounds(spec, 130, dom)
+            expected = np.array([make_round(spec, t, dom) for t in range(1, 131)])
+        assert rounds.data.tobytes() == expected.tobytes(), (kind, dom)
+        assert rounds.data.tobytes() != unpatched.data.tobytes(), (kind, dom)
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
