@@ -210,6 +210,8 @@ class _Ball(FeasibleSet):
             us[i] = rng.random()
         norms = self.norm_rows(rows)
         short = np.flatnonzero(norms < _MIN_DIRECTION_NORM)
+        # Short rows are the caller's to fill; a norm of 1 keeps their
+        # scale finite meanwhile.
         norms[short] = 1.0
         self._spread(rows, norms.tolist(), us.tolist())
         return short

@@ -285,8 +285,12 @@ LEARNERS = {
     "sc_ofw": (lambda dom: scofw_init(dom, lam=0.5), scofw_update, reference.scofw_update),
     "ogd": (lambda dom: ogd_init(dom, G=2.0), baseline_update, reference.baseline_update),
 }
-KINDS = {"ofw_ls": (LINEAR, QUADRATIC), "ofw_decay": (LINEAR, QUADRATIC), "sc_ofw": (QUADRATIC,),
-         "ogd": (LINEAR, QUADRATIC)}
+KINDS = {
+    "ofw_ls": (LINEAR, QUADRATIC),
+    "ofw_decay": (LINEAR, QUADRATIC),
+    "sc_ofw": (QUADRATIC,),
+    "ogd": (LINEAR, QUADRATIC),
+}
 SETS = {
     "l2_ball": L2Ball(6, 1.0),
     "lp_ball": LpBall(6, 1.0, 1.5),
@@ -328,6 +332,11 @@ def test_updates_equal_the_reference_bit_for_bit(algo, kind, set_kind):
         assert skipped >= 1
 
 
+def _array_copies(state):
+    arrays = {f.name: getattr(state, f.name) for f in fields(state)}
+    return {name: a.copy() for name, a in arrays.items() if isinstance(a, np.ndarray)}
+
+
 @pytest.mark.parametrize("algo", LEARNERS)
 def test_states_are_snapshots_that_later_updates_leave_alone(algo):
     init, update, _ = LEARNERS[algo]
@@ -335,15 +344,13 @@ def test_states_are_snapshots_that_later_updates_leave_alone(algo):
     kind = QUADRATIC if algo == "sc_ofw" else LINEAR
     rounds = make_rounds(LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5), 200, dom)
     state = init(dom)
-    kept = [(state, {f.name: np.copy(getattr(state, f.name)) for f in fields(state)})]
+    kept = [(state, _array_copies(state))]
     for row in rounds.data:
         state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
-        kept.append((state, {f.name: np.copy(getattr(state, f.name)) for f in fields(state)}))
+        kept.append((state, _array_copies(state)))
     for state, copies in kept:
         for name, value in copies.items():
-            now = getattr(state, name)
-            if isinstance(now, np.ndarray):
-                assert now.tobytes() == value.tobytes(), (state.t, name)
+            assert getattr(state, name).tobytes() == value.tobytes(), (state.t, name)
         with pytest.raises(FrozenInstanceError):
             state.x = np.zeros(6)
         with pytest.raises(FrozenInstanceError):
