@@ -552,20 +552,22 @@ def loglog_slope(points: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(regret) against log(T).
 
     Points with nonpositive regret are dropped (their log is undefined);
-    at least 3 surviving points are required. T values must be strictly
-    increasing.
+    at least 3 surviving points are required. T values must be finite,
+    positive and strictly increasing, and regrets finite; a point that is
+    not raises ``ValueError`` naming it.
     """
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
+    for t, r in pts:
+        if not (0.0 < t < math.inf and math.isfinite(r)):
+            raise ValueError(f"point (T={t!r}, regret={r!r}): T must be finite and > 0, regret finite")
     for (t0, _), (t1, _) in zip(pts, pts[1:]):
         if not (t1 > t0):
             raise ValueError("T values must be strictly increasing")
     kept = [(t, r) for t, r in pts if r > 0.0]
     if len(kept) < 3:
-        raise ValueError(
-            f"need at least 3 points with positive regret, got {len(kept)}"
-        )
+        raise ValueError(f"need at least 3 points with positive regret, got {len(kept)}")
     xs = np.log([t for t, _ in kept])
     ys = np.log([r for _, r in kept])
     return float(np.polyfit(xs, ys, 1)[0])
@@ -594,7 +596,7 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     allocated, before any round is generated; a bad or unloggable horizon
     raises ``ConfigError``.
     """
-    hs = [int(h) for h in horizons]
+    hs = [_horizon(h) for h in horizons]
     if not hs:
         raise ConfigError("need at least one horizon")
     for a, b in zip(hs, hs[1:]):
@@ -618,6 +620,17 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     except ValueError:
         result.slope = None
     return result
+
+
+def _horizon(h) -> int:
+    """``h`` as an int; ``ConfigError`` unless it is an integral number, not a bool."""
+    try:
+        n = int(h)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if isinstance(h, (bool, np.bool_)) or n is None or n != h:
+        raise ConfigError(f"horizons must be integers, got {h!r}")
+    return n
 
 
 def sweep_csv(result: SweepResult) -> str:

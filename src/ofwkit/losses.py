@@ -140,8 +140,9 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
     A linear round's gradient has norm exactly G; a quadratic round's
     target is a feasible point of ``domain``.
     """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
+    if not 1 <= t < 2**64:
+        # round_seed keeps t * stride to 64 bits, so round t + 2**64 would be round t.
+        raise ValueError(f"round index must lie in [1, 2**64), got {t}")
     if spec.dim != domain.dim:
         raise ValueError(f"loss dim {spec.dim} does not match set dim {domain.dim}")
     rng = np.random.default_rng(round_seed(spec.seed, t))
@@ -152,7 +153,7 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
             z = rng.standard_normal(spec.dim)
             n = l2_norm(z)
         return (spec.G / n) * z
-    return domain.random_feasible(rng)
+    return domain.sample_rows(1, rng)[0]
 
 
 # Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of

@@ -4,11 +4,10 @@ Each set exposes a linear minimization oracle (``lmo``), which is the only
 piece the projection-free learners touch, plus a Euclidean projection used
 by reference oracles and the projected-gradient baseline. ``lmo_rows`` and
 ``project_rows`` apply them to each row of an (n, dim) array, row i equal
-bit for bit to the per-vector call. ``random_feasible`` draws one
-feasible point from a generator and ``feasible_rows`` one per row from a
-generator each, by the same law; ``sample_rows`` draws a batch of feasible
-points from one generator, and each ball's ``norm_rows`` is its norm of
-each row.
+bit for bit to the per-vector call. ``sample_rows`` draws n feasible points
+from one generator; ``feasible_rows`` fills row i from the i-th of n
+generators, as ``sample_rows(1, ...)`` would, and both scale by one law.
+Each ball's ``norm_rows`` is its norm of each row.
 Balls are centered at the origin; the simplex is the probability simplex.
 
 ``strong_convexity`` is the modulus with which the set body is strongly
@@ -102,46 +101,29 @@ class FeasibleSet:
         raise NotImplementedError
 
     def project_rows(self, x) -> np.ndarray:
-        """``project`` of each row of an (n, dim) array, row i equal to ``project(x[i])``.
-
-        This default projects one row at a time; sets with a faster
-        row-wise form override it.
-        """
-        x = as_rows(x, self.dim)
-        out = np.empty_like(x)
-        for i, row in enumerate(x):
-            out[i] = self.project(row)
-        return out
+        """``project`` of each row of an (n, dim) array, row i equal to ``project(x[i])``."""
+        raise NotImplementedError
 
     def anchor(self) -> np.ndarray:
         """A canonical interior-ish starting point (origin or barycenter)."""
         raise NotImplementedError
 
-    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
-        """A feasible point drawn reproducibly from ``seed``.
+    def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` feasible points drawn from ``rng``, as the rows of an (n, dim) array.
 
-        ``seed`` is an integer seed or a ``np.random.Generator``, which is
-        drawn from as it stands (``np.random.default_rng`` returns it).
+        The set's one sampler; a quadratic round's target is
+        ``sample_rows(1, rng)[0]``. A ball redraws each direction shorter
+        than ``_MIN_DIRECTION_NORM`` before it draws its n uniforms.
         """
         raise NotImplementedError
 
     def feasible_rows(self, rows: np.ndarray, rngs) -> np.ndarray:
-        """Fill row i of the (n, dim) array ``rows`` with ``random_feasible``
-        of the i-th generator of ``rngs``, bit for bit, scaling all rows at
-        once; return the indices of the rows whose first draw
-        ``random_feasible`` would have drawn again.
-
-        Each generator is drawn from once, as ``random_feasible`` draws
-        when it redraws nothing, before the next is taken. The rows
-        returned hold no feasible point; the caller fills them.
-        """
-        raise NotImplementedError
-
-    def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` feasible points drawn from ``rng``, as the rows of an (n, dim) array.
-
-        The batch sampler for checks and tests; it does not reproduce
-        ``random_feasible``'s stream.
+        """Fill row i of the (n, dim) array ``rows`` with ``sample_rows(1, g)[0]``
+        of the i-th generator g of ``rngs``, bit for bit, scaling all rows
+        at once. Each generator is drawn from before the next is taken.
+        Return the indices of the rows whose first direction ``sample_rows``
+        would have drawn again; they hold no feasible point, and the
+        caller fills them.
         """
         raise NotImplementedError
 
@@ -190,18 +172,16 @@ class _Ball(FeasibleSet):
     def anchor(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
-        # Random direction, then a radial factor that keeps the law
+    def sample_rows(self, n, rng):
+        # Random directions, then a radial factor that keeps the law
         # spread over the interior rather than piled on the boundary.
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((1, self.dim))
-        n = self._norm(z[0])
-        while n < _MIN_DIRECTION_NORM:
-            z = rng.standard_normal((1, self.dim))
-            n = self._norm(z[0])
-        # random() draws the same double as uniform(0, 1), without the
-        # argument broadcasting.
-        return self._spread(z, [n], [rng.random()])[0]
+        z = rng.standard_normal((n, self.dim))
+        norms = self.norm_rows(z)
+        for i in np.flatnonzero(norms < _MIN_DIRECTION_NORM).tolist():
+            while norms[i] < _MIN_DIRECTION_NORM:
+                rng.standard_normal(out=z[i])
+                norms[i] = self._norm(z[i])
+        return self._spread(z, norms.tolist(), rng.random(n).tolist())
 
     def feasible_rows(self, rows, rngs):
         us = np.empty(len(rows))
@@ -226,12 +206,6 @@ class _Ball(FeasibleSet):
         e = 1.0 / self.dim
         z *= np.array([self.radius * u**e / n for u, n in zip(us, norms)])[:, None]
         return z
-
-    def sample_rows(self, n, rng):
-        # random_feasible's law, without its redraw of near-zero directions.
-        z = rng.standard_normal((n, self.dim))
-        u = rng.uniform(size=n) ** (1.0 / self.dim)
-        return z * (self.radius * u / self.norm_rows(z))[:, None]
 
     @property
     def diameter(self) -> float:
@@ -602,11 +576,6 @@ class Simplex(FeasibleSet):
     def anchor(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
 
-    def random_feasible(self, seed: int | np.random.Generator) -> np.ndarray:
-        rows = np.empty((1, self.dim))
-        self.feasible_rows(rows, [np.random.default_rng(seed)])
-        return rows[0]
-
     def feasible_rows(self, rows, rngs):
         # Exponential entries over their sum; no draw is redone.
         for row, rng in zip(rows, rngs):
@@ -615,8 +584,9 @@ class Simplex(FeasibleSet):
         return np.empty(0, dtype=np.intp)
 
     def sample_rows(self, n, rng):
-        e = rng.exponential(size=(n, self.dim))
-        return e / e.sum(axis=1, keepdims=True)
+        e = rng.standard_exponential((n, self.dim))
+        e /= e.sum(axis=1, keepdims=True)
+        return e
 
     @property
     def diameter(self) -> float:

@@ -1,4 +1,5 @@
-"""Test-only helpers: a brute-force line-search oracle and all-zero loss rounds."""
+"""Test-only helpers: a brute-force line-search oracle, all-zero loss rounds and
+one seeded feasible point."""
 
 import numpy as np
 
@@ -21,3 +22,8 @@ def grid_line_search(a: float, b: float, grid_size: int) -> float:
 def zero_rounds(T: int, dim: int) -> Rounds:
     """T identically-zero linear losses; handy for fixed-point tests."""
     return as_rounds(LINEAR, 0.0, np.zeros((T, dim)))
+
+
+def feasible_point(domain, seed: int) -> np.ndarray:
+    """The feasible point ``domain`` draws from ``np.random.default_rng(seed)``."""
+    return domain.sample_rows(1, np.random.default_rng(seed))[0]

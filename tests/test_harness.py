@@ -694,6 +694,19 @@ def test_loglog_slope_validation():
     assert loglog_slope(
         [(10.0, -1.0), (20.0, 2.0), (40.0, 4.0), (80.0, 8.0), (160.0, 16.0)]
     ) == pytest.approx(1.0, abs=1e-12)
+    # T must be finite and positive, and regret finite; the error names the point
+    bad_points = [
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)],
+        [(-2.0, 1.0), (1.0, 2.0), (2.0, 3.0)],
+        [(1.0, 1.0), (2.0, 2.0), (math.inf, 3.0)],
+        [(1.0, 1.0), (2.0, 2.0), (math.nan, 3.0)],
+        [(1.0, 1.0), (2.0, math.inf), (4.0, 3.0)],
+        [(1.0, 1.0), (2.0, math.nan), (4.0, 3.0)],
+        [(1.0, -math.inf), (2.0, 2.0), (4.0, 3.0), (8.0, 4.0)],
+    ]
+    for points in bad_points:
+        with pytest.raises(ValueError, match="point"):
+            loglog_slope(points)
 
 
 def test_sweep_runs_fresh_learners_and_fits_slope():
@@ -761,6 +774,14 @@ def test_sweep_validation():
     # every horizon is checked before the first run
     with pytest.raises(ConfigError, match="horizon"):
         sweep(_spec(), [0, 10**9])
+    # horizons are integral numbers: no truncation, no bools
+    for horizons in ([16.7, 32.2, 64.9], [True, 2, 3], [16, np.bool_(True)], [16, "32"], [16, math.inf]):
+        with pytest.raises(ConfigError, match="horizons must be integers"):
+            sweep(_spec(), horizons)
+    numpy_ints = sweep(_spec(), [np.int64(16), np.int32(32), 64.0])
+    assert numpy_ints.horizons == [16, 32, 64]
+    assert all(type(h) is int for h in numpy_ints.horizons)
+    assert numpy_ints.regrets == sweep(_spec(), [16, 32, 64]).regrets
 
 
 def test_sweep_slope_none_with_too_few_horizons():

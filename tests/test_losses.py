@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _helpers import zero_rounds
+from _helpers import feasible_point, zero_rounds
 
 from ofwkit import losses, sets
 from ofwkit.losses import (
@@ -78,6 +78,11 @@ def test_linear_round_kind_checks():
     lin = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
     with pytest.raises(ValueError):
         make_round(lin, 0, L2Ball(3, 1.0))
+    # round_seed keeps t * stride to 64 bits: round 2**64 + 1 would replay round 1
+    for t in (2**64, 2**64 + 1, 2**70):
+        with pytest.raises(ValueError, match="round index"):
+            make_round(lin, t, L2Ball(3, 1.0))
+    assert make_round(lin, 2**64 - 1, L2Ball(3, 1.0)).shape == (3,)
     with pytest.raises(ValueError):
         make_round(lin, 1, L2Ball(4, 1.0))
 
@@ -148,8 +153,8 @@ def test_linear_losses_are_G_lipschitz_sampled():
     rng = np.random.default_rng(6)
     for t in range(1, 201):
         g = make_round(spec, t, dom)
-        x = dom.random_feasible(int(rng.integers(1 << 30)))
-        y = dom.random_feasible(int(rng.integers(1 << 30)))
+        x = feasible_point(dom, int(rng.integers(1 << 30)))
+        y = feasible_point(dom, int(rng.integers(1 << 30)))
         gap = abs(loss_at(LINEAR, 0.0, g, x)[0] - loss_at(LINEAR, 0.0, g, y)[0])
         assert gap <= 1.0 * float(np.linalg.norm(x - y)) + 1e-9
 
@@ -163,8 +168,8 @@ def test_quadratic_losses_are_certified_lipschitz_over_set():
     rng = np.random.default_rng(7)
     for t in range(1, 201):
         target = make_round(spec, t, dom)
-        x = dom.random_feasible(int(rng.integers(1 << 30)))
-        y = dom.random_feasible(int(rng.integers(1 << 30)))
+        x = feasible_point(dom, int(rng.integers(1 << 30)))
+        y = feasible_point(dom, int(rng.integers(1 << 30)))
         (fx, gx), (fy, _) = (loss_at(QUADRATIC, spec.lam, target, z) for z in (x, y))
         assert abs(fx - fy) <= G * float(np.linalg.norm(x - y)) + 1e-9
         assert float(np.linalg.norm(gx)) <= G + 1e-12

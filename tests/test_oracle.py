@@ -1,7 +1,7 @@
 import _comparator_reference as reference
 import numpy as np
 import pytest
-from _helpers import grid_line_search
+from _helpers import feasible_point, grid_line_search
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
 from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds, loss_at, make_rounds
@@ -71,7 +71,7 @@ def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
         assert val == pytest.approx(state.value(xh), rel=1e-12)
         assert dom.contains(xh, 1e-9)
     for k in range(500):
-        assert val <= state.value(dom.random_feasible(k)) + 1e-9
+        assert val <= state.value(feasible_point(dom, k)) + 1e-9
 
 
 def test_surrogate_argmin_on_simplex():
@@ -84,7 +84,7 @@ def test_surrogate_argmin_on_simplex():
     assert dom.contains(xh, 1e-9)
     # beat a feasible sample cloud
     for k in range(500):
-        assert val <= state.value(dom.random_feasible(k)) + 1e-9
+        assert val <= state.value(feasible_point(dom, k)) + 1e-9
 
 
 def test_failed_certificate_raises(monkeypatch):
@@ -139,7 +139,7 @@ def test_offline_comparator_quadratic_matches_sample_cloud():
     assert dom.contains(x_star, 1e-9)
     assert total == pytest.approx(_total_loss(rounds, x_star), rel=1e-12, abs=1e-12)
     for k in range(2000):
-        x = dom.random_feasible(k)
+        x = feasible_point(dom, k)
         assert total <= _total_loss(rounds, x) + 1e-6
 
 
@@ -151,7 +151,7 @@ def test_offline_comparator_linear_matches_sample_cloud():
     total = totals[-1]
     assert dom.contains(x_star, 1e-9)
     for k in range(5000):
-        x = dom.random_feasible(k)
+        x = feasible_point(dom, k)
         assert total <= _total_loss(rounds, x) + 1e-9
 
 
@@ -218,7 +218,7 @@ def test_prefix_minimizers_beat_any_fixed_point():
     )
     rng = np.random.default_rng(9)
     for k in range(500):
-        u = dom.random_feasible(k)
+        u = feasible_point(dom, k)
         rhs = sum(reg_loss(rounds[t], played[t], u) for t in range(len(rounds)))
         assert lhs <= rhs + 1e-6
 
@@ -235,7 +235,7 @@ def test_strong_convexity_consequences_of_surrogates():
     x_star, best = surrogate_argmin(state, tol=1e-12)
     rng = np.random.default_rng(11)
     for k in range(300):
-        x = dom.random_feasible(k)
+        x = feasible_point(dom, k)
         subopt = state.value(x) - best
         dist_sq = float((x - x_star) @ (x - x_star))
         assert 0.5 * alpha * dist_sq <= subopt + 1e-9

@@ -1,5 +1,7 @@
+import _sampler_reference as reference
 import numpy as np
 import pytest
+from _helpers import feasible_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,7 +95,7 @@ def test_lmo_feasible_and_optimal_sampled(dom):
         g = rng.standard_normal(dom.dim)
         out = dom.lmo(g)
         assert dom.contains(out, 1e-9)
-        x = dom.random_feasible(int(rng.integers(1 << 30)))
+        x = feasible_point(dom, int(rng.integers(1 << 30)))
         assert float(g @ out) <= float(g @ x) + 1e-9
 
 
@@ -119,7 +121,7 @@ def test_project_simplex_examples():
 
 def test_project_inside_is_identity():
     for dom in ALL_SETS:
-        x = dom.random_feasible(5)
+        x = feasible_point(dom, 5)
         np.testing.assert_allclose(dom.project(x), x, atol=1e-12)
 
 
@@ -161,7 +163,7 @@ def test_project_lp_minimizes_distance():
     p = ball.project(w)
     d_star = float(np.linalg.norm(w - p))
     for k in range(2000):
-        x = ball.random_feasible(k)
+        x = feasible_point(ball, k)
         assert d_star <= float(np.linalg.norm(w - x)) + 1e-9
 
 
@@ -193,17 +195,59 @@ def test_anchor_values():
 @pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
 def test_random_feasible_deterministic_and_feasible(dom):
     for seed in range(30):
-        x1 = dom.random_feasible(seed)
-        x2 = dom.random_feasible(seed)
+        x1 = feasible_point(dom, seed)
+        x2 = feasible_point(dom, seed)
         np.testing.assert_array_equal(x1, x2)
         assert dom.contains(x1, 1e-12)
-    assert not np.array_equal(dom.random_feasible(1), dom.random_feasible(2))
+    assert not np.array_equal(feasible_point(dom, 1), feasible_point(dom, 2))
 
 
 def test_random_feasible_simplex_sums_to_one():
     dom = Simplex(7)
     for seed in range(20):
-        assert float(dom.random_feasible(seed).sum()) == pytest.approx(1.0, abs=1e-12)
+        assert float(feasible_point(dom, seed).sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _sampler_sets(dim):
+    return [
+        L2Ball(dim, 1.3),
+        LpBall(dim, 0.7, 1.5),
+        LpBall(dim, 2.0, 1.01),
+        L1Ball(dim, 0.5),
+        Simplex(dim),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 17, 100])
+def test_sample_rows_one_row_equals_reference_sampler(dim):
+    for dom in _sampler_sets(dim):
+        for k in range(100):
+            got = dom.sample_rows(1, np.random.default_rng(k))
+            want = reference.feasible_point(dom, np.random.default_rng(k))
+            assert got.shape == (1, dim)
+            assert got[0].tobytes() == want.tobytes(), (dom, k)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sample_rows_redraws_short_directions_as_reference_sampler(monkeypatch, dim):
+    # At a minimum norm of 2, many draws in these dims are redrawn, some
+    # several times, before the uniforms are drawn.
+    monkeypatch.setattr("ofwkit.sets._MIN_DIRECTION_NORM", 2.0)
+    for dom in _sampler_sets(dim):
+        for k in range(100):
+            got = dom.sample_rows(1, np.random.default_rng(k))[0]
+            want = reference.feasible_point(dom, np.random.default_rng(k))
+            assert got.tobytes() == want.tobytes(), (dom, k)
+        for x in dom.sample_rows(200, np.random.default_rng(dim)):
+            assert dom.contains(x), dom
+
+
+def test_simplex_sample_rows_equal_reference_batches():
+    for dim in (1, 4, 33):
+        dom = Simplex(dim)
+        got = dom.sample_rows(300, np.random.default_rng(dim))
+        want = reference.simplex_batch(dom, 300, np.random.default_rng(dim))
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
@@ -224,8 +268,8 @@ def test_strong_convexity_certificates_sampled():
         alpha = dom.strong_convexity
         rng = np.random.default_rng(27)
         for _ in range(500):
-            x = dom.random_feasible(int(rng.integers(1 << 30)))
-            y = dom.random_feasible(int(rng.integers(1 << 30)))
+            x = feasible_point(dom, int(rng.integers(1 << 30)))
+            y = feasible_point(dom, int(rng.integers(1 << 30)))
             gamma = rng.uniform()
             z = rng.standard_normal(dom.dim)
             z /= np.linalg.norm(z)
