@@ -34,7 +34,12 @@ __all__ = ["main"]
 
 def _load_spec(path: str) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            why = f"{exc.reason} at byte {exc.start}"
+            raise ConfigError(f"{path} is not UTF-8 text: {why}") from None
+    return parse_config(text)
 
 
 def _write_text(path: str | None, text: str):

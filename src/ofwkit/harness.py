@@ -316,9 +316,11 @@ def certificate(spec: ExperimentSpec) -> Certificate:
     G, lam = certify_constants(spec.loss, spec.domain)
     D, alpha = spec.domain.diameter, spec.domain.strong_convexity
     eta = None
-    if spec.algo == ALGO_OFW_LS:
+    # eta divides by G; a G that is not positive is refused with the other
+    # derived constants.
+    if spec.algo == ALGO_OFW_LS and G > 0.0:
         eta = ofw_step_size_parameter(D, G, spec.horizon)
-    elif spec.algo == ALGO_OFW_DECAY:
+    elif spec.algo == ALGO_OFW_DECAY and G > 0.0:
         eta = ofw_decay_step_size_parameter(D, G, spec.horizon)
     make = partial(Certificate, G, lam, D, alpha, eta)
     if spec.algo == ALGO_OFW_LS and alpha > 0.0:

@@ -61,20 +61,16 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     the round of the first failing row. Rows without positive curvature
     have no unique minimizer; their minima are NaN.
     """
-    # The block's arrays set the process's peak memory, so the free
-    # minimizers x0 - g0 / curvature are worked in g0's buffer, and the
-    # surrogates' sums are dropped during the projection and rebuilt.
-    curvature, gradient = state.surrogate_rows(xs, gs)[:2]
+    # The free minimizers x0 - g0 / curvature are worked in g0's buffer.
+    curvature, gradient, values = state.surrogate_rows(xs, gs)
     live = curvature > 0.0
     domain = state.domain
     x0 = domain.anchor()
     x = gradient(x0)
-    del gradient
     stay = ~x.any(axis=1)
     x /= np.where(live, curvature, 1.0)[:, None]
     x = domain.project_rows(np.subtract(x0, x, out=x))
     x[stay] = x0
-    gradient, values = state.surrogate_rows(xs, gs)[1:]
     grad = gradient(x)
     step = domain.lmo_rows(grad)
     fw_gaps = row_dots(grad, np.subtract(x, step, out=step))

@@ -1,8 +1,11 @@
 """Self-check battery: geometry, learner identities, and bound conformance.
 
-Each check returns a named pass/fail record with a counterexample in the
-detail string when it fails, so a corrupted component is pinned to the
-check that caught it. Scopes: ``sets``, ``learners``, ``bounds``, ``all``.
+Each check is a named zero-argument callable returning ``(passed, detail)``,
+with a counterexample in the detail string when it fails, so a corrupted
+component is pinned to the check that caught it. ``verify_suite`` runs
+each check on its own: a check that raises fails under its own name, with
+the exception as its detail, and the checks after it still run. Scopes:
+``sets``, ``learners``, ``bounds``, ``all``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -88,8 +92,7 @@ def _sample_ambient_batch(domain, n: int, rng) -> np.ndarray:
 # -- sets -------------------------------------------------------------------
 
 
-def _check_lmo_optimality(kind, domain, n=10_000, seed=91) -> CheckResult:
-    name = f"sets.lmo_optimality.{kind}"
+def _check_lmo_optimality(domain, n=10_000, seed=91) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     grads = rng.standard_normal((n, domain.dim))
     points = domain.sample_rows(n, rng)
@@ -108,24 +111,19 @@ def _check_lmo_optimality(kind, domain, n=10_000, seed=91) -> CheckResult:
     beaten = np.flatnonzero(lhs > rhs + FEAS_SLACK)
     if beaten.size:
         i = int(beaten[0])
-        return CheckResult(
-            name,
-            "sets",
-            False,
+        return False, (
             f"lmo beaten at sample {i}: g={grads[i].tolist()} x={points[i].tolist()} "
-            f"lmo_value={float(lhs[i])!r} sample_value={float(rhs[i])!r}",
+            f"lmo_value={float(lhs[i])!r} sample_value={float(rhs[i])!r}"
         )
     if infeasible is not None:
-        g = grads[infeasible]
-        return CheckResult(name, "sets", False, f"lmo output infeasible: g={g.tolist()}")
-    return CheckResult(name, "sets", True, f"{n} sampled objectives, none beat the oracle")
+        return False, f"lmo output infeasible: g={grads[infeasible].tolist()}"
+    return True, f"{n} sampled objectives, none beat the oracle"
 
 
-def _check_strong_convexity_definition(kind, domain, n=10_000, seed=92) -> CheckResult:
+def _check_strong_convexity_definition(domain, n=10_000, seed=92) -> tuple[bool, str]:
     # Midpoint certificates: every gamma-mix of feasible points may be
     # pushed out by gamma(1-gamma)(alpha/2)||x-y||^2 in any unit direction
     # and must stay inside the set.
-    name = f"sets.strong_convexity_definition.{kind}"
     alpha = domain.strong_convexity
     rng = np.random.default_rng(seed)
     x = domain.sample_rows(n, rng)
@@ -139,36 +137,29 @@ def _check_strong_convexity_definition(kind, domain, n=10_000, seed=92) -> Check
     bad = np.nonzero(norms > domain.radius + FEAS_SLACK)[0]
     if bad.size:
         i = int(bad[0])
-        return CheckResult(
-            name,
-            "sets",
-            False,
+        return False, (
             f"{bad.size} of {n} certificates infeasible; first at sample {i}: "
             f"norm={float(norms[i])!r} radius={domain.radius!r} "
-            f"x={x[i].tolist()} y={y[i].tolist()} gamma={float(gamma[i, 0])!r}",
+            f"x={x[i].tolist()} y={y[i].tolist()} gamma={float(gamma[i, 0])!r}"
         )
-    return CheckResult(name, "sets", True, f"{n} certificates feasible (modulus {alpha:.6g})")
+    return True, f"{n} certificates feasible (modulus {alpha:.6g})"
 
 
-def _check_projection_idempotent(kind, domain, n, seed=93) -> CheckResult:
-    name = f"sets.projection_idempotent.{kind}"
+def _check_projection_idempotent(domain, n=300, seed=93) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     pts = _sample_ambient_batch(domain, n, rng)
     for i in range(n):
         p1 = domain.project(pts[i])
         if not domain.contains(p1, FEAS_SLACK):
-            return CheckResult(name, "sets", False, f"projection infeasible: w={pts[i].tolist()}")
+            return False, f"projection infeasible: w={pts[i].tolist()}"
         p2 = domain.project(p1)
         drift = float(np.linalg.norm(p1 - p2))
         if drift > FEAS_SLACK:
-            return CheckResult(
-                name, "sets", False, f"not idempotent: w={pts[i].tolist()} drift={drift!r}"
-            )
-    return CheckResult(name, "sets", True, f"{n} projections idempotent")
+            return False, f"not idempotent: w={pts[i].tolist()} drift={drift!r}"
+    return True, f"{n} projections idempotent"
 
 
-def _check_projection_nonexpansive(kind, domain, n, seed=94) -> CheckResult:
-    name = f"sets.projection_nonexpansive.{kind}"
+def _check_projection_nonexpansive(domain, n=300, seed=94) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     a = _sample_ambient_batch(domain, n, rng)
     b = _sample_ambient_batch(domain, n, rng)
@@ -176,17 +167,11 @@ def _check_projection_nonexpansive(kind, domain, n, seed=94) -> CheckResult:
         lhs = float(np.linalg.norm(domain.project(a[i]) - domain.project(b[i])))
         rhs = float(np.linalg.norm(a[i] - b[i]))
         if lhs > rhs + FEAS_SLACK:
-            return CheckResult(
-                name,
-                "sets",
-                False,
-                f"expansion at pair {i}: |Pa-Pb|={lhs!r} > |a-b|={rhs!r}",
-            )
-    return CheckResult(name, "sets", True, f"{n} pairs nonexpansive")
+            return False, f"expansion at pair {i}: |Pa-Pb|={lhs!r} > |a-b|={rhs!r}"
+    return True, f"{n} pairs nonexpansive"
 
 
-def _check_diameter(kind, domain, n=10_000, seed=95) -> CheckResult:
-    name = f"sets.diameter.{kind}"
+def _check_diameter(domain, n=10_000, seed=95) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     a = domain.sample_rows(n, rng)
     b = domain.sample_rows(n, rng)
@@ -194,12 +179,9 @@ def _check_diameter(kind, domain, n=10_000, seed=95) -> CheckResult:
     worst = float(dists.max())
     if worst > domain.diameter + FEAS_SLACK:
         i = int(np.argmax(dists))
-        return CheckResult(
-            name,
-            "sets",
-            False,
+        return False, (
             f"sampled distance {worst!r} exceeds diameter {domain.diameter!r}: "
-            f"a={a[i].tolist()} b={b[i].tolist()}",
+            f"a={a[i].tolist()} b={b[i].tolist()}"
         )
     # Achievability witness: the oracle's points for -e_1 and e_1, a
     # diameter apart on every set here (antipodal points, or two vertices).
@@ -207,27 +189,22 @@ def _check_diameter(kind, domain, n=10_000, seed=95) -> CheckResult:
     w1, w2 = domain.lmo(-e1), domain.lmo(e1)
     witness = float(np.linalg.norm(w1 - w2))
     if not domain.contains(w1, FEAS_SLACK) or not domain.contains(w2, FEAS_SLACK):
-        return CheckResult(name, "sets", False, "diameter witness pair infeasible")
+        return False, "diameter witness pair infeasible"
     if abs(witness - domain.diameter) > FEAS_SLACK:
-        return CheckResult(
-            name,
-            "sets",
-            False,
-            f"witness distance {witness!r} does not attain diameter {domain.diameter!r}",
-        )
-    return CheckResult(name, "sets", True, f"max of {n} sampled distances {worst:.6g}, witness attains")
+        return False, f"witness distance {witness!r} does not attain diameter {domain.diameter!r}"
+    return True, f"max of {n} sampled distances {worst:.6g}, witness attains"
 
 
-def _set_checks() -> list[CheckResult]:
-    out = []
+def _set_checks():
     for kind, domain in _canonical_sets():
-        out.append(_check_lmo_optimality(kind, domain))
+        yield f"sets.lmo_optimality.{kind}", partial(_check_lmo_optimality, domain)
         if domain.strong_convexity > 0.0:
-            out.append(_check_strong_convexity_definition(kind, domain))
-        out.append(_check_projection_idempotent(kind, domain, 300))
-        out.append(_check_projection_nonexpansive(kind, domain, 300))
-        out.append(_check_diameter(kind, domain))
-    return out
+            check = partial(_check_strong_convexity_definition, domain)
+            yield f"sets.strong_convexity_definition.{kind}", check
+        yield f"sets.projection_idempotent.{kind}", partial(_check_projection_idempotent, domain)
+        check = partial(_check_projection_nonexpansive, domain)
+        yield f"sets.projection_nonexpansive.{kind}", check
+        yield f"sets.diameter.{kind}", partial(_check_diameter, domain)
 
 
 # -- learners ---------------------------------------------------------------
@@ -244,8 +221,7 @@ def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
     return states, rounds
 
 
-def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
-    name = "learners.surrogate_identity.ofw_ls"
+def _check_surrogate_identity_ofw(seed=31) -> tuple[bool, str]:
     domain = L2Ball(6, 1.0)
     spec = LossSpec(kind=LINEAR, dim=6, seed=seed, G=1.0)
     states, rounds = _run_with_states(ALGO_OFW_LS, domain, spec, 48)
@@ -260,14 +236,13 @@ def _check_surrogate_identity_ofw(seed=31) -> CheckResult:
                 naive_grad = naive_grad + state.eta * g
                 naive_val += state.eta * float(np.dot(g, y))
             if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
-                return CheckResult(name, "learners", False, f"gradient mismatch at t={t} y={y.tolist()}")
+                return False, f"gradient mismatch at t={t} y={y.tolist()}"
             if abs(state.value(y) - naive_val) > 1e-9:
-                return CheckResult(name, "learners", False, f"value mismatch at t={t} y={y.tolist()}")
-    return CheckResult(name, "learners", True, "running sums match naive summation")
+                return False, f"value mismatch at t={t} y={y.tolist()}"
+    return True, "running sums match naive summation"
 
 
-def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
-    name = "learners.surrogate_identity.sc_ofw"
+def _check_surrogate_identity_scofw(seed=32) -> tuple[bool, str]:
     domain = L2Ball(6, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
     states, rounds = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
@@ -286,16 +261,15 @@ def _check_surrogate_identity_scofw(seed=32) -> CheckResult:
                     np.dot(y - x_tau, y - x_tau)
                 )
             if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
-                return CheckResult(name, "learners", False, f"gradient mismatch at t={t} y={y.tolist()}")
+                return False, f"gradient mismatch at t={t} y={y.tolist()}"
             if abs(state.value(y) - naive_val) > 1e-9:
-                return CheckResult(name, "learners", False, f"value mismatch at t={t} y={y.tolist()}")
-    return CheckResult(name, "learners", True, "running sums match naive summation")
+                return False, f"value mismatch at t={t} y={y.tolist()}"
+    return True, "running sums match naive summation"
 
 
-def _check_contraction(algo: str, n_steps=100, seed=33) -> CheckResult:
+def _check_contraction(algo: str, n_steps=100, seed=33) -> tuple[bool, str]:
     # One oracle step must shrink the surrogate gap by the per-step factor
     # max(1/2, 1 - alpha * ||grad F|| / (8 * curvature)).
-    name = f"learners.contraction.{algo}"
     domain = L2Ball(10, 1.0)
     if algo == ALGO_OFW_LS:
         spec = LossSpec(kind=LINEAR, dim=10, seed=seed, G=1.0)
@@ -314,18 +288,12 @@ def _check_contraction(algo: str, n_steps=100, seed=33) -> CheckResult:
         gnorm = float(np.linalg.norm(post.gradient(pre.x)))
         factor = max(0.5, 1.0 - alpha * gnorm / (8.0 * post.curvature))
         if h_out > h_in * factor + GAP_SLACK:
-            return CheckResult(
-                name,
-                "learners",
-                False,
-                f"step t={t}: h_in={h_in!r} h_out={h_out!r} factor={factor!r}",
-            )
-    return CheckResult(name, "learners", True, f"{n_steps} sampled steps contract")
+            return False, f"step t={t}: h_in={h_in!r} h_out={h_out!r} factor={factor!r}"
+    return True, f"{n_steps} sampled steps contract"
 
 
-def _check_comparator_drift_ofw(seed=34) -> CheckResult:
+def _check_comparator_drift_ofw(seed=34) -> tuple[bool, str]:
     # Consecutive surrogate minimizers move by at most eta * G.
-    name = "learners.comparator_drift.ofw_ls"
     domain = L2Ball(8, 1.0)
     spec = LossSpec(kind=LINEAR, dim=8, seed=seed, G=1.0)
     horizon = 128
@@ -338,16 +306,13 @@ def _check_comparator_drift_ofw(seed=34) -> CheckResult:
         cur, _ = surrogate_argmin(states[t], tol=tol)
         move = float(np.linalg.norm(cur - prev))
         if move > eta * spec.G + slack:
-            return CheckResult(
-                name, "learners", False, f"minimizer moved {move!r} > eta*G={eta * spec.G!r} at t={t}"
-            )
+            return False, f"minimizer moved {move!r} > eta*G={eta * spec.G!r} at t={t}"
         prev = cur
-    return CheckResult(name, "learners", True, f"{horizon} increments within eta*G")
+    return True, f"{horizon} increments within eta*G"
 
 
-def _check_comparator_drift_scofw(seed=35) -> CheckResult:
+def _check_comparator_drift_scofw(seed=35) -> tuple[bool, str]:
     # Minimizers of consecutive surrogates approach at rate 2(G+lam D)/(lam (t-1)).
-    name = "learners.comparator_drift.sc_ofw"
     domain = L2Ball(8, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=8, seed=seed, lam=1.0)
     horizon = 128
@@ -362,17 +327,14 @@ def _check_comparator_drift_scofw(seed=35) -> CheckResult:
         allowed = 2.0 * lip / (lam * (t - 1.0))
         slack = (2.0 * tol / (lam * (t - 2.0))) ** 0.5 + (2.0 * tol / (lam * (t - 1.0))) ** 0.5
         if move > allowed + slack:
-            return CheckResult(
-                name, "learners", False, f"minimizer moved {move!r} > {allowed!r} at t={t}"
-            )
+            return False, f"minimizer moved {move!r} > {allowed!r} at t={t}"
         prev = cur
-    return CheckResult(name, "learners", True, "increments within 2(G+lam D)/(lam (t-1))")
+    return True, "increments within 2(G+lam D)/(lam (t-1))"
 
 
-def _check_surrogate_lipschitz(seed=36, n=2000) -> CheckResult:
+def _check_surrogate_lipschitz(seed=36, n=2000) -> tuple[bool, str]:
     # The regularized per-round loss <g_t, x> + (lam/2)||x - x_t||^2 is
     # (G + lam D)-Lipschitz over the set.
-    name = "learners.regularized_loss_lipschitz"
     domain = L2Ball(10, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=10, seed=seed, lam=1.0)
     G, lam = certify_constants(spec, domain)
@@ -391,20 +353,14 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> CheckResult:
         gap = abs(reg_loss(ys[i]) - reg_loss(zs[i]))
         allowed = lip * float(np.linalg.norm(ys[i] - zs[i])) + FEAS_SLACK
         if gap > allowed:
-            return CheckResult(
-                name,
-                "learners",
-                False,
-                f"pair {i}: |delta|={gap!r} exceeds {allowed!r}",
-            )
-    return CheckResult(name, "learners", True, f"{n} pairs within G + lam*D")
+            return False, f"pair {i}: |delta|={gap!r} exceeds {allowed!r}"
+    return True, f"{n} pairs within G + lam*D"
 
 
-def _check_step_cost_linear() -> CheckResult:
+def _check_step_cost_linear() -> tuple[bool, str]:
     # Doubling the horizon should roughly double the runtime; a history
     # scan per round would quadruple it. The two horizons are timed in
     # turn, best of 3 each, so a burst of load on the host slows both.
-    name = "learners.per_round_cost_constant"
     domain = L2Ball(10, 1.0)
     loss = LossSpec(kind=LINEAR, dim=10, seed=7, G=1.0)
     specs = [
@@ -419,150 +375,95 @@ def _check_step_cost_linear() -> CheckResult:
     t_small, t_big = best
     ratio = t_big / max(t_small, 1e-9)
     if ratio > 3.2:
-        return CheckResult(
-            name, "learners", False, f"runtime ratio {ratio:.2f} for 2x horizon (expected ~2)"
-        )
-    return CheckResult(name, "learners", True, f"runtime ratio {ratio:.2f} for 2x horizon")
+        return False, f"runtime ratio {ratio:.2f} for 2x horizon (expected ~2)"
+    return True, f"runtime ratio {ratio:.2f} for 2x horizon"
 
 
-def _learner_checks() -> list[CheckResult]:
-    return [
-        _check_surrogate_identity_ofw(),
-        _check_surrogate_identity_scofw(),
-        _check_contraction(ALGO_OFW_LS),
-        _check_contraction(ALGO_SC_OFW),
-        _check_comparator_drift_ofw(),
-        _check_comparator_drift_scofw(),
-        _check_surrogate_lipschitz(),
-        _check_step_cost_linear(),
-    ]
+def _learner_checks():
+    yield "learners.surrogate_identity.ofw_ls", _check_surrogate_identity_ofw
+    yield "learners.surrogate_identity.sc_ofw", _check_surrogate_identity_scofw
+    for algo in (ALGO_OFW_LS, ALGO_SC_OFW):
+        yield f"learners.contraction.{algo}", partial(_check_contraction, algo)
+    yield "learners.comparator_drift.ofw_ls", _check_comparator_drift_ofw
+    yield "learners.comparator_drift.sc_ofw", _check_comparator_drift_scofw
+    yield "learners.regularized_loss_lipschitz", _check_surrogate_lipschitz
+    yield "learners.per_round_cost_constant", _check_step_cost_linear
 
 
 # -- bounds -----------------------------------------------------------------
 
 
-def _bound_specs():
-    return [
-        (
-            "ofw_ls_l2",
-            ExperimentSpec(
-                domain=L2Ball(10, 1.0),
-                loss=LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0),
-                algo=ALGO_OFW_LS,
-                horizon=512,
-                gap_check=True,
-                gap_cap=512,
-            ),
-        ),
-        (
-            "sc_ofw_l2",
-            ExperimentSpec(
-                domain=L2Ball(10, 1.0),
-                loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0),
-                algo=ALGO_SC_OFW,
-                horizon=512,
-                gap_check=True,
-                gap_cap=512,
-            ),
-        ),
-        (
-            "sc_ofw_simplex",
-            ExperimentSpec(
-                domain=Simplex(10),
-                loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0),
-                algo=ALGO_SC_OFW,
-                horizon=512,
-                gap_check=True,
-                gap_cap=512,
-            ),
-        ),
-    ]
+# tag, set, loss kind, learner: each at dim 10, seed 1, unit G or lambda,
+# T = 512, every round's gap measured.
+_BOUND_SPECS = (
+    ("ofw_ls_l2", partial(L2Ball, 10, 1.0), LINEAR, ALGO_OFW_LS),
+    ("sc_ofw_l2", partial(L2Ball, 10, 1.0), QUADRATIC, ALGO_SC_OFW),
+    ("sc_ofw_simplex", partial(Simplex, 10), QUADRATIC, ALGO_SC_OFW),
+)
 
 
-def _check_gap_schedule(tag: str, spec: ExperimentSpec) -> CheckResult:
-    name = f"bounds.gap_schedule.{tag}"
+def _bound_spec(make_set, kind: str, algo: str) -> ExperimentSpec:
+    unit = {"G": 1.0} if kind == LINEAR else {"lam": 1.0}
+    loss = LossSpec(kind=kind, dim=10, seed=1, **unit)
+    return ExperimentSpec(
+        domain=make_set(), loss=loss, algo=algo, horizon=512, gap_check=True, gap_cap=512
+    )
+
+
+def _check_gap_schedule(spec: ExperimentSpec) -> tuple[bool, str]:
     trace = run_experiment(spec)
     measured = ~np.isnan(trace.gap)
     if not measured.any():
-        return CheckResult(name, "bounds", False, "no gaps were measured")
+        return False, "no gaps were measured"
     if np.nanmin(trace.gap) < -FEAS_SLACK:
         i = int(np.nanargmin(trace.gap))
-        return CheckResult(
-            name, "bounds", False, f"negative gap {float(trace.gap[i])!r} at t={i + 1}"
-        )
+        return False, f"negative gap {float(trace.gap[i])!r} at t={i + 1}"
     if spec.algo == ALGO_OFW_LS and trace.gap[0] > FEAS_SLACK:
-        return CheckResult(
-            name, "bounds", False, f"first-round gap {float(trace.gap[0])!r} should be 0"
-        )
+        return False, f"first-round gap {float(trace.gap[0])!r} should be 0"
     # Comparisons with the NaN of an unmeasured or unbounded round are false.
     over = np.flatnonzero(trace.gap > trace.gap_bound + GAP_SLACK)
     if over.size:
         i = int(over[0])
         gap, bound = float(trace.gap[i]), float(trace.gap_bound[i])
-        return CheckResult(
-            name, "bounds", False, f"gap {gap!r} exceeds bound {bound!r} at t={i + 1}"
-        )
+        return False, f"gap {gap!r} exceeds bound {bound!r} at t={i + 1}"
     worst = float(np.nanmax(trace.gap / np.where(measured, trace.gap_bound, np.nan)))
-    return CheckResult(
-        name, "bounds", True, f"gaps within schedule; worst gap/bound ratio {worst:.3g}"
-    )
+    return True, f"gaps within schedule; worst gap/bound ratio {worst:.3g}"
 
 
-def _check_regret_bound(tag: str, spec: ExperimentSpec) -> CheckResult:
-    name = f"bounds.regret.{tag}"
+def _check_regret_bound(spec: ExperimentSpec) -> tuple[bool, str]:
     trace = run_experiment(replace(spec, horizon=1024, gap_check=False))
     if trace.final_regret > trace.final_bound:
-        return CheckResult(
-            name,
-            "bounds",
-            False,
-            f"final regret {trace.final_regret!r} exceeds bound {trace.final_bound!r}",
-        )
+        return False, f"final regret {trace.final_regret!r} exceeds bound {trace.final_bound!r}"
     over = np.nonzero(trace.regret > trace.theorem_bound)[0]
     if over.size:
         t = int(over[0] + 1)
-        return CheckResult(
-            name,
-            "bounds",
-            False,
-            f"per-round regret {trace.regret[over[0]]!r} exceeds bound at t={t}",
-        )
-    return CheckResult(
-        name,
-        "bounds",
-        True,
-        f"R(T)={trace.final_regret:.6g} within bound {trace.final_bound:.6g}",
-    )
+        return False, f"per-round regret {trace.regret[over[0]]!r} exceeds bound at t={t}"
+    return True, f"R(T)={trace.final_regret:.6g} within bound {trace.final_bound:.6g}"
 
 
-def _bound_checks() -> list[CheckResult]:
-    out = []
-    for tag, spec in _bound_specs():
-        out.append(_check_gap_schedule(tag, spec))
-        out.append(_check_regret_bound(tag, spec))
-    return out
+def _bound_checks():
+    for tag, *row in _BOUND_SPECS:
+        spec = partial(_bound_spec, *row)
+        yield f"bounds.gap_schedule.{tag}", lambda spec=spec: _check_gap_schedule(spec())
+        yield f"bounds.regret.{tag}", lambda spec=spec: _check_regret_bound(spec())
 
 
 # -- driver -------------------------------------------------------------------
 
 
 def verify_suite(scope: str = "all") -> VerifyReport:
-    """Run the named scope's checks; exceptions count as failures."""
+    """Run the named scope's checks; a check that raises fails, naming the exception."""
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    makers = []
-    if scope in ("sets", "all"):
-        makers.append(_set_checks)
-    if scope in ("learners", "all"):
-        makers.append(_learner_checks)
-    if scope in ("bounds", "all"):
-        makers.append(_bound_checks)
     results: list[CheckResult] = []
-    for make in makers:
-        try:
-            results.extend(make())
-        except Exception as exc:  # a crashed check is a failed check
-            results.append(
-                CheckResult(f"{make.__name__}.crashed", "internal", False, repr(exc))
-            )
+    parts = (("sets", _set_checks), ("learners", _learner_checks), ("bounds", _bound_checks))
+    for part, checks in parts:
+        if scope not in (part, "all"):
+            continue
+        for name, check in checks():
+            try:
+                passed, detail = check()
+            except Exception as exc:  # a crashed check is a failed check
+                passed, detail = False, repr(exc)
+            results.append(CheckResult(name, part, passed, detail))
     return VerifyReport(results)

@@ -206,13 +206,14 @@ def test_criterion_6_regret_growth_slopes():
 def test_criterion_7_per_step_contraction():
     res_ofw = _check_contraction(ALGO_OFW_LS, n_steps=100)
     res_sc = _check_contraction(ALGO_SC_OFW, n_steps=100)
-    ok = res_ofw.passed and res_sc.passed
+    ok = res_ofw[0] and res_sc[0]
     _report(
         7,
         "100 sampled oracle steps contract the surrogate gap by "
         "max(1/2, 1 - alpha ||grad|| / (8 beta)) for both learners",
         ok,
-        "; ".join(r.detail for r in (res_ofw, res_sc) if not r.passed) or "all steps contract",
+        "; ".join(detail for passed, detail in (res_ofw, res_sc) if not passed)
+        or "all steps contract",
     )
 
 
@@ -249,9 +250,9 @@ def test_criterion_8_oracle_equivalence():
 
     # strong convexity certificates, zero violations allowed
     for name, dom in (("l2_ball", L2Ball(10, 1.0)), ("lp_ball", LpBall(10, 1.0, 1.5))):
-        res = _check_strong_convexity_definition(name, dom, n=10_000)
-        if not res.passed:
-            problems.append(res.detail)
+        passed, detail = _check_strong_convexity_definition(dom, n=10_000)
+        if not passed:
+            problems.append(detail)
 
     ok = not problems
     _report(

@@ -64,6 +64,15 @@ def test_run_bad_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(GOOD_CONFIG.replace("T = 32", "# caf\xff\nT = 32").encode("latin-1"))
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "not UTF-8" in err and err.count("\n") == 1
+
+
 def test_run_missing_file_exits_two(capsys):
     assert main(["run", "/no/such/file.cfg"]) == 2
     assert "error" in capsys.readouterr().err
@@ -150,6 +159,14 @@ INF_CONFIGS = {
     # seeds outside [-2**63, 2**64) would alias modulo 2**64
     "seed_2**70": GOOD_CONFIG.replace("seed = 1", f"seed = {2**70}"),
     "seed_-2**64": GOOD_CONFIG.replace("seed = 1", f"seed = {-(2**64)}"),
+    # a one-point simplex has diameter 0, so quadratic losses give G = lam D = 0
+    **{
+        f"simplex_dim1_{algo}": (
+            "set.kind = simplex\nset.dim = 1\nloss.kind = quadratic\nloss.lambda = 1\n"
+            f"algo = {algo}\nT = 32\nseed = 1\n"
+        )
+        for algo in ("ofw_ls", "ofw_decay", "sc_ofw", "ogd")
+    },
 }
 
 

@@ -8,6 +8,8 @@ import _gap_reference
 import numpy as np
 import pytest
 from _helpers import zero_rounds
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ofwkit.harness
 import ofwkit.oracle
@@ -16,6 +18,7 @@ from ofwkit.harness import (
     ALGO_OFW_LS,
     ALGO_OGD,
     ALGO_SC_OFW,
+    ALGORITHMS,
     CSV_HEADER,
     ConfigError,
     ExperimentSpec,
@@ -150,6 +153,53 @@ def test_parse_config_loss_key_consistency():
     quad = BASE_CONFIG.replace("loss.kind = linear", "loss.kind = quadratic")
     with pytest.raises(ConfigError, match="loss.G"):
         parse_config(quad)
+
+
+# Extreme values for every numeric key, half the time, else ordinary ones.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["1", "1e-320", "1e308", "nan", "inf", str(10**400), "-inf", "0", "-1"]),
+    st.sampled_from(["2", "10", "1000", "1.5", "0.5"]),
+)
+
+
+@st.composite
+def _configs(draw):
+    set_kind = draw(st.sampled_from(["l2_ball", "lp_ball", "l1_ball", "simplex"]))
+    loss_kind = draw(st.sampled_from([LINEAR, QUADRATIC]))
+    entries = {"set.kind": set_kind, "set.dim": draw(_FUZZ_VALUES)}
+    if set_kind != "simplex":
+        entries["set.r"] = draw(_FUZZ_VALUES)
+    if set_kind == "lp_ball":
+        entries["set.p"] = draw(_FUZZ_VALUES)
+    entries["loss.kind"] = loss_kind
+    entries["loss.G" if loss_kind == LINEAR else "loss.lambda"] = draw(_FUZZ_VALUES)
+    entries["algo"] = draw(st.sampled_from(ALGORITHMS))
+    for key in ("T", "seed"):
+        entries[key] = draw(_FUZZ_VALUES)
+    if draw(st.booleans()):
+        entries["gap_check"] = "true"
+        entries["gap_cap"] = draw(_FUZZ_VALUES)
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+_ONE_POINT_SIMPLEX = (
+    "set.kind = simplex\nset.dim = 1\nloss.kind = quadratic\nloss.lambda = 1\n"
+    "algo = {}\nT = 16\nseed = 1\n"
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_configs())
+@example(_ONE_POINT_SIMPLEX.format(ALGO_OFW_LS))
+@example(_ONE_POINT_SIMPLEX.format(ALGO_OFW_DECAY))
+def test_parse_config_accepts_or_raises_config_error(text):
+    # Parsing builds the spec and its certificate but never runs it, so a
+    # huge T costs nothing here.
+    try:
+        spec = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(spec, ExperimentSpec)
 
 
 # -- bound formulas ----------------------------------------------------------

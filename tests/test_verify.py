@@ -6,13 +6,8 @@ import pytest
 import ofwkit.verify
 from ofwkit.harness import ALGO_OFW_LS, ExperimentSpec
 from ofwkit.losses import LINEAR, LossSpec
-from ofwkit.sets import L2Ball
-from ofwkit.verify import (
-    _check_diameter,
-    _check_gap_schedule,
-    _check_lmo_optimality,
-    verify_suite,
-)
+from ofwkit.sets import L2Ball, LpBall, Simplex
+from ofwkit.verify import _check_gap_schedule, _check_lmo_optimality, verify_suite
 
 
 def test_sets_scope_passes():
@@ -108,12 +103,12 @@ def test_lmo_optimality_names_the_first_failing_sample(monkeypatch, beaten_at, i
         return out
 
     monkeypatch.setattr(L2Ball, "_lmo", corrupted)
-    result = _check_lmo_optimality("l2_ball", L2Ball(4, 1.0), n=50)
-    assert not result.passed
-    assert detail in result.detail
+    passed, found = _check_lmo_optimality(L2Ball(4, 1.0), n=50)
+    assert not passed
+    assert detail in found
     grads = np.random.default_rng(91).standard_normal((50, 4))
     named = min(k for k in (beaten_at, infeasible_at) if k is not None)
-    assert f"g={grads[named].tolist()}" in result.detail
+    assert f"g={grads[named].tolist()}" in found
 
 
 def test_corrupted_projection_is_detected(monkeypatch):
@@ -134,8 +129,8 @@ def test_overstated_diameter_is_detected(monkeypatch):
     # pair lmo(-e_1), lmo(e_1) does not reach it.
     true_diameter = L2Ball.diameter.fget
     monkeypatch.setattr(L2Ball, "diameter", property(lambda self: 1.05 * true_diameter(self)))
-    result = _check_diameter("l2_ball", L2Ball(10, 1.0))
-    assert result.name == "sets.diameter.l2_ball"
+    results = {r.name: r for r in verify_suite("sets").results}
+    result = results["sets.diameter.l2_ball"]
     assert not result.passed
     assert "does not attain" in result.detail
 
@@ -174,7 +169,34 @@ def test_gap_schedule_failure_details_print_plain_floats(monkeypatch, at, gap, d
         horizon=8,
         gap_check=True,
     )
-    result = _check_gap_schedule("probe", spec)
-    assert not result.passed
-    assert "np.float64" not in result.detail
-    assert result.detail == detail
+    passed, found = _check_gap_schedule(spec)
+    assert not passed
+    assert "np.float64" not in found
+    assert found == detail
+
+
+def test_a_raising_check_fails_only_itself(monkeypatch):
+    # The Lp oracle raises: the two Lp checks that call lmo fail, naming
+    # the exception, and every other set check still runs and passes.
+    def broken(self, g, norm):
+        raise RuntimeError("lmo is broken")
+
+    monkeypatch.setattr(LpBall, "_lmo", broken)
+    report = verify_suite("sets")
+    assert len(report.results) == 18
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert set(failed) == {"sets.lmo_optimality.lp_ball", "sets.diameter.lp_ball"}
+    assert all(d == "RuntimeError('lmo is broken')" for d in failed.values())
+    assert {r.scope for r in report.results} == {"sets"}
+
+
+def test_a_spec_that_fails_to_build_fails_only_its_checks(monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise ValueError("no simplex today")
+
+    monkeypatch.setattr(Simplex, "__init__", broken)
+    report = verify_suite("bounds")
+    assert len(report.results) == 6
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert set(failed) == {"bounds.gap_schedule.sc_ofw_simplex", "bounds.regret.sc_ofw_simplex"}
+    assert all(d == "ValueError('no simplex today')" for d in failed.values())
