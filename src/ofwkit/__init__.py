@@ -46,9 +46,21 @@ from .losses import (
 )
 from .oracle import offline_comparator, surrogate_argmin
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
-from .verify import CheckResult, VerifyReport, verify_suite
 
 __version__ = "0.1.0"
+
+_VERIFY_NAMES = ("CheckResult", "VerifyReport", "verify_suite")
+
+
+def __getattr__(name):
+    # ``verify`` is imported on first use of its names, so that importing
+    # the package, or running any other command, does not load it.
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "dot",

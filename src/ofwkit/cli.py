@@ -5,8 +5,8 @@ to CSV plus a fitted slope), ``verify`` (self-check battery as JSON),
 ``bounds`` (print the certified constants and bound values for a config).
 
 Exit codes: 0 success, 1 a verified property failed (bound violated, a
-check failed, or a reference minimizer failed its certificate), 2 config
-or usage error.
+check failed, or a reference minimizer failed its certificate) or an
+internal error, 2 config or usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .harness import (
+    SCOPES,
     ConfigError,
     ExperimentSpec,
     certificate,
@@ -27,7 +28,6 @@ from .harness import (
     theorem_bound,
 )
 from .oracle import ConvergenceError
-from .verify import SCOPES, verify_suite
 
 __all__ = ["main"]
 
@@ -90,6 +90,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: no other command needs the self-check battery.
+    from .verify import verify_suite
+
     report = verify_suite(args.scope)
     print(report.to_json())
     return 0 if report.passed else 1
@@ -120,6 +123,13 @@ def _cmd_bounds(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    0 success; 1 a verified property failed, or an internal error: any
+    exception other than a config, self-check or I/O error, reported as one
+    ``internal error: <type>: <message>`` line on stderr; 2 a config, usage
+    or I/O error, reported as one line on stderr.
+    """
     parser = argparse.ArgumentParser(
         prog="ofwkit",
         description="Projection-free online convex optimization experiments.",
@@ -161,6 +171,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

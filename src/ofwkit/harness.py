@@ -59,6 +59,7 @@ __all__ = [
     "ALGO_OFW_DECAY",
     "ALGO_OGD",
     "ALGORITHMS",
+    "SCOPES",
     "CSV_HEADER",
     "SWEEP_CSV_HEADER",
     "ConfigError",
@@ -83,6 +84,9 @@ ALGO_SC_OFW = "sc_ofw"
 ALGO_OFW_DECAY = "ofw_decay"
 ALGO_OGD = "ogd"
 ALGORITHMS = (ALGO_OFW_LS, ALGO_SC_OFW, ALGO_OFW_DECAY, ALGO_OGD)
+# The scopes of ``verify.verify_suite``, kept here so that the command line
+# lists them without importing ``verify``.
+SCOPES = ("sets", "learners", "bounds", "all")
 
 CSV_HEADER = "t,loss,cum_loss,comparator_cum,regret,theorem_bound,gap,gap_bound"
 SWEEP_CSV_HEADER = "T,regret,theorem_bound,slope"

@@ -13,12 +13,15 @@ round t can be reproduced without replaying rounds 1..t-1. The adversary is
 one ``Rounds``: its kind, lam and a read-only (T, dim) array whose row t - 1
 is round t's gradient or target. ``make_round`` draws one such row from
 ``np.random.default_rng(round_seed(seed, t))``; ``make_rounds`` builds rows
-1..T bit-identical to it, computing every round's generator state in one
-vectorised pass. ``as_rounds`` checks rounds given from outside as an array.
+1..T bit-identical to it. It computes every round's PCG64 state and inc
+words in one vectorised pass and writes each round's into one generator
+through ``ctypes.state_address``; a probe checks the words' order, and a
+mismatch raises. ``as_rounds`` checks rounds given from outside as an array.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -159,7 +162,6 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
 # Constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and of
 # the 128-bit LCG behind PCG64 (numpy/random/src/pcg64/pcg64.h).
 _M32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -169,12 +171,13 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Rounds seeded per pass of the kernel; bounds its temporary Python ints.
+# Rounds seeded per pass of the kernel; bounds its temporary arrays.
 _CHUNK = 1024
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.PCG64(s).state["state"]`` for each uint64 seed.
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.PCG64(s).state["state"]`` for each uint64 seed, as the
+    row (state high, state low, inc high, inc low) of an (n, 4) uint64 array.
 
     ``SeedSequence(s)`` hashes the seed's two 32-bit words, padded with
     zeros to its pool of four (the algorithm hashes absent words as 0, so
@@ -182,7 +185,8 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     (initstate, initseq) as two 128-bit numbers. PCG64 then sets
     ``inc = (initseq << 1) | 1`` and steps the LCG from 0 twice, adding
     initstate after the first step. The mixing runs on uint32 arrays, one
-    lane per seed, where NumPy wraps modulo 2^32 as the C code does.
+    lane per seed, where NumPy wraps modulo 2^32 as the C code does; the
+    128-bit steps run on 32-bit limbs held in uint64 arrays.
     """
     words = [(seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
     words += [np.zeros_like(words[0])] * 2
@@ -212,42 +216,81 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         hash_const = (hash_const * _MULT_B) & _M32
         value = value * np.uint32(hash_const)
         state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # Little-endian uint32 pairs make the four uint64 words, high word first.
-    state64 = [(state[2 * k] | (state[2 * k + 1] << 32)).tolist() for k in range(4)]
+    # Little-endian uint32 pairs make four uint64 words, high word first;
+    # as 32-bit limbs, lowest first:
+    initstate = [state[2], state[3], state[0], state[1]]
+    initseq = [state[6], state[7], state[4], state[5]]
+    inc = [((initseq[k] << 1) | (initseq[k - 1] >> 31 if k else 1)) & _M32 for k in range(4)]
+    total, carry = [], 0
+    for k in range(4):
+        carry = inc[k] + initstate[k] + carry
+        total.append(carry & _M32)
+        carry >>= 32
+    # state = total * _PCG64_MULT + inc mod 2^128, one limb column at a
+    # time: a column sums at most four low and three high halves of limb
+    # products, a limb of inc and a carry, well inside 64 bits.
+    mult = [np.uint64((_PCG64_MULT >> (32 * k)) & _M32) for k in range(4)]
+    limbs, carry = [], 0
+    for k in range(4):
+        column = inc[k] + carry
+        for i in range(k + 1):
+            column = column + ((total[i] * mult[k - i]) & _M32)
+            if i < k:
+                column = column + ((total[i] * mult[k - 1 - i]) >> 32)
+        limbs.append(column & _M32)
+        carry = column >> 32
+    return np.stack([(w[high] << 32) | w[high - 1] for w in (limbs, inc) for high in (3, 1)], axis=1)
 
-    out = []
-    for s0, s1, q0, q1 in zip(*state64):
-        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
-        out.append(((((inc + ((s0 << 64) | s1)) * _PCG64_MULT) + inc) & _MASK128, inc))
-    return out
+
+# The orders of _pcg64_states' columns in which NumPy's pcg64_random_t may
+# store them: a little-endian __uint128_t state and inc, low word first, or
+# NumPy's {high, low} struct. The probe's words in column order are 1..4.
+_WORD_ORDERS = ([1, 0, 3, 2], [0, 1, 2, 3])
+_PROBE = {"state": (1 << 64) | 2, "inc": (3 << 64) | 4}
+
+
+def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
+    """A 4-word uint64 view of the ``pcg64_random_t`` that ``bitgen`` draws
+    from, whose address is the first field of the ``pcg64_state`` at
+    ``bitgen.ctypes.state_address``. The view does not keep ``bitgen`` alive."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
 
 
 def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     """Rounds 1..T, round t bit-identical to ``make_round(spec, t, domain)``.
 
-    Every round's PCG64 state is computed by ``_pcg64_states``, a chunk of
-    rounds at a time, and set on one reused generator, in place of a
-    ``SeedSequence`` and a ``PCG64`` built per round, and each round draws
-    into its row. Linear rows are scaled to norm G a chunk at a time;
-    quadratic rows are the domain's ``feasible_rows``, which scales them a
-    chunk at a time too. A row whose first draw ``make_round`` would redraw
-    is ``make_round``'s. Row 1 is compared with ``make_round``'s; a
-    ``RuntimeError`` naming the NumPy version says that NumPy's seeding no
-    longer matches the kernel.
+    ``_pcg64_states`` computes every round's PCG64 state and inc words, a
+    chunk of rounds at a time; each round's are written into one reused
+    generator through its ``ctypes.state_address``, in place of a
+    ``SeedSequence`` and a ``PCG64`` built per round, and the round draws
+    into its row. A probe state set through ``bitgen.state`` and read back
+    fixes the words' order. Linear rows are scaled to norm G a chunk at a
+    time; quadratic rows are the domain's ``feasible_rows``, which scales
+    them a chunk at a time too. A row whose first draw ``make_round`` would
+    redraw is ``make_round``'s. A ``RuntimeError`` naming the NumPy version
+    says that NumPy's PCG64 no longer matches the kernel: the probe read
+    back neither order, or row 1 is not ``make_round``'s.
     """
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
     reference = make_round(spec, 1, domain)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    seeded = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    view = _state_view(bitgen)
+    bitgen.state = {"bit_generator": "PCG64", "state": _PROBE, "has_uint32": 0, "uinteger": 0}
+    seen = view.tolist()
+    order = next((o for o in _WORD_ORDERS if seen == [i + 1 for i in o]), None)
+    if order is None:
+        raise RuntimeError(
+            f"NumPy {np.__version__} stores PCG64's state words in neither order "
+            f"make_rounds' kernel knows; its probe read back {seen}"
+        )
 
     def generators(states):
-        # The one generator, set to each round's state in turn (``seeded``
-        # is the state part of ``full``).
-        for seeded["state"], seeded["inc"] in states:
-            bitgen.state = full
+        # The one generator, set to each round's state in turn.
+        for words in states:
+            view[...] = words
             yield rng
 
     linear = spec.kind == LINEAR
@@ -255,7 +298,7 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
     for start in range(0, T, _CHUNK):
         rows = data[start : start + _CHUNK]
         seeds = round_seed(spec.seed, np.arange(start + 1, start + len(rows) + 1, dtype=np.uint64))
-        rngs = generators(_pcg64_states(seeds))
+        rngs = generators(_pcg64_states(seeds)[:, order])
         if linear:
             for row, gen in zip(rows, rngs):
                 gen.standard_normal(out=row)
@@ -267,9 +310,6 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
             rows *= (spec.G / norms)[:, None]
         else:
             redrawn = domain.feasible_rows(rows, rngs)
-        # The suspended generator holds this chunk's states; drop it before
-        # the next chunk's are computed.
-        del rngs
         for i in redrawn.tolist():
             rows[i] = make_round(spec, start + i + 1, domain)
     if not np.array_equal(data[0], reference):

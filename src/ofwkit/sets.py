@@ -74,6 +74,10 @@ class FeasibleSet:
         """Membership test with additive slack ``tol`` on the constraints."""
         raise NotImplementedError
 
+    def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
+        """``contains(x[i], tol)`` of each row of a finite (n, dim) array, as n bools."""
+        raise NotImplementedError
+
     def lmo(self, g) -> np.ndarray:
         """A minimizer of <g, x> over the set.
 
@@ -168,6 +172,9 @@ class _Ball(FeasibleSet):
     def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
         x = as_vector(x, self.dim)
         return self._norm(x) <= self.radius + tol
+
+    def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
+        return self.norm_rows(x) <= self.radius + tol
 
     def anchor(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -555,6 +562,10 @@ class Simplex(FeasibleSet):
     def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
         x = as_vector(x, self.dim)
         return bool(np.all(x >= -tol)) and abs(float(x.sum()) - 1.0) <= tol
+
+    def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
+        x = as_rows(x, self.dim)
+        return (x >= -tol).all(axis=1) & (np.abs(x.sum(axis=1) - 1.0) <= tol)
 
     def _lmo(self, g, norm):
         out = np.zeros(self.dim)

@@ -21,6 +21,7 @@ from .core import row_dots
 from .harness import (
     ALGO_OFW_LS,
     ALGO_SC_OFW,
+    SCOPES,
     ExperimentSpec,
     _init_learner,
     run_experiment,
@@ -37,8 +38,6 @@ from .oracle import surrogate_argmin
 from .sets import L1Ball, L2Ball, LpBall, Simplex
 
 __all__ = ["CheckResult", "VerifyReport", "verify_suite", "SCOPES"]
-
-SCOPES = ("sets", "learners", "bounds", "all")
 
 GAP_SLACK = 1e-7
 FEAS_SLACK = 1e-9
@@ -96,16 +95,11 @@ def _check_lmo_optimality(domain, n=10_000, seed=91) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     grads = rng.standard_normal((n, domain.dim))
     points = domain.sample_rows(n, rng)
-    # One lmo call per sample, up to the first infeasible output; then the
-    # objective values of the samples before it, all at once.
-    outs = np.empty_like(grads)
-    infeasible = None
-    for i, g in enumerate(grads):
-        outs[i] = domain.lmo(g)
-        if not domain.contains(outs[i], FEAS_SLACK):
-            infeasible = i
-            break
-    m = n if infeasible is None else infeasible
+    # One lmo call per sample; then feasibility, and the objective values of
+    # the samples before the first infeasible output, all at once.
+    outs = np.array([domain.lmo(g) for g in grads])
+    infeasible = np.flatnonzero(~domain.contains_rows(outs, FEAS_SLACK))
+    m = int(infeasible[0]) if infeasible.size else n
     lhs = row_dots(grads[:m], outs[:m])
     rhs = row_dots(grads[:m], points[:m])
     beaten = np.flatnonzero(lhs > rhs + FEAS_SLACK)
@@ -115,8 +109,8 @@ def _check_lmo_optimality(domain, n=10_000, seed=91) -> tuple[bool, str]:
             f"lmo beaten at sample {i}: g={grads[i].tolist()} x={points[i].tolist()} "
             f"lmo_value={float(lhs[i])!r} sample_value={float(rhs[i])!r}"
         )
-    if infeasible is not None:
-        return False, f"lmo output infeasible: g={grads[infeasible].tolist()}"
+    if infeasible.size:
+        return False, f"lmo output infeasible: g={grads[m].tolist()}"
     return True, f"{n} sampled objectives, none beat the oracle"
 
 

@@ -6,7 +6,6 @@ import pytest
 import ofwkit.cli
 import ofwkit.harness
 from ofwkit.cli import main
-from ofwkit.harness import ConfigError
 from ofwkit.sets import L2Ball
 
 GOOD_CONFIG = """
@@ -185,9 +184,9 @@ def test_non_finite_loss_constant_exits_two(tmp_path, capsys, constant, command)
     assert err.startswith("config error") and err.count("\n") == 1
 
 
-def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, monkeypatch):
+def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, monkeypatch, capsys):
     # Only a bad config maps to exit 2; a failure inside a run is not
-    # relabelled by sweep.
+    # relabelled by sweep: both report it as the same internal error.
     def broken(spec, rounds=None):
         raise ValueError("injected failure")
 
@@ -195,9 +194,21 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
     monkeypatch.setattr(ofwkit.cli, "run_experiment", broken)
     out = ["--out", str(tmp_path / "out.csv")]
     for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):
-        with pytest.raises(ValueError, match="injected failure") as exc:
-            main(argv + out)
-        assert not isinstance(exc.value, ConfigError)
+        assert main(argv + out) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: ValueError: injected failure\n"
+
+
+def test_unexpected_exception_exits_one_with_one_line(config_path, monkeypatch, capsys):
+    def broken(spec, rounds=None):
+        raise RuntimeError("injected\nfailure")
+
+    monkeypatch.setattr(ofwkit.harness, "run_experiment", broken)
+    monkeypatch.setattr(ofwkit.cli, "run_experiment", broken)
+    assert main(["run", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: injected failure\n"
+    assert "Traceback" not in captured.err + captured.out
 
 
 def test_run_with_a_failed_gap_certificate_exits_one(config_path, tmp_path, monkeypatch, capsys):

@@ -204,8 +204,10 @@ def test_zero_round_is_identically_zero():
 def test_seeding_kernel_matches_pcg64():
     edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
     seeds = edges + [mix64(i) for i in range(10_000)] + list(range(2, 200))
-    states = losses._pcg64_states(np.array(seeds, dtype=np.uint64))
-    for s, (state, inc) in zip(seeds, states):
+    words = losses._pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert (words.shape, words.dtype) == ((len(seeds), 4), np.uint64)
+    for s, (state_high, state_low, inc_high, inc_low) in zip(seeds, words.tolist()):
+        state, inc = (state_high << 64) | state_low, (inc_high << 64) | inc_low
         assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}, s
 
 
@@ -292,6 +294,39 @@ def test_make_rounds_refuses_a_kernel_that_disagrees_with_numpy(monkeypatch):
     spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
     with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
         make_rounds(spec, 3, L2Ball(3, 1.0))
+
+
+def test_make_rounds_refuses_a_state_layout_it_does_not_know(monkeypatch):
+    # A view that reads back zeros matches neither word order of the probe,
+    # which runs before any round's state is computed.
+    seeded = []
+    monkeypatch.setattr(losses, "_state_view", lambda bitgen: np.zeros(4, dtype=np.uint64))
+    monkeypatch.setattr(losses, "_pcg64_states", seeded.append)
+    spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
+    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
+        make_rounds(spec, 3, L2Ball(3, 1.0))
+    assert seeded == []
+
+
+@pytest.mark.parametrize(
+    "dom", [L2Ball(5, 1.0), LpBall(5, 2.0, 1.5), L1Ball(5, 0.5), Simplex(5)], ids=repr
+)
+def test_make_rounds_draws_never_use_the_state_fields_it_does_not_write(dom, monkeypatch):
+    # The raw write sets state and inc only; a draw that buffered half a
+    # 64-bit output (has_uint32, uinteger) would carry it into the next round.
+    bitgens = []
+
+    def recording_view(bitgen):
+        bitgens.append(bitgen)
+        return view(bitgen)
+
+    view = losses._state_view
+    monkeypatch.setattr(losses, "_state_view", recording_view)
+    for kind in (LINEAR, QUADRATIC):
+        make_rounds(LossSpec(kind=kind, dim=5, seed=4, G=1.5, lam=0.5), 1025, dom)
+    assert len(bitgens) == 2
+    for bitgen in bitgens:
+        assert (bitgen.state["has_uint32"], bitgen.state["uinteger"]) == (0, 0)
 
 
 @pytest.mark.parametrize(

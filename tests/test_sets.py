@@ -42,6 +42,21 @@ def test_contains_examples():
     assert not L1Ball(2, 2.0).contains(np.array([1.5, -1.0]))
 
 
+@pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
+def test_contains_rows_matches_contains_row_by_row(dom):
+    # Sampled points, oracle outputs on the boundary, and both scaled by
+    # factors within and beyond the slack, so that rows fall on each side.
+    rng = np.random.default_rng(17)
+    base = np.vstack([dom.sample_rows(200, rng), dom.lmo_rows(rng.standard_normal((200, dom.dim)))])
+    scales = 1.0 + rng.choice([0.0, 1e-12, -1e-12, 1e-8, -1e-8, 0.3], size=(len(base), 1))
+    rows = np.vstack([base, base * scales])
+    for tol in (0.0, 1e-9):
+        got = dom.contains_rows(rows, tol)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == [dom.contains(row, tol) for row in rows]
+        assert 0 < got.sum() < len(rows)
+
+
 def test_lmo_l2_example():
     out = L2Ball(2, 1.0).lmo(np.array([3.0, 4.0]))
     np.testing.assert_allclose(out, [-0.6, -0.8], rtol=1e-12)
