@@ -19,7 +19,7 @@ from .harness import (
     ConfigError,
     ExperimentSpec,
     certificate,
-    emit_csv,
+    csv_blocks,
     gap_bound,
     parse_config,
     run_experiment,
@@ -42,18 +42,19 @@ def _load_spec(path: str) -> ExperimentSpec:
     return parse_config(text)
 
 
-def _write_text(path: str | None, text: str):
+def _write_text(path: str | None, pieces):
+    """Write each piece of text as it comes, to ``path`` or else to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.config)
     trace = run_experiment(spec)
-    _write_text(args.out or spec.output, emit_csv(trace))
+    _write_text(args.out or spec.output, csv_blocks(trace))
     if trace.final_bound is not None:
         print(
             f"T={spec.horizon} regret={trace.final_regret:.6g} bound={trace.final_bound:.6g}",
@@ -74,7 +75,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--horizons must be a comma list of integers, got {args.horizons!r}")
     result = sweep(spec, horizons)
-    _write_text(args.out or spec.output, sweep_csv(result))
+    _write_text(args.out or spec.output, [sweep_csv(result)])
     violated = False
     for h, r, b in zip(result.horizons, result.regrets, result.bounds):
         line = f"T={h} regret={r:.6g}"

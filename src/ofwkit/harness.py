@@ -7,16 +7,16 @@ played so far, the regret against it, the a priori regret bound when one
 applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
-The adversary is one ``losses.Rounds``, a (T, dim) array of gradients or
-targets; rounds injected from outside are checked once, by ``as_rounds``.
-Only the learner's play, its loss and gradient, and its update run round
-by round, one row per round. The surrogate gaps are measured
+The adversary is a stream of ``losses.round_chunks``, or one chunk of
+``losses.Rounds`` given from outside, which ``as_rounds`` checks once. A
+run holds its logs and one chunk of rounds, never all T: it plays each
+chunk, one row per round, and scores it with an ``oracle.PrefixComparator``
+before the next is drawn. The surrogate gaps are measured
 ``core.BLOCK_ROWS`` rounds at a time by ``oracle.surrogate_gaps``, from
-the plays and gradients of one block. The cumulative loss, regret and the
-CSV text are computed after the rounds, on slices of ``core.BLOCK_ROWS``
-rounds, and the prefix comparators come from one call of
-``oracle.offline_comparator``; each equals the per-round computation bit
-for bit.
+the plays and gradients of one block. The cumulative loss and regret are
+computed after the rounds, and the CSV text ``core.BLOCK_ROWS`` rows at a
+time as it is written; each equals the per-round computation bit for bit.
+A sweep plays one learner per horizon in lockstep over one stream.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .losses import (
     Rounds,
     certify_constants,
     loss_at,
-    make_rounds,
+    round_chunks,
 )
-from .oracle import offline_comparator, surrogate_gaps
+from .oracle import PrefixComparator, surrogate_gaps
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "theorem_bound",
     "gap_bound",
     "run_experiment",
+    "csv_blocks",
     "emit_csv",
     "loglog_slope",
     "sweep",
@@ -413,31 +414,34 @@ def _init_learner(spec: ExperimentSpec, G: float, lam: float):
 
 
 def _allocate_logs(T: int) -> np.ndarray:
-    """The (5, T) array behind a trace's logged columns but ``comparator_cum``.
+    """The (6, T) array behind a trace's logged columns.
 
     A horizon too long to log is a config error, raised before any round is
     generated.
     """
     try:
-        return np.empty((5, T))
+        return np.empty((6, T))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
 
-def _play_measured(state, update, rounds: Rounds, measured: int, loss_v, gap_v):
-    """Play rounds 1..``measured``, logging their losses and surrogate gaps,
-    and return the learner's state after them.
+def _play(state, update, kind: str, lam: float, rows, loss_v):
+    """Play a round per row of ``rows``, log its loss; return the last state."""
+    for i, row in enumerate(rows):
+        loss_v[i], g_t = loss_at(kind, lam, row, state.x)
+        state = update(state, g_t)
+    return state
 
-    One block of plays and gradients is held and measured when it fills,
-    or at the last measured round; it is freed on return, before the
-    comparator runs.
-    """
-    kind, lam, data = rounds.kind, rounds.lam, rounds.data
-    xs, gs = np.empty((2, min(measured, BLOCK_ROWS), data.shape[1]))
-    for start in range(0, measured, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, measured)
+
+def _play_measured(state, update, kind: str, lam: float, rows, loss_v, gap_v):
+    """``_play`` that also logs each round's surrogate gap in ``gap_v``,
+    holding one block of plays and gradients, measured when it fills or
+    at the last row."""
+    xs, gs = np.empty((2, min(len(rows), BLOCK_ROWS), rows.shape[1]))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(rows))
         first = state
-        for k, row in enumerate(data[start:stop]):
+        for k, row in enumerate(rows[start:stop]):
             xs[k] = x_t = state.x
             loss_v[start + k], g_t = loss_at(kind, lam, row, x_t)
             gs[k] = g_t
@@ -461,12 +465,12 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     certificate raises ``ConvergenceError`` naming its round.
 
     ``rounds`` is the loss sequence to play; by default the seeded
-    adversary's, from ``make_rounds``. ``sweep`` passes a prefix of one
-    longer ``Rounds``. Rounds from outside are checked by ``as_rounds``;
-    here only their count, kind, lam and dim are held against the spec's
-    (lam 0.0 for linear losses), and a mismatch raises ``ValueError``
-    before the learner moves. ``offline_comparator`` gives the comparator
-    point and column; ``comparator_total`` and ``final_regret`` are the
+    adversary's from ``round_chunks``, each chunk played and scored by a
+    ``PrefixComparator`` before the next is drawn. Rounds from outside, a
+    single chunk, are checked by ``as_rounds``; here only their count,
+    kind, lam and dim are held against the spec's (lam 0.0 for linear
+    losses), and a mismatch raises ``ValueError`` before the learner
+    moves. ``comparator_total`` and ``final_regret`` are the
     last cells of ``comparator_cum`` and ``regret``.
 
     A horizon too long to log raises ``ConfigError`` before any round is
@@ -474,32 +478,35 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     """
     cert = certificate(spec)
     T, dim = spec.horizon, spec.domain.dim
+    kind, lam = spec.loss.kind, cert.lam
     if rounds is not None:
         got = (len(rounds), rounds.kind, rounds.lam, rounds.data.shape[1])
-        want = (T, spec.loss.kind, cert.lam, dim)
+        want = (T, kind, lam, dim)
         if got != want:
             raise ValueError(f"expected (rounds, kind, lam, dim) = {want}, got {got}")
     state, update = _init_learner(spec, cert.G, cert.lam)
-    loss_v, cum_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
+    loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
-    if rounds is None:
-        rounds = make_rounds(spec.loss, T, spec.domain)
+    chunks = round_chunks(spec.loss, T, spec.domain) if rounds is None else [rounds.data]
     # The Frank-Wolfe learners' states are their surrogates; OGD has none.
     measured = min(spec.gap_cap, T) if spec.gap_check and spec.algo != ALGO_OGD else 0
-    state = _play_measured(state, update, rounds, measured, loss_v, gap_v)
+    comparator = PrefixComparator(spec.domain, kind, lam)
+    start = 0
+    for rows in chunks:
+        m = min(max(measured - start, 0), len(rows))
+        state = _play_measured(state, update, kind, lam, rows[:m], loss_v[start:], gap_v[start:])
+        state = _play(state, update, kind, lam, rows[m:], loss_v[start + m :])
+        comparator.add(rows, comp_v[start:])
+        start += len(rows)
     for t in range(1, measured + 1):
         gb = cert.gap(t)
         if gb is not None:
             gapb_v[t - 1] = gb
-    kind, lam = rounds.kind, rounds.lam
-    for i, row in enumerate(rounds.data[measured:], start=measured):
-        loss_v[i], g_t = loss_at(kind, lam, row, state.x)
-        state = update(state, g_t)
 
     # Summed from 0.0 as a running Python float would be.
     cum_v[:] = prefix_sums(loss_v, 0.0)
-    x_star, comp_v = offline_comparator(spec.domain, rounds)
+    x_star = comparator.point()
     np.subtract(cum_v, comp_v, out=regret_v)
     bound_v = cert.regret(np.arange(1, T + 1, dtype=float))
     return RegretTrace(
@@ -527,28 +534,25 @@ def _cells(values) -> list[str]:
     return ["" if v != v else "%.17g" % v for v in values]
 
 
-def emit_csv(trace: RegretTrace) -> str:
-    """Render a trace as CSV with the fixed column layout.
+def csv_blocks(trace: RegretTrace):
+    """The trace's CSV text with the fixed column layout, yielded as the
+    header line and then ``core.BLOCK_ROWS`` rows at a time, as formatted.
 
     Floats carry 17 significant digits so round-tripping is lossless;
     inapplicable entries (no bound, gap not measured) are empty cells.
     """
-    columns = (
-        trace.loss,
-        trace.cum_loss,
-        trace.comparator_cum,
-        trace.regret,
-        trace.theorem_bound,
-        trace.gap,
-        trace.gap_bound,
-    )
-    lines = [CSV_HEADER]
+    columns = [getattr(trace, name) for name in CSV_HEADER.split(",")[1:]]
+    yield CSV_HEADER + "\n"
     for start in range(0, trace.rounds.shape[0], BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         ts = ["%d" % t for t in trace.rounds[block].tolist()]
         cells = [_cells(c[block].tolist()) for c in columns]
-        lines.extend(map(",".join, zip(ts, *cells)))
-    return "\n".join(lines) + "\n"
+        yield "\n".join(map(",".join, zip(ts, *cells))) + "\n"
+
+
+def emit_csv(trace: RegretTrace) -> str:
+    """Render a trace as CSV: the join of ``csv_blocks``."""
+    return "".join(csv_blocks(trace))
 
 
 # -- sweeps -----------------------------------------------------------------
@@ -593,14 +597,16 @@ class SweepResult:
 def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     """Run ``spec`` once per horizon with a fresh learner each time.
 
-    The adversary's rounds are generated once, for the largest horizon, and
-    each run plays their prefix: round t is a function of (seed, t), so
-    this equals a separate ``run_experiment`` per horizon. Gaps are not
-    measured, since only final regrets and bounds are kept. The slope is
-    fitted when at least 3 horizons produce positive regret, else left
-    None. Every horizon is validated, and the logs of the longest run
-    allocated, before any round is generated; a bad or unloggable horizon
-    raises ``ConfigError``.
+    The learners of all horizons play in lockstep over one stream of
+    rounds, drawn once, for the largest horizon, and scored once by a
+    ``PrefixComparator``, whose point is certified as the stream passes
+    each horizon. Round t is a function of (seed, t), so this equals a
+    separate ``run_experiment`` per horizon, a failed certificate
+    included. Gaps are not measured, since only final regrets and bounds
+    are kept. The slope is fitted when at least 3 horizons produce
+    positive regret, else left None. Every horizon is validated, and the
+    logs of the longest run allocated, before any round is generated; a
+    bad or unloggable horizon raises ``ConfigError``.
     """
     hs = [_horizon(h) for h in horizons]
     if not hs:
@@ -612,15 +618,31 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
         specs = [replace(spec, horizon=h, gap_check=False) for h in hs]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    result = SweepResult(spec=spec)
-    # The longest run must be able to log before its rounds are generated.
+    # Every horizon must be one its own run could log.
     _allocate_logs(hs[-1])
-    rounds = make_rounds(spec.loss, hs[-1], spec.domain)
-    for h, spec_h in zip(hs, specs):
-        trace = run_experiment(spec_h, rounds[:h])
-        result.horizons.append(h)
-        result.regrets.append(trace.final_regret)
-        result.bounds.append(trace.final_bound)
+    G, lam = certify_constants(spec.loss, spec.domain)
+    learners = [_init_learner(s, G, lam) for s in specs]
+    comparator = PrefixComparator(spec.domain, spec.loss.kind, lam)
+    cum_losses = [0.0] * len(hs)
+    result = SweepResult(spec=spec)
+    start = k = 0  # hs[k] is the next horizon the stream reaches
+    for chunk in round_chunks(spec.loss, hs[-1], spec.domain):
+        # Pieces of the chunk that end at a horizon or at the chunk's end.
+        for rows in np.split(chunk, [h - start for h in hs if start < h < start + len(chunk)]):
+            loss_v, totals = np.empty((2, len(rows)))
+            for j in range(k, len(hs)):
+                state, update = learners[j]
+                learners[j] = _play(state, update, spec.loss.kind, lam, rows, loss_v), update
+                # Carried from 0.0 as the run's cumulative loss column is.
+                cum_losses[j] = prefix_sums(loss_v, cum_losses[j])[-1]
+            comparator.add(rows, totals)
+            start += len(rows)
+            if start == hs[k]:
+                comparator.point()  # certified here, as this horizon's run would
+                result.horizons.append(start)
+                result.regrets.append(float(cum_losses[k] - totals[-1]))
+                result.bounds.append(theorem_bound(specs[k], start))
+                k += 1
     try:
         result.slope = loglog_slope(list(zip(result.horizons, result.regrets)))
     except ValueError:

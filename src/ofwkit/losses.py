@@ -9,14 +9,15 @@ Two kinds of per-round loss:
   Lipschitz over the set.
 
 Rounds are generated independently per index from a counter-mixed seed, so
-round t can be reproduced without replaying rounds 1..t-1. The adversary is
-one ``Rounds``: its kind, lam and a read-only (T, dim) array whose row t - 1
-is round t's gradient or target. ``make_round`` draws one such row from
-``np.random.default_rng(round_seed(seed, t))``; ``make_rounds`` builds rows
-1..T bit-identical to it. It computes every round's PCG64 state and inc
-words in one vectorised pass and writes each round's into one generator
-through ``ctypes.state_address``; a probe checks the words' order, and a
-mismatch raises. ``as_rounds`` checks rounds given from outside as an array.
+round t can be reproduced without replaying rounds 1..t-1. ``make_round``
+draws round t's gradient or target from ``default_rng(round_seed(seed, t))``;
+``round_chunks`` streams rounds 1..T bit-identical to it, a chunk of rows
+at a time. It computes a chunk's PCG64 state and inc words in one
+vectorised pass and writes each round's into one generator through
+``ctypes.state_address``; a probe checks the words' order, and a mismatch
+raises. ``make_rounds`` fills one ``Rounds`` (kind, lam and a read-only
+(T, dim) array) from the stream; ``as_rounds`` checks rounds given from
+outside as an array.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import l2_norm, row_l2_norms
+from .core import BLOCK_ROWS, l2_norm, row_l2_norms
 from .sets import FeasibleSet
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "loss_at",
     "Rounds",
     "make_round",
+    "round_chunks",
     "make_rounds",
     "as_rounds",
     "certify_constants",
@@ -171,8 +173,9 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Rounds seeded per pass of the kernel; bounds its temporary arrays.
-_CHUNK = 1024
+# Rounds per chunk of the stream: whole blocks of the harness's bookkeeping.
+# Bounds the kernel's temporary arrays and the rounds a run holds at once.
+_CHUNK = 16 * BLOCK_ROWS
 
 
 def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
@@ -257,20 +260,22 @@ def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
     return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
 
 
-def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
-    """Rounds 1..T, round t bit-identical to ``make_round(spec, t, domain)``.
+def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet, out: np.ndarray | None = None):
+    """Rounds 1..T, ``_CHUNK`` at a time: yields each chunk's (n, dim) rows,
+    written into its rows of ``out``, a (T, dim) array, if given, else into
+    one buffer that the next chunk reuses. Round t is bit-identical to
+    ``make_round(spec, t, domain)``.
 
-    ``_pcg64_states`` computes every round's PCG64 state and inc words, a
-    chunk of rounds at a time; each round's are written into one reused
-    generator through its ``ctypes.state_address``, in place of a
-    ``SeedSequence`` and a ``PCG64`` built per round, and the round draws
-    into its row. A probe state set through ``bitgen.state`` and read back
-    fixes the words' order. Linear rows are scaled to norm G a chunk at a
-    time; quadratic rows are the domain's ``feasible_rows``, which scales
-    them a chunk at a time too. A row whose first draw ``make_round`` would
-    redraw is ``make_round``'s. A ``RuntimeError`` naming the NumPy version
-    says that NumPy's PCG64 no longer matches the kernel: the probe read
-    back neither order, or row 1 is not ``make_round``'s.
+    ``_pcg64_states`` computes a chunk's PCG64 state and inc words; each
+    round's are written into one reused generator through its
+    ``ctypes.state_address``, and the round draws into its row. A probe
+    state set through ``bitgen.state`` and read back fixes the words'
+    order. Linear rows are scaled to norm G a chunk at a time; quadratic
+    rows are the domain's ``feasible_rows``. A row whose first draw
+    ``make_round`` would redraw is ``make_round``'s. A ``RuntimeError``
+    naming the NumPy version says that NumPy's PCG64 no longer matches the
+    kernel: the probe read back neither order, or round 1 is not
+    ``make_round``'s.
     """
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
@@ -294,10 +299,11 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
             yield rng
 
     linear = spec.kind == LINEAR
-    data = np.empty((T, spec.dim))
+    buffer = np.empty((min(T, _CHUNK), spec.dim)) if out is None else None
     for start in range(0, T, _CHUNK):
-        rows = data[start : start + _CHUNK]
-        seeds = round_seed(spec.seed, np.arange(start + 1, start + len(rows) + 1, dtype=np.uint64))
+        n = min(_CHUNK, T - start)
+        rows = buffer[:n] if out is None else out[start : start + n]
+        seeds = round_seed(spec.seed, np.arange(start + 1, start + n + 1, dtype=np.uint64))
         rngs = generators(_pcg64_states(seeds)[:, order])
         if linear:
             for row, gen in zip(rows, rngs):
@@ -312,13 +318,21 @@ def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
             redrawn = domain.feasible_rows(rows, rngs)
         for i in redrawn.tolist():
             rows[i] = make_round(spec, start + i + 1, domain)
-    if not np.array_equal(data[0], reference):
-        raise RuntimeError(
-            f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
-            "round 1 does not match make_round"
-        )
+        if start == 0 and not np.array_equal(rows[0], reference):
+            raise RuntimeError(
+                f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
+                "round 1 does not match make_round"
+            )
+        yield rows
+
+
+def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
+    """Rounds 1..T in one read-only array, filled by ``round_chunks``."""
+    data = np.empty((max(T, 0), spec.dim))  # round_chunks refuses T < 1
+    for _ in round_chunks(spec, T, domain, data):
+        pass
     data.flags.writeable = False
-    return Rounds(spec.kind, 0.0 if linear else spec.lam, data)
+    return Rounds(spec.kind, 0.0 if spec.kind == LINEAR else spec.lam, data)
 
 
 def as_rounds(kind: str, lam: float, data) -> Rounds:

@@ -2,7 +2,7 @@
 
 Certified minimizers of learners' surrogates, which the learners' states
 are (see ``learners``), and the offline comparator: every prefix's best
-fixed total of a ``losses.Rounds``, which regret is measured against.
+fixed total of a stream of rounds, which regret is measured against.
 ``surrogate_gaps`` measures the surrogate gaps of a block of consecutive
 plays in one row-wise pass; ``surrogate_argmin`` is its one-row case, for
 a single state. These routines are allowed to project; the online
@@ -22,6 +22,7 @@ __all__ = [
     "ConvergenceError",
     "surrogate_argmin",
     "surrogate_gaps",
+    "PrefixComparator",
     "offline_comparator",
 ]
 
@@ -119,39 +120,60 @@ def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return values(xs) - best
 
 
+class PrefixComparator:
+    """The offline comparator of a stream of rounds, fed a chunk at a time,
+    carrying the running sums of the rounds fed so far."""
+
+    def __init__(self, domain: FeasibleSet, kind: str, lam: float):
+        self.domain, self.kind, self.lam = domain, kind, lam
+        self.t, self.row_sum, self.sq_sum, self.x = 0, np.zeros(domain.dim), 0.0, None
+
+    def add(self, rows: np.ndarray, totals: np.ndarray):
+        """Feed the next rounds; ``totals[i]`` is set to the best fixed total
+        up to ``rows[i]``. Worked ``BLOCK_ROWS`` rounds at a time with the
+        row-wise oracles, each equal bit for bit to a round-by-round loop."""
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
+            prefix = prefix_sums(block, self.row_sum)
+            self.row_sum = prefix[-1]
+            if self.kind == LINEAR:
+                x = self.domain.lmo_rows(prefix)
+                totals[start : start + len(block)] = row_dots(prefix, x)
+            else:
+                ts = np.arange(self.t + 1, self.t + len(block) + 1, dtype=float)
+                sq_prefix = prefix_sums(row_dots(block, block), self.sq_sum)
+                self.sq_sum = sq_prefix[-1]
+                x = self.domain.project_rows(prefix / ts[:, None])
+                totals[start : start + len(block)] = (
+                    0.5 * self.lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
+                )
+            self.t += len(block)
+            self.x = x[-1]
+
+    def point(self) -> np.ndarray:
+        """A copy of the best fixed point of the rounds fed so far; for
+        quadratic rounds, its Frank-Wolfe gap is certified."""
+        x_star = self.x.copy()
+        if self.kind != LINEAR:
+            grad = self.lam * (self.t * x_star - self.row_sum)
+            _certify(self.domain, grad, x_star, DEFAULT_ORACLE_TOL)
+        return x_star
+
+
 def offline_comparator(domain: FeasibleSet, rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:
     """Best fixed feasible point in hindsight, and each prefix's best total.
 
     Returns ``(x_star, totals)``, ``totals[t - 1]`` the least total loss of
-    one feasible point over rounds 1..t. Linear rounds: the lmo of the
-    gradient prefix sum, scored against it. Quadratic rounds: the
-    projection of the mean target, scored in closed form from the target
-    sums; the Frank-Wolfe gap of ``x_star`` is certified (``ConvergenceError``
-    otherwise). Worked ``BLOCK_ROWS`` rounds at a time with the row-wise
-    oracles, each entry equal bit for bit to a round-by-round loop. No
-    rounds, or rounds of another dim than the set's, raise ``ValueError``.
+    one feasible point over rounds 1..t, from a ``PrefixComparator`` fed
+    every round. Linear rounds: the lmo of the gradient prefix sum, scored
+    against it. Quadratic rounds: the projection of the mean target,
+    scored in closed form from the target sums; the Frank-Wolfe gap of
+    ``x_star`` is certified (``ConvergenceError`` otherwise). No rounds, or
+    rounds of another dim than the set's, raise ``ValueError``.
     """
     if not len(rounds) or rounds.data.shape[1] != domain.dim:
         raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rounds.data.shape}")
     totals = np.empty(len(rounds))
-    row_sum, sq_sum = np.zeros(domain.dim), 0.0
-    for start in range(0, len(rounds), BLOCK_ROWS):
-        rows = rounds.data[start : start + BLOCK_ROWS]
-        block = slice(start, start + len(rows))
-        prefix = prefix_sums(rows, row_sum)
-        row_sum = prefix[-1]
-        if rounds.kind == LINEAR:
-            x = domain.lmo_rows(prefix)
-            totals[block] = row_dots(prefix, x)
-            continue
-        ts = np.arange(start + 1, block.stop + 1, dtype=float)
-        sq_prefix = prefix_sums(row_dots(rows, rows), sq_sum)
-        sq_sum = sq_prefix[-1]
-        x = domain.project_rows(prefix / ts[:, None])
-        totals[block] = (
-            0.5 * rounds.lam * (ts * row_dots(x, x) - 2.0 * row_dots(prefix, x) + sq_prefix)
-        )
-    x_star = x[-1].copy()
-    if rounds.kind != LINEAR:
-        _certify(domain, rounds.lam * (len(rounds) * x_star - row_sum), x_star, DEFAULT_ORACLE_TOL)
-    return x_star, totals
+    comparator = PrefixComparator(domain, rounds.kind, rounds.lam)
+    comparator.add(rounds.data, totals)
+    return comparator.point(), totals

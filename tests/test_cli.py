@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from test_harness import _configs
 
 import ofwkit.cli
 import ofwkit.harness
 from ofwkit.cli import main
+from ofwkit.harness import ConfigError, emit_csv, parse_config, run_experiment
 from ofwkit.sets import L2Ball
 
 GOOD_CONFIG = """
@@ -187,11 +193,11 @@ def test_non_finite_loss_constant_exits_two(tmp_path, capsys, constant, command)
 def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, monkeypatch, capsys):
     # Only a bad config maps to exit 2; a failure inside a run is not
     # relabelled by sweep: both report it as the same internal error.
-    def broken(spec, rounds=None):
+    def broken(*args):
         raise ValueError("injected failure")
 
-    monkeypatch.setattr(ofwkit.harness, "run_experiment", broken)
-    monkeypatch.setattr(ofwkit.cli, "run_experiment", broken)
+    # Every round of a run and of a sweep's lockstep runs is scored by loss_at.
+    monkeypatch.setattr(ofwkit.harness, "loss_at", broken)
     out = ["--out", str(tmp_path / "out.csv")]
     for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):
         assert main(argv + out) == 1
@@ -227,7 +233,7 @@ def test_horizon_too_long_to_log_exits_two_without_generating_rounds(
     def no_rounds(*args):
         raise AssertionError("rounds generated for a horizon that cannot be logged")
 
-    monkeypatch.setattr(ofwkit.harness, "make_rounds", no_rounds)
+    monkeypatch.setattr(ofwkit.harness, "round_chunks", no_rounds)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(
         GOOD_CONFIG.replace("T = 32", f"T = {2**62}").replace("algo = ofw_ls", "algo = ogd")
@@ -251,3 +257,51 @@ def test_bounds_answers_a_horizon_that_run_cannot_log(tmp_path, capsys):
     assert f"T = {2**62}\n" in capsys.readouterr().out
     assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: horizon {2**62} is too long to log")
+
+
+def test_run_writes_the_same_csv_to_stdout_and_to_a_file(config_path, tmp_path, capsys):
+    assert main(["run", config_path]) == 0
+    printed = capsys.readouterr().out
+    assert main(["run", config_path, "--out", str(tmp_path / "out.csv")]) == 0
+    written = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    with open(config_path, encoding="utf-8") as fh:
+        expected = emit_csv(run_experiment(parse_config(fh.read())))
+    assert printed == written == expected
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    text=_configs(),
+    command=st.sampled_from(["run", "sweep", "bounds"]),
+    horizons=st.sampled_from(["1,2,3", "4,16,64,100", "16,8", "0,5", "2,x", ""]),
+    to_file=st.booleans(),
+)
+@example(text=GOOD_CONFIG, command="run", horizons="", to_file=False)
+@example(text=GOOD_CONFIG, command="run", horizons="", to_file=True)
+@example(text=GOOD_CONFIG, command="sweep", horizons="4,16,64,100", to_file=True)
+@example(text=GOOD_CONFIG, command="bounds", horizons="", to_file=False)
+def test_main_exits_zero_one_or_two_on_fuzzed_configs(
+    tmp_path_factory, text, command, horizons, to_file
+):
+    # parse_config's fuzz, run through each command. Only bounds sees a T
+    # above 2^12: it evaluates closed forms and plays no round.
+    try:
+        T = parse_config(text).horizon
+    except ConfigError:
+        T = None
+    assume(command == "bounds" or T is None or T <= 2**12)
+    folder = tmp_path_factory.mktemp("fuzz")
+    config = folder / "fuzz.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = [command, str(config)]
+    if command == "sweep":
+        argv += ["--horizons", horizons]
+    if to_file and command != "bounds":
+        argv += ["--out", str(folder / "out.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

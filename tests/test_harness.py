@@ -1,7 +1,8 @@
 import csv
 import io
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import _comparator_reference as reference
 import _gap_reference
@@ -22,6 +23,8 @@ from ofwkit.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentSpec,
+    RegretTrace,
+    csv_blocks,
     emit_csv,
     gap_bound,
     loglog_slope,
@@ -39,7 +42,9 @@ from ofwkit.losses import (
     Rounds,
     as_rounds,
     make_rounds,
+    round_chunks,
 )
+from ofwkit.core import prefix_sums
 from ofwkit.sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
@@ -350,7 +355,7 @@ def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch)
     def no_rounds(*args):
         raise AssertionError("rounds generated for a horizon that cannot be logged")
 
-    monkeypatch.setattr(ofwkit.harness, "make_rounds", no_rounds)
+    monkeypatch.setattr(ofwkit.harness, "round_chunks", no_rounds)
     spec = _spec(algo=ALGO_OGD, horizon=2**62)
     with pytest.raises(ConfigError, match="too long to log"):
         run_experiment(spec)
@@ -439,25 +444,25 @@ def test_a_run_calls_the_lmo_once_per_round_and_once_to_certify(loss, algo, extr
 
 def test_sweep_and_runs_never_recheck_or_rebuild_their_own_rounds(monkeypatch):
     def no_check(*args):
-        raise AssertionError("rounds built by make_rounds were checked again")
+        raise AssertionError("rounds built by round_chunks were checked again")
 
     def no_slice(self, key):
         raise AssertionError("a run sliced its own rounds")
 
     built = []
 
-    def counted_make_rounds(*args):
+    def counted_round_chunks(*args):
         built.append(args)
-        return make_rounds(*args)
+        return round_chunks(*args)
 
     spec = _spec(horizon=300, gap_check=True, gap_cap=5)
     expected = sweep(spec, [16, 100, 300])
     for module in (ofwkit.losses, ofwkit.harness, ofwkit.oracle):
         monkeypatch.setattr(module, "as_rounds", no_check, raising=False)
-    monkeypatch.setattr(ofwkit.harness, "make_rounds", counted_make_rounds)
+    monkeypatch.setattr(ofwkit.harness, "round_chunks", counted_round_chunks)
+    monkeypatch.setattr(Rounds, "__getitem__", no_slice)
     assert sweep(spec, [16, 100, 300]).regrets == expected.regrets
     assert len(built) == 1
-    monkeypatch.setattr(Rounds, "__getitem__", no_slice)
     assert run_experiment(spec).final_regret == expected.regrets[-1]
     assert len(built) == 2
 
@@ -539,6 +544,104 @@ def test_block_comparator_resolves_ties_like_the_lmo(domain):
     comp = reference.prefix_comparators(domain, rounds)
     assert trace.comparator_cum.tobytes() == comp.tobytes()
     assert np.all(trace.comparator_cum[1::2] == 0.0)
+
+
+_ALGO_LOSS_PAIRS = [
+    (ALGO_OFW_LS, LINEAR),
+    (ALGO_OFW_LS, QUADRATIC),
+    (ALGO_SC_OFW, QUADRATIC),
+    (ALGO_OFW_DECAY, LINEAR),
+    (ALGO_OFW_DECAY, QUADRATIC),
+    (ALGO_OGD, LINEAR),
+    (ALGO_OGD, QUADRATIC),
+]
+
+
+def _same_traces(a, b):
+    for f in fields(RegretTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("algo, kind", _ALGO_LOSS_PAIRS)
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_streamed_run_equals_a_run_on_its_whole_rounds(domain, algo, kind):
+    # Horizons one short of, at and one past a block and a chunk of the
+    # stream (1024 rounds); a gap cap of 1030 crosses the first chunk's end.
+    loss = LossSpec(kind=kind, dim=6, seed=7, G=1.0, lam=0.7)
+    whole = make_rounds(loss, 2100, domain)
+    for gap_cap in (5, 1030):
+        for T in (1, 63, 64, 1023, 1024, 1025, 2100):
+            spec = _spec(
+                domain=domain, loss=loss, algo=algo, horizon=T, gap_check=True, gap_cap=gap_cap
+            )
+            _same_traces(run_experiment(spec), run_experiment(spec, whole[:T]))
+
+
+@pytest.mark.parametrize("algo, kind", _ALGO_LOSS_PAIRS)
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_sweep_across_chunk_ends_equals_separate_runs(domain, algo, kind):
+    spec = _spec(domain=domain, loss=LossSpec(kind=kind, dim=6, seed=3, G=1.0, lam=0.7), algo=algo)
+    horizons = [1000, 1024, 1025, 2100]
+    result = sweep(spec, horizons)
+    runs = [run_experiment(replace(spec, horizon=h)) for h in horizons]
+    assert result.horizons == horizons
+    assert result.regrets == [r.final_regret for r in runs]
+    assert result.bounds == [r.final_bound for r in runs]
+
+
+def test_sweep_fails_the_comparator_certificate_where_its_run_does(monkeypatch):
+    # A projection that halves the mean target of rounds 1..200, and only
+    # that row, fails the comparator point's certificate at T = 200 alone.
+    loss = LossSpec(kind=QUADRATIC, dim=10, seed=5, lam=1.0)
+    spec = _spec(loss=loss, algo=ALGO_SC_OFW)
+    targets = make_rounds(loss, 200, spec.domain).data
+    mean = prefix_sums(targets, np.zeros(10))[-1] / 200.0
+    project_rows = L2Ball.project_rows
+
+    def wrong_at_200(self, x):
+        p = project_rows(self, x)
+        p[(x == mean).all(axis=1)] *= 0.5
+        return p
+
+    monkeypatch.setattr(L2Ball, "project_rows", wrong_at_200)
+    for h in (100, 300):
+        run_experiment(replace(spec, horizon=h))
+    with pytest.raises(ofwkit.oracle.ConvergenceError) as from_run:
+        run_experiment(replace(spec, horizon=200))
+    with pytest.raises(ofwkit.oracle.ConvergenceError) as from_sweep:
+        sweep(spec, [100, 200, 300])
+    assert str(from_sweep.value) == str(from_run.value)
+
+
+def test_csv_blocks_join_to_emit_csv_one_block_of_rows_at_a_time():
+    trace = run_experiment(_spec(horizon=130, gap_check=True, gap_cap=5))
+    blocks = list(csv_blocks(trace))
+    assert "".join(blocks) == emit_csv(trace)
+    assert blocks[0] == CSV_HEADER + "\n"
+    assert [b.count("\n") for b in blocks[1:]] == [64, 64, 2]
+
+
+@pytest.mark.parametrize(
+    "loss, algo",
+    [
+        (LossSpec(kind=LINEAR, dim=100, seed=1, G=1.0), ALGO_OFW_LS),
+        (LossSpec(kind=QUADRATIC, dim=100, seed=2, lam=1.0), ALGO_SC_OFW),
+    ],
+)
+def test_a_long_run_holds_one_chunk_of_rounds_not_all_of_them(loss, algo):
+    # All 2^14 rounds at dim 100 would take 13.1 MB; the logs take 1 MB.
+    spec = _spec(domain=L2Ball(100, 1.0), loss=loss, algo=algo, horizon=2**14)
+    tracemalloc.start()
+    try:
+        run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_emit_csv_matches_per_cell_formatting_on_special_values():

@@ -82,3 +82,55 @@ def test_tracer_wraps_every_name_and_counts_learner_calls(tmp_path):
         {"lmo": T, "project": 0},
         {"lmo": 0, "project": T},
     ]
+
+
+SWEEP_SCRIPT = r"""
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+
+from ofwkit import cli
+
+tracer = Tracer()
+tracer.install()
+tasks, horizons = json.loads(sys.argv[2]), sys.argv[3]
+codes = []
+for i, (algo, config, out) in enumerate(tasks):
+    tracer.task = i
+    codes.append(cli.main(["sweep", config, "--horizons", horizons, "--out", out]))
+rounds = sum(int(h) for h in horizons.split(","))
+_, counts = tracer.summary([algo for algo, _, _ in tasks], [rounds] * len(tasks))
+print(json.dumps({"codes": codes, "counts": counts}))
+"""
+
+
+def test_traced_lockstep_sweep_makes_one_learner_lmo_call_per_requested_round(tmp_path):
+    # The learners of a sweep play in lockstep, each through the update
+    # names the tracer rebinds, so a sweep counts one lmo call and no
+    # projection per round of every horizon, as separate runs would.
+    horizons = [16, 64, 1030]
+    tasks = []
+    for algo in ("ofw_ls", "sc_ofw"):
+        loss = LOSSES[algo]
+        constant = "loss.G = 1" if loss == "linear" else "loss.lambda = 1"
+        config = tmp_path / f"{algo}.cfg"
+        config.write_text(
+            f"set.kind = l2_ball\nset.dim = 10\nset.r = 1\nloss.kind = {loss}\n{constant}\n"
+            f"algo = {algo}\nT = {horizons[-1]}\nseed = 1\n"
+        )
+        tasks.append((algo, str(config), str(tmp_path / f"{algo}.csv")))
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_SCRIPT, str(ROOT / "perfbench"), json.dumps(tasks),
+         ",".join(map(str, horizons))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0]
+    assert report["counts"] == [{"lmo": sum(horizons), "project": 0}] * 2
