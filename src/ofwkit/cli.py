@@ -6,13 +6,15 @@ to CSV plus a fitted slope), ``verify`` (self-check battery as JSON),
 
 Exit codes: 0 success, 1 a verified property failed (bound violated, a
 check failed, or a reference minimizer failed its certificate) or an
-internal error, 2 config or usage error.
+internal error, numpy's ``RuntimeWarning``s included, 2 config or usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .harness import (
     SCOPES,
@@ -130,6 +132,11 @@ def main(argv=None) -> int:
     exception other than a config, self-check or I/O error, reported as one
     ``internal error: <type>: <message>`` line on stderr; 2 a config, usage
     or I/O error, reported as one line on stderr.
+
+    The subcommand runs with ``RuntimeWarning`` raised as an error, so
+    numeric trouble such as a numpy overflow is an internal error that
+    names the warning, not a stray stderr line. The library's own
+    fallbacks, which catch these errors, then run silently.
     """
     parser = argparse.ArgumentParser(
         prog="ofwkit",
@@ -162,7 +169,9 @@ def main(argv=None) -> int:
         "bounds": _cmd_bounds,
     }
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,8 @@ __all__ = [
     "l2_norm",
     "row_l2_norms",
     "lp_norm",
+    "unit_max_lp_norm",
+    "row_unit_max_lp_norms",
     "prefix_sums",
     "running_sums",
     "line_search_quadratic",
@@ -166,7 +168,28 @@ def lp_norm(v: np.ndarray, p: float) -> float:
     m = float(a.max()) if a.size else 0.0
     if m == 0.0:
         return 0.0
-    return m * float(np.sum((a / m) ** p) ** (1.0 / p))
+    return m * unit_max_lp_norm(a / m, p)
+
+
+def unit_max_lp_norm(a: np.ndarray, p: float) -> float:
+    """lp norm, p != 2, of a nonnegative vector whose largest entry is 1.
+
+    ``lp_norm``'s last step, after its scaling by the largest entry, which
+    a vector of this kind does not need. ``lp_norm`` takes p = 2 through
+    ``l2_norm``, which rounds differently.
+    """
+    return float(np.add.reduce(a**p)) ** (1.0 / p)
+
+
+def row_unit_max_lp_norms(a: np.ndarray, p: float, out=None) -> np.ndarray:
+    """``unit_max_lp_norm`` of each row of an (n, dim) array, bit for bit;
+    zero rows give 0. ``out``, which may be ``a``, takes ``a**p``.
+
+    The root is taken per row on floats: numpy's vectorised power rounds
+    some values differently.
+    """
+    sums = np.add.reduce(np.power(a, p, out=out), axis=1)
+    return np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
 def prefix_sums(rows: np.ndarray, carry) -> np.ndarray:

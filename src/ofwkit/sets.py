@@ -22,7 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rows, as_vector, as_vector_and_norm, l2_norm, lp_norm, row_dots, row_l2_norms
+from .core import (
+    as_rows,
+    as_vector,
+    as_vector_and_norm,
+    l2_norm,
+    lp_norm,
+    row_dots,
+    row_l2_norms,
+    row_unit_max_lp_norms,
+    unit_max_lp_norm,
+)
 
 __all__ = [
     "DEFAULT_FEASIBILITY_TOL",
@@ -284,22 +294,19 @@ class LpBall(_Ball):
         # lp_norm's steps: scale by the largest entry, which leaves zero
         # rows at zero.
         a /= np.where(m > 0.0, m, 1.0)[:, None]
-        a **= self.p
-        sums = a.sum(axis=1)
-        # A scalar power: numpy's vectorised power rounds some values
-        # differently from the per-vector ``lp_norm``.
-        return m * np.array([s ** (1.0 / self.p) for s in sums.tolist()])
+        return m * row_unit_max_lp_norms(a, self.p, out=a)
 
     def _lmo(self, g, norm):
         # First-order condition on the boundary: the minimizer has
         # |x_i| proportional to |g_i|^(q-1) with q the dual exponent.
         # Normalizing by max|g_i| keeps the powers in a safe range.
-        # The steps run in place, in two buffers.
+        # The steps run in place, in two buffers. The largest entry of w
+        # ends exactly 1.0, so lp_norm's own scaling would change nothing.
         q = self.p / (self.p - 1.0)
         w = np.abs(g)
-        w /= float(w.max())
+        w /= np.maximum.reduce(w)
         w **= q - 1.0
-        w /= lp_norm(w, self.p)
+        w /= l2_norm(w) if self.p == 2 else unit_max_lp_norm(w, self.p)
         out = np.sign(g)
         out *= -self.radius
         out *= w
@@ -309,9 +316,9 @@ class LpBall(_Ball):
         # _lmo's steps, in place where they make a block-sized temporary.
         q = self.p / (self.p - 1.0)
         w = np.abs(g)
-        w /= w.max(axis=1, keepdims=True)
+        w /= np.maximum.reduce(w, axis=1, keepdims=True)
         w **= q - 1.0
-        w /= self.norm_rows(w)[:, None]
+        w /= (row_l2_norms(w) if self.p == 2 else row_unit_max_lp_norms(w, self.p))[:, None]
         out = np.sign(g)
         out *= -self.radius
         out *= w
@@ -328,7 +335,7 @@ class LpBall(_Ball):
         x = as_vector(x, self.dim)
         # Work on |x| / max|x|, as lp_norm does, so no power overflows.
         a = np.abs(x)
-        scale = float(a.max())
+        scale = float(np.maximum.reduce(a))
         if scale == 0.0:
             return x.copy()
         a /= scale
@@ -434,7 +441,7 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
     # After an entry step of e relative to y, the next error is at most
     # (k-1)/2 * e**2 relative.
     y_tol = max(math.sqrt(2.0 * target / max(k - 1.0, 1.0)), 16.0 * _EPS)
-    hi = float((a**q).sum()) ** (1.0 / q) / t ** (p - 1.0)
+    hi = float(np.add.reduce(a**q)) ** (1.0 / q) / t ** (p - 1.0)
     c = 0.0
     yk1 = y ** (k - 1.0)
     # y*psi' - psi, the numerator of a Newton step. It must use b = y**k
@@ -457,7 +464,8 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
         converged = rel <= rtol or rel**3 <= target * last**2 or hi - lo <= rtol * hi
         # The entries' own next step, y - numer/psi', must be small too.
         done = (converged or abs(log_ratio) <= log_tol) and (
-            c == 0.0 or float((y - numer / dpsi).max()) <= y_tol * float(y.max())
+            c == 0.0
+            or float(np.maximum.reduce(y - numer / dpsi)) <= y_tol * float(np.maximum.reduce(y))
         )
         # Newton may leave the bracket or cycle inside it; then bisect, on
         # entries solved exactly so that the bracket stays valid. Entries
@@ -503,7 +511,8 @@ def _solve_entries(a, c, y, cap, k, tol):
     for _ in range(_NEWTON_MAX_ITER):
         yk1 = y ** (k - 1.0)
         y_next = np.minimum(((k - 1.0) * (yk1 * y) + a) / (k * yk1 + c), cap)
-        if float(np.abs(y - y_next).max()) <= tol * float(y_next.max()):
+        step = float(np.maximum.reduce(np.abs(y - y_next)))
+        if step <= tol * float(np.maximum.reduce(y_next)):
             return y_next
         y = y_next
     raise RuntimeError("lp projection: entry Newton did not converge")
@@ -523,14 +532,15 @@ class L1Ball(_Ball):
             return np.abs(as_rows(x, self.dim)).sum(axis=1)
 
     def _lmo(self, g, norm):
-        j = int(np.argmax(np.abs(g)))
+        j = np.abs(g).argmax()
         out = np.zeros(self.dim)
-        out[j] = -self.radius * float(np.sign(g[j]))
+        # g[j] is not 0: lmo passes no tie.
+        out[j] = -self.radius if g[j] > 0.0 else self.radius
         return out
 
     def _lmo_rows(self, g, norms):
         rows = np.arange(g.shape[0])
-        j = np.argmax(np.abs(g), axis=1)
+        j = np.abs(g).argmax(axis=1)
         out = np.zeros_like(g)
         out[rows, j] = -self.radius * np.sign(g[rows, j])
         return out
@@ -569,12 +579,12 @@ class Simplex(FeasibleSet):
 
     def _lmo(self, g, norm):
         out = np.zeros(self.dim)
-        out[int(np.argmin(g))] = 1.0
+        out[g.argmin()] = 1.0
         return out
 
     def _lmo_rows(self, g, norms):
         out = np.zeros_like(g)
-        out[np.arange(g.shape[0]), np.argmin(g, axis=1)] = 1.0
+        out[np.arange(g.shape[0]), g.argmin(axis=1)] = 1.0
         return out
 
     def project(self, x):

@@ -4,7 +4,9 @@ Each check is a named zero-argument callable returning ``(passed, detail)``,
 with a counterexample in the detail string when it fails, so a corrupted
 component is pinned to the check that caught it. ``verify_suite`` runs
 each check on its own: a check that raises fails under its own name, with
-the exception as its detail, and the checks after it still run. Scopes:
+the exception as its detail, and the checks after it still run. Each
+check is timed, and the report's JSON gives the times under
+``durations_s``. Scopes:
 ``sets``, ``learners``, ``bounds``, ``all``.
 """
 
@@ -49,6 +51,8 @@ class CheckResult:
     scope: str
     passed: bool
     detail: str
+    # Wall-clock seconds the check took.
+    seconds: float = 0.0
 
 
 @dataclass
@@ -66,6 +70,7 @@ class VerifyReport:
                 {"name": r.name, "scope": r.scope, "passed": r.passed, "detail": r.detail}
                 for r in self.results
             ],
+            "durations_s": {r.name: r.seconds for r in self.results},
         }
         return json.dumps(payload, indent=2)
 
@@ -455,9 +460,11 @@ def verify_suite(scope: str = "all") -> VerifyReport:
         if scope not in (part, "all"):
             continue
         for name, check in checks():
+            start = time.perf_counter()
             try:
                 passed, detail = check()
             except Exception as exc:  # a crashed check is a failed check
                 passed, detail = False, repr(exc)
-            results.append(CheckResult(name, part, passed, detail))
+            seconds = time.perf_counter() - start
+            results.append(CheckResult(name, part, passed, detail, seconds))
     return VerifyReport(results)

@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,27 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
         assert main(argv + out) == 1
         err = capsys.readouterr().err
         assert err == "internal error: ValueError: injected failure\n"
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_numpy_warning_exits_one_with_one_line(config_path, tmp_path, monkeypatch, capsys):
+    # Numeric trouble inside a command is a named failure even where the
+    # caller's filters would only print the warning, as they do here.
+    loss_at = ofwkit.harness.loss_at
+
+    def overflowing(*args):
+        np.array([1e308]) * 10.0
+        return loss_at(*args)
+
+    monkeypatch.setattr(ofwkit.harness, "loss_at", overflowing)
+    filters = list(warnings.filters)
+    out = ["--out", str(tmp_path / "out.csv")]
+    for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):
+        assert main(argv + out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeWarning: overflow encountered in multiply\n"
+        assert "Traceback" not in captured.err + captured.out
+    assert warnings.filters == filters
 
 
 def test_unexpected_exception_exits_one_with_one_line(config_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import _lmo_reference
 import _sampler_reference as reference
 import numpy as np
 import pytest
@@ -5,7 +6,7 @@ from _helpers import feasible_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofwkit.core import l2_norm, lp_norm
+from ofwkit.core import l2_norm, lp_norm, row_l2_norms
 from ofwkit.sets import MIN_P_GAP, ZERO_GRADIENT_TOL, L1Ball, L2Ball, LpBall, Simplex, is_tie
 
 ALL_SETS = [
@@ -387,6 +388,58 @@ def test_lmo_rows_equal_lmo_bit_for_bit(dom):
         assert _bits(out) == _bits(expected)
         assert _bits(dom.lmo_rows(g[-1:])) == _bits(expected[-1:])
     assert dom.lmo_rows(np.empty((0, dom.dim))).shape == (0, dom.dim)
+
+
+LMO_REFERENCES = {
+    LpBall: (_lmo_reference.lp_lmo, _lmo_reference.lp_lmo_rows),
+    L1Ball: (_lmo_reference.l1_lmo, _lmo_reference.l1_lmo_rows),
+    Simplex: (_lmo_reference.simplex_lmo, _lmo_reference.simplex_lmo_rows),
+}
+RADII = (0.3, 1.0, 7.0)
+REFERENCE_LMO_SETS = (
+    [LpBall(9, r, p) for p in (1.0 + MIN_P_GAP, 1.1, 1.5, 1.9, 2.0) for r in RADII]
+    + [L1Ball(9, r) for r in RADII]
+    + [Simplex(9)]
+)
+
+
+def _lmo_reference_cases(dim):
+    """Rows at scales 1e-30 to 1e30, rows with +0.0 and -0.0 entries, and
+    rows whose extreme entries tie."""
+    rng = np.random.default_rng(47)
+    rows = rng.standard_normal((200, dim)) * 10.0 ** rng.uniform(-30.0, 30.0, size=(200, 1))
+    rows[:2] *= 1e30 / np.abs(rows[:2]).max(axis=1, keepdims=True)
+    rows[2:4] *= 1e-30 / np.abs(rows[2:4]).max(axis=1, keepdims=True)
+    rows[::3, 0] = 0.0
+    rows[::3, 1] = -0.0
+    ones = [1.0] * (dim - 2)
+    ties = [
+        [-2.0, -2.0] + ones,
+        [3.0, -3.0] + ones,
+        [-3.0, 3.0] + [-0.0] * (dim - 2),
+        [0.0, -0.0] + [-1.0] * (dim - 2),
+        [0.5] * dim,
+        [-0.5] * dim,
+    ]
+    return np.concatenate([rows, np.array(ties)])
+
+
+@pytest.mark.parametrize(
+    "dom", REFERENCE_LMO_SETS, ids=[f"{d!r}".replace(" ", "") for d in REFERENCE_LMO_SETS]
+)
+def test_lmo_steps_equal_reference_bit_for_bit(dom):
+    # The hooks read no tie threshold, so rows far below it test their
+    # steps at that scale too.
+    lmo, lmo_rows = LMO_REFERENCES[type(dom)]
+    g = _lmo_reference_cases(dom.dim)
+    norms = row_l2_norms(g)
+    # At p = 1 + 1e-9 the entries below the largest are raised to the power
+    # 1e9, which underflows to 0, and numpy raises that under all="raise".
+    under = "ignore" if getattr(dom, "p", 2.0) < 1.01 else "raise"
+    with np.errstate(all="raise", under=under):
+        assert _bits(dom._lmo_rows(g, norms)) == _bits(lmo_rows(dom, g))
+        for row, norm in zip(g, norms.tolist()):
+            assert _bits(dom._lmo(row, norm)) == _bits(lmo(dom, row))
 
 
 @pytest.mark.parametrize("dom", ROW_SETS, ids=_ids(ROW_SETS))

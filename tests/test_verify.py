@@ -63,6 +63,13 @@ def test_report_json_shape():
         assert set(c) == {"name", "scope", "passed", "detail"}
 
 
+def test_report_json_gives_each_checks_duration():
+    report = verify_suite("bounds")
+    durations = json.loads(report.to_json())["durations_s"]
+    assert set(durations) == {r.name for r in report.results}
+    assert all(isinstance(s, float) and s >= 0.0 for s in durations.values())
+
+
 def test_corrupted_lmo_is_detected_and_named(monkeypatch):
     # flip the oracle's sign: argmax instead of argmin. The optimality
     # check must fail with a counterexample rather than pass silently.
