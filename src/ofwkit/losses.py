@@ -116,8 +116,8 @@ class Rounds:
 
     Row i of ``data``, a read-only (T, dim) array that ``make_rounds`` and
     ``as_rounds`` fill with finite values, is round i + 1's gradient or
-    target; ``lam`` is their modulus (0.0 if linear). ``rounds[:h]`` is a
-    view of rounds 1..h, h >= 1. A ``Rounds`` built directly is trusted.
+    target; ``lam`` is their modulus (0.0 if linear). A ``Rounds`` built
+    directly is trusted.
     """
 
     kind: str
@@ -126,14 +126,6 @@ class Rounds:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def __getitem__(self, key: slice) -> Rounds:
-        if not isinstance(key, slice):
-            raise TypeError("rounds take a prefix slice rounds[:h]; row i is rounds.data[i]")
-        start, stop, step = key.indices(len(self))
-        if start != 0 or step != 1 or stop == 0:
-            raise IndexError("a slice of rounds must be a prefix rounds[:h], h >= 1")
-        return Rounds(self.kind, self.lam, self.data[:stop])
 
 
 _MIN_NORM = 1e-12  # linear rounds redraw a direction shorter than this

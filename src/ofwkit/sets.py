@@ -18,6 +18,7 @@ is the Euclidean diameter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,7 +305,7 @@ class LpBall(_Ball):
         # ends exactly 1.0, so lp_norm's own scaling would change nothing.
         q = self.p / (self.p - 1.0)
         w = np.abs(g)
-        w /= np.maximum.reduce(w)
+        w /= _largest(w)
         w **= q - 1.0
         w /= l2_norm(w) if self.p == 2 else unit_max_lp_norm(w, self.p)
         out = np.sign(g)
@@ -335,7 +336,7 @@ class LpBall(_Ball):
         x = as_vector(x, self.dim)
         # Work on |x| / max|x|, as lp_norm does, so no power overflows.
         a = np.abs(x)
-        scale = float(np.maximum.reduce(a))
+        scale = float(_largest(a))
         if scale == 0.0:
             return x.copy()
         a /= scale
@@ -403,6 +404,19 @@ _CLAMP_STEP = 0.1
 _MIN_RADIUS_RATIO = 1e-60
 
 
+def _largest(v):
+    """The largest entry of a 1-D float array: the float ``np.maximum.reduce``
+    gives, in about a third of its time."""
+    return v[v.argmax()]
+
+
+def _unless_unit(op, v, e):
+    """``op(v, e)`` for ``operator.pow`` or ``mul``, or v itself when e is 1.0
+    (k - 1 at p = 1.5), since ``v ** 1.0`` and ``v * 1.0`` are v bit for bit.
+    The result may be v, so callers never write into it in place."""
+    return v if e == 1.0 else op(v, e)
+
+
 def _shrink_to_lp_sphere(a, y, mass, t, p):
     """The b >= 0 with b + c*b**(p-1) = a and ||b||_p = t, for some c > 0,
     and its ``sum(b**p)``.
@@ -443,10 +457,10 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
     y_tol = max(math.sqrt(2.0 * target / max(k - 1.0, 1.0)), 16.0 * _EPS)
     hi = float(np.add.reduce(a**q)) ** (1.0 / q) / t ** (p - 1.0)
     c = 0.0
-    yk1 = y ** (k - 1.0)
+    yk1 = _unless_unit(operator.pow, y, k - 1.0)
     # y*psi' - psi, the numerator of a Newton step. It must use b = y**k
     # rather than a: y carries rounding that b would see magnified by k.
-    numer = (k - 1.0) * (yk1 * y) + a
+    numer = _unless_unit(operator.mul, yk1 * y, k - 1.0) + a
     dpsi = k * yk1
     # At c = 0 the entries are exact, and sum(b*y / psi') = sum(y*y) / k.
     weight, excess = float(y.dot(y)) / k, 0.0
@@ -464,8 +478,7 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
         converged = rel <= rtol or rel**3 <= target * last**2 or hi - lo <= rtol * hi
         # The entries' own next step, y - numer/psi', must be small too.
         done = (converged or abs(log_ratio) <= log_tol) and (
-            c == 0.0
-            or float(np.maximum.reduce(y - numer / dpsi)) <= y_tol * float(np.maximum.reduce(y))
+            c == 0.0 or _largest(y - numer / dpsi) <= y_tol * _largest(y)
         )
         # Newton may leave the bracket or cycle inside it; then bisect, on
         # entries solved exactly so that the bracket stays valid. Entries
@@ -490,13 +503,13 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
             if exact:
                 y = _solve_entries(a, c_next, y, cap, k, y_tol)
         c = c_next
-        yk1 = y ** (k - 1.0)
+        yk1 = _unless_unit(operator.pow, y, k - 1.0)
         b = yk1 * y
         mass = float(b.dot(y))
         if done:
             return b, mass
         dpsi = k * yk1 + c
-        numer = (k - 1.0) * b + a
+        numer = _unless_unit(operator.mul, b, k - 1.0) + a
         # sum(b*y/psi') and sum(b*psi/psi'), the entries' residual seen
         # by the scale equation.
         u = b / dpsi
@@ -509,10 +522,10 @@ def _solve_entries(a, c, y, cap, k, tol):
     """Newton on psi(y) = y**k + c*y - a from ``y``, clamped to ``cap``,
     until a step is below ``tol`` relative to max(y)."""
     for _ in range(_NEWTON_MAX_ITER):
-        yk1 = y ** (k - 1.0)
-        y_next = np.minimum(((k - 1.0) * (yk1 * y) + a) / (k * yk1 + c), cap)
-        step = float(np.maximum.reduce(np.abs(y - y_next)))
-        if step <= tol * float(np.maximum.reduce(y_next)):
+        yk1 = _unless_unit(operator.pow, y, k - 1.0)
+        numer = _unless_unit(operator.mul, yk1 * y, k - 1.0) + a
+        y_next = np.minimum(numer / (k * yk1 + c), cap)
+        if _largest(np.abs(y - y_next)) <= tol * _largest(y_next):
             return y_next
         y = y_next
     raise RuntimeError("lp projection: entry Newton did not converge")

@@ -328,3 +328,69 @@ def test_main_exits_zero_one_or_two_on_fuzzed_configs(
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+_ALGO_LOSS_PAIRS = [
+    ("ofw_ls", "linear"),
+    ("ofw_decay", "linear"),
+    ("ogd", "linear"),
+    ("ofw_ls", "quadratic"),
+    ("sc_ofw", "quadratic"),
+    ("ofw_decay", "quadratic"),
+    ("ogd", "quadratic"),
+]
+# repr writes a float that parses back to the drawn value.
+_POSITIVE = st.floats(0.01, 100.0).map(repr)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Small configs that parse: every set kind and algo/loss pair, dim 1 to
+    20, T <= 64, p anywhere in [1 + 1e-6, 2]."""
+    set_kind = draw(st.sampled_from(["l2_ball", "lp_ball", "l1_ball", "simplex"]))
+    algo, loss_kind = draw(st.sampled_from(_ALGO_LOSS_PAIRS))
+    T = draw(st.integers(1, 64))
+    # A one-point simplex has diameter 0, which every certificate refuses.
+    min_dim = 2 if set_kind == "simplex" else 1
+    entries = {"set.kind": set_kind, "set.dim": draw(st.integers(min_dim, 20))}
+    if set_kind != "simplex":
+        entries["set.r"] = draw(_POSITIVE)
+    if set_kind == "lp_ball":
+        ends = st.sampled_from([1.0 + 1e-6, 1.5, 2.0])
+        entries["set.p"] = repr(draw(st.one_of(ends, st.floats(1.0 + 1e-6, 2.0))))
+    entries["loss.kind"] = loss_kind
+    entries["loss.G" if loss_kind == "linear" else "loss.lambda"] = draw(_POSITIVE)
+    entries.update(algo=algo, T=T, seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        entries.update(gap_check="true", gap_cap=draw(st.integers(1, T)))
+    horizons = draw(st.lists(st.integers(1, T), min_size=1, max_size=4, unique=True))
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    return text, ",".join(str(h) for h in sorted(horizons))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    case=_valid_configs(),
+    command=st.sampled_from(["run", "sweep", "bounds"]),
+    to_file=st.booleans(),
+)
+def test_main_runs_valid_small_configs_without_internal_errors(
+    tmp_path_factory, case, command, to_file
+):
+    # RuntimeWarning is an error under main, so a numpy warning anywhere in
+    # these runs, the Lp projection's Newton solve included, fails here.
+    text, horizons = case
+    parse_config(text)
+    folder = tmp_path_factory.mktemp("valid")
+    config = folder / "valid.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = [command, str(config)]
+    if command == "sweep":
+        argv += ["--horizons", horizons]
+    if to_file and command != "bounds":
+        argv += ["--out", str(folder / "out.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), err.getvalue()
+    assert "internal error" not in err.getvalue()

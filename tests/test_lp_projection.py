@@ -1,5 +1,7 @@
-"""Property tests of LpBall.project against the reference brentq routine."""
+"""Property tests of LpBall.project against the reference brentq routine, and
+bit-for-bit tests of the Lp oracles against their frozen Newton solve."""
 
+import _lp_newton_reference as newton_reference
 import numpy as np
 import pytest
 from _lp_reference import reference_project
@@ -92,3 +94,35 @@ def test_p_too_close_to_one_is_rejected():
     with pytest.raises(ValueError):
         LpBall(3, 1.0, 1.0 + MIN_P_GAP / 2)
     LpBall(3, 1.0, 1.0 + MIN_P_GAP)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _newton_cases(dim, seed):
+    """300 seeded rows at scales 1e-3 to 1e8, a third with exact zeros and a
+    third with entries tied in magnitude; most lie outside a unit ball."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-3.0, 8.0, size=(300, 1))
+    x[::3][rng.random((100, dim)) < 0.3] = 0.0
+    tied = x[1::3]
+    mask = rng.random(tied.shape) < 0.4
+    tied[mask] = (np.abs(tied[:, :1]) * rng.choice([-1.0, 1.0], size=tied.shape))[mask]
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 5, 100])
+@pytest.mark.parametrize("p", [1.5, 1.01, 1.25, 1.9, 2.0, 1.0 + 1e-6])
+def test_newton_oracles_equal_frozen_reference_bit_for_bit(p, dim):
+    # p = 1.5 takes the solve's k - 1 = 1 shortcuts; the other values of p
+    # take the general powers and products.
+    ball = LpBall(dim, 1.0, p)
+    x = _newton_cases(dim, seed=int(1000 * p) + dim)
+    expected = np.array([newton_reference.project(ball, row) for row in x])
+    assert _bits(np.array([ball.project(row) for row in x])) == _bits(expected)
+    assert _bits(ball.project_rows(x)) == _bits(expected)
+    g = x[np.abs(x).max(axis=1) > 0.0]
+    expected = np.array([newton_reference.lp_lmo(ball, row) for row in g])
+    assert _bits(np.array([ball.lmo(row) for row in g])) == _bits(expected)
+    assert _bits(ball.lmo_rows(g)) == _bits(expected)
