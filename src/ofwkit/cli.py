@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -125,19 +126,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); return its exit code.
-
-    0 success; 1 a verified property failed, or an internal error: any
-    exception other than a config, self-check or I/O error, reported as one
-    ``internal error: <type>: <message>`` line on stderr; 2 a config, usage
-    or I/O error, reported as one line on stderr.
-
-    The subcommand runs with ``RuntimeWarning`` raised as an error, so
-    numeric trouble such as a numpy overflow is an internal error that
-    names the warning, not a stray stderr line. The library's own
-    fallbacks, which catch these errors, then run silently.
-    """
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ofwkit",
         description="Projection-free online convex optimization experiments.",
@@ -161,7 +152,23 @@ def main(argv=None) -> int:
     p_bounds = sub.add_parser("bounds", help="print certified constants and bound values")
     p_bounds.add_argument("config")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    0 success; 1 a verified property failed, or an internal error: any
+    exception other than a config, self-check or I/O error, reported as one
+    ``internal error: <type>: <message>`` line on stderr; 2 a config, usage
+    or I/O error, reported as one line on stderr.
+
+    The subcommand runs with ``RuntimeWarning`` raised as an error, so
+    numeric trouble such as a numpy overflow is an internal error that
+    names the warning, not a stray stderr line. The library's own
+    fallbacks, which catch these errors, then run silently.
+    """
+    args = _parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

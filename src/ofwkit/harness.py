@@ -14,8 +14,10 @@ chunk, one row per round, and scores it with an ``oracle.PrefixComparator``
 before the next is drawn. The surrogate gaps are measured
 ``core.BLOCK_ROWS`` rounds at a time by ``oracle.surrogate_gaps``, from
 the plays and gradients of one block. The cumulative loss and regret are
-computed after the rounds, and the CSV text ``core.BLOCK_ROWS`` rows at a
-time as it is written; each equals the per-round computation bit for bit.
+computed after the rounds, bit for bit as the per-round computation
+would. The CSV cells are ``'%.17g'`` text, byte for byte, formatted by a
+numpy kernel ``8 * core.BLOCK_ROWS`` rows at a time and written
+``core.BLOCK_ROWS`` rows at a time.
 A sweep plays one learner per horizon in lockstep over one stream.
 """
 
@@ -29,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_ROWS, prefix_sums
+from .csvtext import KERNEL_ROWS, CellFormatter
 from .learners import (
     baseline_update,
     ofw_decay_init,
@@ -529,25 +532,26 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
 # -- CSV --------------------------------------------------------------------
 
 
-def _cells(values) -> list[str]:
-    """CSV cells of floats: 17 significant digits, NaN as an empty cell."""
-    return ["" if v != v else "%.17g" % v for v in values]
-
-
 def csv_blocks(trace: RegretTrace):
     """The trace's CSV text with the fixed column layout, yielded as the
-    header line and then ``core.BLOCK_ROWS`` rows at a time, as formatted.
+    header line and then ``core.BLOCK_ROWS`` rows at a time.
 
-    Floats carry 17 significant digits so round-tripping is lossless;
-    inapplicable entries (no bound, gap not measured) are empty cells.
+    Floats carry 17 significant digits (``'%.17g' % v``) so round-tripping
+    is lossless; inapplicable entries (no bound, gap not measured) are
+    empty cells. Rows are formatted ``8 * core.BLOCK_ROWS`` at a time.
     """
     columns = [getattr(trace, name) for name in CSV_HEADER.split(",")[1:]]
+    T = trace.rounds.shape[0]
     yield CSV_HEADER + "\n"
-    for start in range(0, trace.rounds.shape[0], BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        ts = ["%d" % t for t in trace.rounds[block].tolist()]
-        cells = [_cells(c[block].tolist()) for c in columns]
-        yield "\n".join(map(",".join, zip(ts, *cells))) + "\n"
+    formatter = CellFormatter(min(T, KERNEL_ROWS), 1 + len(columns))
+    for start in range(0, T, KERNEL_ROWS):
+        stop = min(start + KERNEL_ROWS, T)
+        block = formatter.values[: stop - start]
+        # '%.17g' of a round number below 1e17 is its '%d'.
+        block[:, 0] = trace.rounds[start:stop]
+        for j, column in enumerate(columns, 1):
+            block[:, j] = column[start:stop]
+        yield from formatter.pieces(stop - start)
 
 
 def emit_csv(trace: RegretTrace) -> str:
@@ -664,10 +668,11 @@ def _horizon(h) -> int:
 def sweep_csv(result: SweepResult) -> str:
     """Render a sweep as CSV: one row per horizon, slope repeated."""
     nan = float("nan")
-    (slope_cell,) = _cells([nan if result.slope is None else result.slope])
-    regret_cells = _cells(result.regrets)
-    bound_cells = _cells([nan if b is None else b for b in result.bounds])
-    lines = [SWEEP_CSV_HEADER]
-    for h, r, b in zip(result.horizons, regret_cells, bound_cells):
-        lines.append(f"{h},{r},{b},{slope_cell}")
-    return "\n".join(lines) + "\n"
+    m = len(result.horizons)
+    formatter = CellFormatter(m, 4)
+    block = formatter.values
+    block[:, 0] = result.horizons  # as in csv_blocks' round column
+    block[:, 1] = result.regrets
+    block[:, 2] = [nan if b is None else b for b in result.bounds]
+    block[:, 3] = nan if result.slope is None else result.slope
+    return SWEEP_CSV_HEADER + "\n" + "".join(formatter.pieces(m))

@@ -94,6 +94,40 @@ def test_usage_error_exits_two():
     assert exc2.value.code == 2
 
 
+def _call(argv, out_path=None):
+    """(exit code, stdout, stderr, file text) of one ``main`` call; a usage
+    error's SystemExit code counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = out_path.read_text(encoding="utf-8") if out_path and out_path.exists() else None
+    if out_path and out_path.exists():
+        out_path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def test_main_reuses_one_parser_and_answers_as_a_fresh_call(config_path, tmp_path):
+    out = tmp_path / "out.csv"
+    calls = [
+        ["run", config_path, "--out", str(out)],
+        ["run"],  # usage error: missing config argument
+        ["sweep", config_path, "--horizons", "16,32,64"],
+    ]
+    ofwkit.cli._parser.cache_clear()
+    in_one_process = [_call(argv, out) for argv in calls]
+    assert ofwkit.cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        ofwkit.cli._parser.cache_clear()
+        fresh.append(_call(argv, out))
+    assert in_one_process == fresh
+    assert [c[0] for c in fresh] == [0, 2, 0]
+    assert fresh[1][2].startswith("usage: ofwkit run")
+
+
 def test_sweep_writes_csv_and_slope(config_path, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", config_path, "--horizons", "16,32,64,128", "--out", str(out)])
@@ -394,3 +428,7 @@ def test_main_runs_valid_small_configs_without_internal_errors(
         code = main(argv)
     assert code in (0, 1), err.getvalue()
     assert "internal error" not in err.getvalue()
+    if command != "bounds":
+        text = (folder / "out.csv").read_text(encoding="utf-8") if to_file else out.getvalue()
+        for row in list(csv.reader(io.StringIO(text)))[1:]:
+            assert all(c == "" or "%.17g" % float(c) == c for c in row), row

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import _comparator_reference as reference
@@ -12,6 +13,7 @@ from _helpers import zero_rounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ofwkit.csvtext
 import ofwkit.harness
 import ofwkit.oracle
 from ofwkit.harness import (
@@ -21,6 +23,7 @@ from ofwkit.harness import (
     ALGO_SC_OFW,
     ALGORITHMS,
     CSV_HEADER,
+    SWEEP_CSV_HEADER,
     ConfigError,
     ExperimentSpec,
     RegretTrace,
@@ -641,6 +644,30 @@ def test_a_long_run_holds_one_chunk_of_rounds_not_all_of_them(loss, algo):
     assert peak < 6e6
 
 
+@pytest.mark.parametrize(
+    "loss, algo",
+    [
+        (LossSpec(kind=LINEAR, dim=100, seed=1, G=1.0), ALGO_OFW_LS),
+        (LossSpec(kind=QUADRATIC, dim=100, seed=2, lam=1.0), ALGO_SC_OFW),
+    ],
+)
+def test_writing_the_csv_holds_less_memory_than_the_run(loss, algo):
+    # The formatter's workspace must fit in what the run frees: its round
+    # chunk alone is 1024 x 100 floats.
+    spec = _spec(domain=L2Ball(100, 1.0), loss=loss, algo=algo, horizon=2**14)
+    tracemalloc.start()
+    try:
+        trace = run_experiment(spec)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in csv_blocks(trace):
+            pass
+        csv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert csv_peak < run_peak
+
+
 def test_emit_csv_matches_per_cell_formatting_on_special_values():
     trace = run_experiment(_spec(horizon=300, gap_check=True, gap_cap=5))
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1.5])
@@ -656,6 +683,112 @@ def test_emit_csv_matches_per_cell_formatting_on_special_values():
     assert text == reference.emit_csv(odd)
     assert text.split("\n")[1].split(",")[1] == ""
     assert [line.split(",")[1] for line in text.split("\n")[2:5]] == ["inf", "-inf", "-0"]
+
+
+def _percent_17g_lines(block):
+    """The reference text of a block of rows: '%.17g' per cell, NaN as ''."""
+    return "".join(
+        ",".join("" if x != x else "%.17g" % x for x in row) + "\n" for row in block.tolist()
+    )
+
+
+def _format_in_blocks(values, cols=8, rows=8 * 64):
+    """Rows of ``cols`` of ``values`` (NaN-padded) and their text from one
+    formatter, ``rows`` rows at a time, with each call's pieces."""
+    values = np.concatenate([values, np.full(-len(values) % cols, np.nan)]).reshape(-1, cols)
+    formatter = ofwkit.csvtext.CellFormatter(min(len(values), rows), cols)
+    pieces = []
+    with warnings.catch_warnings():
+        # main runs this way: a log10(0) or a NaN-to-int cast must not happen.
+        warnings.simplefilter("error", RuntimeWarning)
+        for start in range(0, len(values), rows):
+            block = values[start : start + rows]
+            formatter.values[: len(block)] = block
+            pieces.append(formatter.pieces(len(block)))
+    return values, pieces
+
+
+def _formatter_cases():
+    rng = np.random.default_rng(20)
+    n = 4000
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    powers = [10.0**j for j in range(-5, 19)]
+    near = [np.nextafter(x, to) for x in powers for to in (0.0, np.inf)]
+    # 16-digit integers below 2**51, where n + 0.25 is a double.
+    ints = rng.integers(10**15, 2**51, 500).astype(float)
+    # 17-digit values whose last 8 digits sit at the edges of their group.
+    prefixes = rng.integers(10**8, 10**9, 400)
+    tails = ["00000000", "00000001", "00000008", "99999992", "99999998", "99999999"]
+    edges = [
+        sign * float(f"{p // 10**8}.{p % 10**8:08d}{tail}e{k}")
+        for p, k in zip(prefixes, rng.integers(-4, 17, 400))
+        for tail in tails
+        for sign in (1.0, -1.0)
+    ]
+    return {
+        "group_edges": np.array(edges),
+        "magnitudes": signs * 10.0 ** rng.uniform(-30, 30, n),
+        "bit_patterns": rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        "special": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]),
+        "powers_of_ten": np.array(powers + near + [1e-4, 1e17, -1e-4, -1e17]),
+        "halfway": np.concatenate([ints + 0.5, ints + 0.25, ints + 0.75, -(ints + 0.25)]),
+        "round_numbers": np.arange(1.0, 2**20 + 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_formatter_cases()))
+def test_cell_formatter_writes_percent_17g_byte_for_byte(case):
+    values, pieces = _format_in_blocks(_formatter_cases()[case])
+    assert "".join(map("".join, pieces)) == _percent_17g_lines(values)
+
+
+def test_cell_formatter_rounds_the_17th_digit_half_to_even():
+    _, pieces = _format_in_blocks(np.array([1234567890123456.75, 1234567890123456.25]), cols=1)
+    assert pieces == [["1234567890123456.8\n1234567890123456.2\n"]]
+    _, pieces = _format_in_blocks(np.array([float(t) for t in range(1, 2**20 + 1)]), cols=1)
+    assert "".join(map("".join, pieces)) == "".join("%d\n" % t for t in range(1, 2**20 + 1))
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000])
+def test_cell_formatter_yields_one_piece_per_block_of_rows(rows):
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=rows * 8) * 10.0 ** rng.uniform(-6, 6, rows * 8)
+    values[rng.random(values.size) < 0.1] = np.nan
+    values, pieces = _format_in_blocks(values)
+    assert "".join(map("".join, pieces)) == _percent_17g_lines(values)
+    for block in pieces:
+        counts = [piece.count("\n") for piece in block]
+        assert all(piece.endswith("\n") for piece in block)
+        assert counts[:-1] == [64] * (len(counts) - 1) and 1 <= counts[-1] <= 64
+
+
+_MATRIX_SETS = [L2Ball(12, 1.0), LpBall(12, 1.0, 1.5), L1Ball(12, 1.0), Simplex(12)]
+_MATRIX_PAIRS = [
+    (ALGO_OFW_LS, LINEAR),
+    (ALGO_OFW_DECAY, LINEAR),
+    (ALGO_OGD, LINEAR),
+    (ALGO_OFW_LS, QUADRATIC),
+    (ALGO_SC_OFW, QUADRATIC),
+    (ALGO_OFW_DECAY, QUADRATIC),
+    (ALGO_OGD, QUADRATIC),
+]
+
+
+@pytest.mark.parametrize("domain", _MATRIX_SETS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("algo, kind", _MATRIX_PAIRS)
+def test_config_matrix_csv_equals_per_cell_formatting(domain, algo, kind):
+    # T = 600 spans two formatter blocks of 512 rows and ends mid-block.
+    loss = LossSpec(kind=kind, dim=12, seed=5, G=1.0, lam=1.0)
+    spec = _spec(domain=domain, loss=loss, algo=algo, horizon=600, gap_check=True, gap_cap=300)
+    trace = run_experiment(spec)
+    assert emit_csv(trace) == reference.emit_csv(trace)
+    result = sweep(spec, [50, 100, 200, 400, 600])
+    cell = lambda x: "" if x is None else format(x, ".17g")
+    expected = [SWEEP_CSV_HEADER.split(",")] + [
+        [str(h), cell(r), cell(b), cell(result.slope)]
+        for h, r, b in zip(result.horizons, result.regrets, result.bounds)
+    ]
+    assert list(csv.reader(io.StringIO(sweep_csv(result)))) == expected
 
 
 def test_trace_shapes_and_cumulative_consistency():
