@@ -59,13 +59,20 @@ def as_vector_and_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
 
 
 def _checked_vector(x, dim):
-    """``as_vector(x, dim)`` and ``x . x``, inf where the squares overflow."""
+    """``as_vector(x, dim)`` and ``x . x``, inf where the squares overflow.
+
+    ``FeasibleSet.lmo`` runs the same check inline on its gradient.
+    """
     v = np.asarray(x, dtype=np.float64, order="C")
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     # Finite squares imply finite entries; only when they are not is the
     # entrywise test needed, so a finite vector costs one dot product.
-    sq = _sum_of_squares(v)
+    try:
+        sq = float(v.dot(v))
+    except (FloatingPointError, RuntimeWarning):
+        # _sum_of_squares' overflow, inline: the check runs on every round.
+        sq = math.inf
     if not math.isfinite(sq) and not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
@@ -222,4 +229,6 @@ def line_search_quadratic(a: float, b: float) -> float:
     """
     if not (b > 0.0):
         raise ValueError(f"curvature coefficient must be positive, got {b}")
-    return min(1.0, max(0.0, -a / (2.0 * b)))
+    s = -a / (2.0 * b)
+    # min(1.0, max(0.0, s)) as comparisons: a NaN slope gives 0.0 too.
+    return 1.0 if s > 1.0 else (s if s > 0.0 else 0.0)

@@ -11,9 +11,10 @@ The adversary is a stream of ``losses.round_chunks``, or one chunk of
 ``losses.Rounds`` given from outside, which ``as_rounds`` checks once. A
 run holds its logs and one chunk of rounds, never all T: it plays each
 chunk, one row per round, and scores it with an ``oracle.PrefixComparator``
-before the next is drawn. The surrogate gaps are measured
-``core.BLOCK_ROWS`` rounds at a time by ``oracle.surrogate_gaps``, from
-the plays and gradients of one block. The cumulative loss and regret are
+before the next is drawn. A round computes only its gradient; the losses
+are logged ``core.BLOCK_ROWS`` rounds at a time from the plays of a block,
+and the surrogate gaps are measured as often by ``oracle.surrogate_gaps``,
+from the plays and gradients of one block. The cumulative loss and regret are
 computed after the rounds, bit for bit as the per-round computation
 would. The CSV cells are ``'%.17g'`` text, byte for byte, formatted by a
 numpy kernel ``8 * core.BLOCK_ROWS`` rows at a time and written
@@ -50,7 +51,8 @@ from .losses import (
     LossSpec,
     Rounds,
     certify_constants,
-    loss_at,
+    gradient_at,
+    loss_rows,
     round_chunks,
 )
 from .oracle import PrefixComparator, surrogate_gaps
@@ -428,28 +430,30 @@ def _allocate_logs(T: int) -> np.ndarray:
         raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
 
 
-def _play(state, update, kind: str, lam: float, rows, loss_v):
-    """Play a round per row of ``rows``, log its loss; return the last state."""
-    for i, row in enumerate(rows):
-        loss_v[i], g_t = loss_at(kind, lam, row, state.x)
-        state = update(state, g_t)
-    return state
+def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
+    """Play a round per row of ``rows``, a block of ``core.BLOCK_ROWS`` rows
+    at a time; return the last state.
 
-
-def _play_measured(state, update, kind: str, lam: float, rows, loss_v, gap_v):
-    """``_play`` that also logs each round's surrogate gap in ``gap_v``,
-    holding one block of plays and gradients, measured when it fills or
-    at the last row."""
-    xs, gs = np.empty((2, min(len(rows), BLOCK_ROWS), rows.shape[1]))
+    Each round computes only its gradient. A block's losses are logged in
+    ``loss_v`` once it has been played, from the plays it kept, by one
+    ``loss_rows``. With ``gap_v``, each round's surrogate gap is logged
+    there too, measured by ``surrogate_gaps`` from the block's plays and
+    gradients.
+    """
     for start in range(0, len(rows), BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, len(rows))
-        first = state
-        for k, row in enumerate(rows[start:stop]):
-            xs[k] = x_t = state.x
-            loss_v[start + k], g_t = loss_at(kind, lam, row, x_t)
-            gs[k] = g_t
+        block = rows[start : start + BLOCK_ROWS]
+        first, xs, gs = state, [], []
+        for row in block:
+            x_t = state.x
+            g_t = gradient_at(kind, lam, row, x_t)
+            xs.append(x_t)
+            gs.append(g_t)
             state = update(state, g_t)
-        gap_v[start:stop] = surrogate_gaps(first, xs[: stop - start], gs[: stop - start])
+        xs = np.array(xs)
+        stop = start + len(block)
+        loss_v[start:stop] = loss_rows(kind, lam, block, xs)
+        if gap_v is not None:
+            gap_v[start:stop] = surrogate_gaps(first, xs, np.array(gs))
     return state
 
 
@@ -498,7 +502,7 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     start = 0
     for rows in chunks:
         m = min(max(measured - start, 0), len(rows))
-        state = _play_measured(state, update, kind, lam, rows[:m], loss_v[start:], gap_v[start:])
+        state = _play(state, update, kind, lam, rows[:m], loss_v[start:], gap_v[start:])
         state = _play(state, update, kind, lam, rows[m:], loss_v[start + m :])
         comparator.add(rows, comp_v[start:])
         start += len(rows)

@@ -111,11 +111,11 @@ def scofw_values(lam: float, t, grad_sum, iterate_sum, iterate_sq_sum, x) -> np.
     return row_dots(grad_sum, x) + 0.5 * lam * quad
 
 
-def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> np.ndarray:
+def _fw_step(domain: FeasibleSet, x, grad_f, curvature, sigma) -> np.ndarray:
     """One Frank-Wolfe step: ``x + sigma * (v - x)`` with v = lmo(grad_f).
 
-    A given ``sigma`` is taken as is. Otherwise sigma is the exact line
-    search on the surrogate, whose model along d = v - x is
+    A ``sigma`` that is not None is taken as is. Otherwise sigma is the
+    exact line search on the surrogate, whose model along d = v - x is
     sigma * <grad_f, d> + sigma^2 * (curvature / 2) * ||d||^2; a step
     shorter than ``ZERO_STEP_TOL`` is skipped.
     """
@@ -130,19 +130,6 @@ def _fw_step(domain: FeasibleSet, x, grad_f, *, curvature=None, sigma=None) -> n
     d *= sigma
     d += x
     return d
-
-
-def _successor(state, changed: dict):
-    """``state`` with the fields in ``changed`` replaced, sharing the rest.
-
-    Built without the frozen dataclass's ``__init__``, which sets each
-    field through ``object.__setattr__``; the result is as frozen.
-    """
-    new = object.__new__(type(state))
-    fields = new.__dict__
-    fields.update(state.__dict__)
-    fields.update(changed)
-    return new
 
 
 @dataclass(frozen=True)
@@ -234,10 +221,21 @@ def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
     g = as_vector(g, state.domain.dim)
     if state.t >= state.horizon:
         raise ValueError(f"horizon {state.horizon} exhausted")
+    domain, x, x1, eta = state.domain, state.x, state.x1, state.eta
     grad_sum = state.grad_sum + g
-    grad_f = ofw_gradient(state.eta, grad_sum, state.x1, state.x)
-    x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.curvature, sigma=sigma)
-    return _successor(state, {"x": x_next, "grad_sum": grad_sum, "t": state.t + 1})
+    x_next = _fw_step(domain, x, ofw_gradient(eta, grad_sum, x1, x), OfwState.curvature, sigma)
+    # The frozen state built without its __init__, which sets each field
+    # through object.__setattr__; it is as frozen.
+    new = object.__new__(OfwState)
+    fields = new.__dict__
+    fields["domain"] = domain
+    fields["x"] = x_next
+    fields["x1"] = x1
+    fields["grad_sum"] = grad_sum
+    fields["t"] = state.t + 1
+    fields["eta"] = eta
+    fields["horizon"] = state.horizon
+    return new
 
 
 def ofw_update(state: OfwState, g) -> OfwState:
@@ -317,23 +315,24 @@ def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:
 
 def scofw_update(state: ScOfwState, g) -> ScOfwState:
     """Absorb one gradient; curvature grows with t, no horizon needed."""
-    g = as_vector(g, state.domain.dim)
+    domain, x, lam = state.domain, state.x, state.lam
+    g = as_vector(g, domain.dim)
     t = state.t + 1
     grad_sum = state.grad_sum + g
-    iterate_sum = state.iterate_sum + state.x
-    iterate_sq_sum = state.iterate_sq_sum + float(state.x.dot(state.x))
-    grad_f = scofw_gradient(state.lam, t, grad_sum, iterate_sum, state.x)
-    x_next = _fw_step(state.domain, state.x, grad_f, curvature=state.lam * t)
-    return _successor(
-        state,
-        {
-            "x": x_next,
-            "grad_sum": grad_sum,
-            "iterate_sum": iterate_sum,
-            "iterate_sq_sum": iterate_sq_sum,
-            "t": t,
-        },
-    )
+    iterate_sum = state.iterate_sum + x
+    iterate_sq_sum = state.iterate_sq_sum + float(x.dot(x))
+    grad_f = scofw_gradient(lam, t, grad_sum, iterate_sum, x)
+    # Built as _ofw_advance builds its state.
+    new = object.__new__(ScOfwState)
+    fields = new.__dict__
+    fields["domain"] = domain
+    fields["x"] = _fw_step(domain, x, grad_f, lam * t, None)
+    fields["grad_sum"] = grad_sum
+    fields["iterate_sum"] = iterate_sum
+    fields["iterate_sq_sum"] = iterate_sq_sum
+    fields["t"] = t
+    fields["lam"] = lam
+    return new
 
 
 @dataclass(frozen=True)
@@ -362,10 +361,19 @@ def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> OgdState:
 
 def baseline_update(state: OgdState, g) -> OgdState:
     """One projected OGD step."""
-    g = as_vector(g, state.domain.dim)
+    domain, lam = state.domain, state.lam
+    g = as_vector(g, domain.dim)
     t = state.t + 1
-    if state.lam > 0.0:
-        step = 1.0 / (state.lam * t)
+    if lam > 0.0:
+        step = 1.0 / (lam * t)
     else:
-        step = state.domain.diameter / (state.G * t**0.5)
-    return _successor(state, {"x": state.domain.project(state.x - step * g), "t": t})
+        step = domain.diameter / (state.G * t**0.5)
+    # Built as _ofw_advance builds its state.
+    new = object.__new__(OgdState)
+    fields = new.__dict__
+    fields["domain"] = domain
+    fields["x"] = domain.project(state.x - step * g)
+    fields["t"] = t
+    fields["G"] = state.G
+    fields["lam"] = lam
+    return new

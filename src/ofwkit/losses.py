@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, l2_norm, row_l2_norms
+from .core import BLOCK_ROWS, l2_norm, row_dots, row_l2_norms
 from .sets import FeasibleSet
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "mix64",
     "round_seed",
     "LossSpec",
+    "loss_rows",
+    "gradient_at",
     "loss_at",
     "Rounds",
     "make_round",
@@ -102,12 +104,30 @@ class LossSpec:
             raise ValueError(f"quadratic losses need a finite lam > 0, got {self.lam!r}")
 
 
-def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(f(x), gradient at x) of the round of ``kind`` whose gradient or target is ``row``."""
+def loss_rows(kind: str, lam: float, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """f_i(xs[i]) for the rounds of ``kind`` whose gradients or targets are
+    the rows of ``rows``; ``rows`` and ``xs`` are (n, dim) arrays.
+
+    <g, x> if linear, (lam/2) * ||x - theta||^2 if quadratic, each row
+    rounded as the dot product of its vectors is (see ``core.row_dots``).
+    """
     if kind == LINEAR:
-        return float(row.dot(x)), row
-    d = x - row
-    return 0.5 * lam * float(d.dot(d)), lam * d
+        return row_dots(rows, xs)
+    d = xs - rows
+    return 0.5 * lam * row_dots(d, d)
+
+
+def gradient_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient at ``x`` of the round of ``kind`` whose gradient or target is
+    ``row``: ``row`` itself if linear, lam * (x - row) if quadratic."""
+    return row if kind == LINEAR else lam * (x - row)
+
+
+def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(f(x), gradient at x) of the round of ``kind`` whose gradient or target
+    is ``row``: the one-row case of ``loss_rows``, and ``gradient_at``."""
+    value = loss_rows(kind, lam, np.atleast_2d(row), np.atleast_2d(x))[0]
+    return float(value), gradient_at(kind, lam, row, x)
 
 
 @dataclass(frozen=True)

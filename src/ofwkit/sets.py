@@ -94,8 +94,23 @@ class FeasibleSet:
 
         Ties (see ``is_tie``) are resolved to ``anchor()``.
         """
-        g, norm = as_vector_and_norm(g, self.dim)
-        if is_tie(norm):
+        # as_vector_and_norm(g, self.dim) and is_tie, inline: every learner
+        # round calls this once.
+        g = np.asarray(g, dtype=np.float64, order="C")
+        if g.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {g.shape}")
+        try:
+            sq = float(g.dot(g))
+        except (FloatingPointError, RuntimeWarning):
+            sq = math.inf
+        if not math.isfinite(sq) and not np.isfinite(g).all():
+            raise ValueError("vector has non-finite entries")
+        if g.shape[0] != self.dim:
+            raise ValueError(f"expected dimension {self.dim}, got {g.shape[0]}")
+        norm = math.sqrt(sq)
+        if norm == math.inf:
+            norm = l2_norm(g)
+        if norm <= ZERO_GRADIENT_TOL:
             return self.anchor()
         return self._lmo(g, norm)
 

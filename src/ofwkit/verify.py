@@ -33,7 +33,7 @@ from .losses import (
     QUADRATIC,
     LossSpec,
     certify_constants,
-    loss_at,
+    gradient_at,
     make_rounds,
 )
 from .oracle import surrogate_argmin
@@ -215,7 +215,7 @@ def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
     states = [state]
     rounds = make_rounds(loss_spec, horizon, domain)
     for row in rounds.data:
-        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
+        state = update(state, gradient_at(rounds.kind, rounds.lam, row, state.x))
         states.append(state)
     return states, rounds
 
@@ -246,7 +246,7 @@ def _check_surrogate_identity_scofw(seed=32) -> tuple[bool, str]:
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
     states, rounds = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
-    grads = [loss_at(QUADRATIC, spec.lam, row, st.x)[1] for row, st in zip(rounds.data, states)]
+    grads = [gradient_at(QUADRATIC, spec.lam, row, st.x) for row, st in zip(rounds.data, states)]
     for t in (1, 7, 23, 48):
         state = states[t]
         for _ in range(5):
@@ -344,7 +344,7 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> tuple[bool, str]:
     zs = domain.sample_rows(n, rng)
     for i, row in enumerate(make_rounds(spec, n, domain).data):
         x_t = xs[i]
-        g_t = loss_at(QUADRATIC, lam, row, x_t)[1]
+        g_t = gradient_at(QUADRATIC, lam, row, x_t)
 
         def reg_loss(u):
             return float(np.dot(g_t, u)) + 0.5 * lam * float(np.dot(u - x_t, u - x_t))

@@ -232,8 +232,9 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
     def broken(*args):
         raise ValueError("injected failure")
 
-    # Every round of a run and of a sweep's lockstep runs is scored by loss_at.
-    monkeypatch.setattr(ofwkit.harness, "loss_at", broken)
+    # Every round of a run and of a sweep's lockstep runs is scored by
+    # loss_rows, a block of rounds at a time.
+    monkeypatch.setattr(ofwkit.harness, "loss_rows", broken)
     out = ["--out", str(tmp_path / "out.csv")]
     for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):
         assert main(argv + out) == 1
@@ -245,13 +246,13 @@ def test_run_and_sweep_let_run_failures_surface_alike(config_path, tmp_path, mon
 def test_numpy_warning_exits_one_with_one_line(config_path, tmp_path, monkeypatch, capsys):
     # Numeric trouble inside a command is a named failure even where the
     # caller's filters would only print the warning, as they do here.
-    loss_at = ofwkit.harness.loss_at
+    loss_rows = ofwkit.harness.loss_rows
 
     def overflowing(*args):
         np.array([1e308]) * 10.0
-        return loss_at(*args)
+        return loss_rows(*args)
 
-    monkeypatch.setattr(ofwkit.harness, "loss_at", overflowing)
+    monkeypatch.setattr(ofwkit.harness, "loss_rows", overflowing)
     filters = list(warnings.filters)
     out = ["--out", str(tmp_path / "out.csv")]
     for argv in (["run", config_path], ["sweep", config_path, "--horizons", "16,32"]):

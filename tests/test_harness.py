@@ -44,6 +44,7 @@ from ofwkit.losses import (
     LossSpec,
     Rounds,
     as_rounds,
+    loss_at,
     make_rounds,
     round_chunks,
 )
@@ -1072,3 +1073,123 @@ def test_sweep_slope_none_with_too_few_horizons():
     assert result.slope is None
     lines = sweep_csv(result).strip().split("\n")
     assert lines[1].endswith(",")  # empty slope cell
+
+
+# -- the learner round's seams ----------------------------------------------
+
+_UPDATE_NAMES = ("ofw_update", "scofw_update", "ofw_decay_update", "baseline_update")
+_SEAM_CASES = [
+    (ALGO_OFW_LS, LINEAR, "ofw_update", {"lmo": 1, "project": 0}),
+    (ALGO_SC_OFW, QUADRATIC, "scofw_update", {"lmo": 1, "project": 0}),
+    (ALGO_OFW_DECAY, LINEAR, "ofw_decay_update", {"lmo": 1, "project": 0}),
+    (ALGO_OGD, LINEAR, "baseline_update", {"lmo": 0, "project": 1}),
+]
+
+
+@pytest.mark.parametrize("algo, kind, name, per_round", _SEAM_CASES)
+def test_runs_and_sweeps_call_the_rebound_update_and_set_methods_once_per_round(
+    algo, kind, name, per_round, monkeypatch
+):
+    # Counting wrappers on the harness's update names and on each set
+    # class's lmo and project, as a tracer installs them from outside: a
+    # run and a sweep reach them for every requested round, so nothing
+    # caches an update or a bound method where a rebinding cannot reach it.
+    updates = {n: 0 for n in _UPDATE_NAMES}
+    calls = {"lmo": 0, "project": 0}
+    depth = [0]
+
+    def counting_update(update_name, update):
+        def counted(state, g):
+            updates[update_name] += 1
+            depth[0] += 1
+            try:
+                return update(state, g)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    def counting_method(op, method):
+        def counted(self, v):
+            if depth[0]:
+                calls[op] += 1
+            return method(self, v)
+
+        return counted
+
+    for n in _UPDATE_NAMES:
+        monkeypatch.setattr(ofwkit.harness, n, counting_update(n, getattr(ofwkit.harness, n)))
+    for cls in (L2Ball, LpBall, L1Ball, Simplex):
+        monkeypatch.setattr(cls, "lmo", counting_method("lmo", FeasibleSet.lmo))
+        monkeypatch.setattr(cls, "project", counting_method("project", cls.project))
+    for domain in _BLOCK_SETS:
+        loss = LossSpec(kind=kind, dim=domain.dim, seed=4, G=1.0, lam=0.7)
+        spec = _spec(domain=domain, loss=loss, algo=algo, horizon=70, gap_check=True)
+        runs = [(70, lambda: run_experiment(spec)), (5 + 64 + 70, lambda: sweep(spec, [5, 64, 70]))]
+        for requested, play in runs:
+            for counter in (updates, calls):
+                counter.update(dict.fromkeys(counter, 0))
+            play()
+            assert updates == {n: requested if n == name else 0 for n in _UPDATE_NAMES}
+            assert calls == {op: requested * k for op, k in per_round.items()}
+
+
+# -- losses logged per block -------------------------------------------------
+
+
+def _losses_round_by_round(spec, rows):
+    """Each round's loss from ``loss_at`` at the learner's play, one round at
+    a time, checked against the dot product it is."""
+    G, lam = ofwkit.harness.certify_constants(spec.loss, spec.domain)
+    state, update = ofwkit.harness._init_learner(spec, G, lam)
+    out = []
+    for row in rows:
+        value, g = loss_at(spec.loss.kind, lam, row, state.x)
+        if spec.loss.kind == LINEAR:
+            assert value == float(row.dot(state.x))
+        else:
+            d = state.x - row
+            assert value == 0.5 * lam * float(d.dot(d))
+        out.append(value)
+        state = update(state, g)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_block_logged_losses_equal_loss_at_round_by_round(domain, kind):
+    # Horizons around a block of core.BLOCK_ROWS = 64 rounds and past a
+    # chunk of the stream, with the gap oracle's blocks on and off.
+    algo = ALGO_OFW_LS if kind == LINEAR else ALGO_SC_OFW
+    loss = LossSpec(kind=kind, dim=domain.dim, seed=9, G=1.0, lam=0.7)
+    rows = make_rounds(loss, 1025, domain).data
+    longest = _spec(domain=domain, loss=loss, algo=algo, horizon=1025)
+    reference = _losses_round_by_round(longest, rows)
+    for T in (1, 63, 64, 65, 1025):
+        for gap_check in (False, True):
+            spec = _spec(
+                domain=domain, loss=loss, algo=algo, horizon=T, gap_check=gap_check, gap_cap=100
+            )
+            if algo == ALGO_OFW_LS and T < 1025:
+                # eta depends on the horizon, and with it every play.
+                expected = _losses_round_by_round(spec, rows[:T])
+            else:
+                expected = reference[:T]
+            assert run_experiment(spec).loss.tobytes() == expected.tobytes(), (T, gap_check)
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_a_sweep_ending_mid_block_logs_the_losses_of_its_runs(kind):
+    # Each horizon's run is replayed round by round: its losses, summed
+    # from 0.0, less the comparator's total, are the sweep's regret.
+    domain = LpBall(6, 1.2, 1.5)
+    loss = LossSpec(kind=kind, dim=6, seed=11, G=1.0, lam=0.7)
+    horizons = [5, 70, 130, 1030]
+    rows = make_rounds(loss, horizons[-1], domain).data
+    _, totals = ofwkit.oracle.offline_comparator(domain, make_rounds(loss, horizons[-1], domain))
+    for algo in [ALGO_OFW_DECAY] + ([ALGO_SC_OFW] if kind == QUADRATIC else []):
+        spec = _spec(domain=domain, loss=loss, algo=algo)
+        result = sweep(spec, horizons)
+        for h, regret in zip(horizons, result.regrets):
+            losses = _losses_round_by_round(replace(spec, horizon=h), rows[:h])
+            assert regret == prefix_sums(losses, 0.0)[-1] - totals[h - 1], (algo, h)

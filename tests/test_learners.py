@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -355,3 +355,64 @@ def test_states_are_snapshots_that_later_updates_leave_alone(algo):
             state.x = np.zeros(6)
         with pytest.raises(FrozenInstanceError):
             state.t = 0
+
+
+
+def _played(algo, dom, rounds, horizon):
+    # A learner state after ``rounds`` updates; a horizon-bound one may
+    # take ``horizon`` in all.
+    init, update, _ = LEARNERS[algo]
+    state = init(dom)
+    if algo in ("ofw_ls", "ofw_decay"):
+        state = replace(state, horizon=horizon)
+    rng = np.random.default_rng(29)
+    for _ in range(rounds):
+        state = update(state, rng.standard_normal(dom.dim))
+    return state
+
+
+def _snapshot(state):
+    values = {f.name: getattr(state, f.name) for f in fields(state)}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+@pytest.mark.parametrize("set_kind", SETS)
+@pytest.mark.parametrize("algo", LEARNERS)
+def test_updates_refuse_bad_gradients_and_leave_the_state_alone(algo, set_kind):
+    # Each update checks its gradient before it moves; a non-finite entry
+    # is named before a wrong length.
+    dom, dim = SETS[set_kind], SETS[set_kind].dim
+    _, update, _ = LEARNERS[algo]
+    state = _played(algo, dom, 3, 4)
+    before = _snapshot(state)
+    g = np.linspace(-1.0, 1.0, dim)
+    nan, inf = g.copy(), g.copy()
+    nan[1], inf[-1] = np.nan, -np.inf
+    for bad, message in [
+        (nan, "vector has non-finite entries"),
+        (inf, "vector has non-finite entries"),
+        (g[:-1], f"expected dimension {dim}, got {dim - 1}"),
+        (np.append(nan, 0.0), "vector has non-finite entries"),
+        (g[None], f"expected a 1-D vector, got shape (1, {dim})"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            update(state, bad)
+        assert str(info.value) == message
+        assert _snapshot(state) == before
+
+
+@pytest.mark.parametrize("algo", ["ofw_ls", "ofw_decay"])
+def test_an_exhausted_horizon_is_refused_after_the_gradient_check(algo):
+    dom = L2Ball(5, 1.0)
+    _, update, _ = LEARNERS[algo]
+    state = _played(algo, dom, 3, 3)
+    before = _snapshot(state)
+    for g, message in [
+        (np.ones(5), "horizon 3 exhausted"),
+        (np.full(5, np.nan), "vector has non-finite entries"),
+        (np.ones(4), "expected dimension 5, got 4"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            update(state, g)
+        assert str(info.value) == message
+        assert _snapshot(state) == before
