@@ -1185,8 +1185,9 @@ def test_a_sweep_ending_mid_block_logs_the_losses_of_its_runs(kind):
     domain = LpBall(6, 1.2, 1.5)
     loss = LossSpec(kind=kind, dim=6, seed=11, G=1.0, lam=0.7)
     horizons = [5, 70, 130, 1030]
-    rows = make_rounds(loss, horizons[-1], domain).data
-    _, totals = ofwkit.oracle.offline_comparator(domain, make_rounds(loss, horizons[-1], domain))
+    rounds = make_rounds(loss, horizons[-1], domain)
+    rows = rounds.data
+    _, totals = ofwkit.oracle.offline_comparator(domain, rounds)
     for algo in [ALGO_OFW_DECAY] + ([ALGO_SC_OFW] if kind == QUADRATIC else []):
         spec = _spec(domain=domain, loss=loss, algo=algo)
         result = sweep(spec, horizons)
