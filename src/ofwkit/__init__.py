@@ -16,14 +16,11 @@ from .harness import (
     RegretTrace,
     SweepResult,
     emit_csv,
-    gap_bound,
     loglog_slope,
     parse_config,
     run_experiment,
     sweep,
     sweep_csv,
-    theorem_bound,
-    theorem_constant,
 )
 from .learners import (
     OfwState,
@@ -42,7 +39,6 @@ from .losses import (
     LossSpec,
     certify_constants,
     make_round,
-    make_rounds,
 )
 from .oracle import offline_comparator, surrogate_argmin
 from .sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
@@ -71,14 +67,11 @@ __all__ = [
     "RegretTrace",
     "SweepResult",
     "emit_csv",
-    "gap_bound",
     "loglog_slope",
     "parse_config",
     "run_experiment",
     "sweep",
     "sweep_csv",
-    "theorem_bound",
-    "theorem_constant",
     "OfwState",
     "OgdState",
     "ScOfwState",
@@ -93,7 +86,6 @@ __all__ = [
     "LossSpec",
     "certify_constants",
     "make_round",
-    "make_rounds",
     "offline_comparator",
     "surrogate_argmin",
     "FeasibleSet",

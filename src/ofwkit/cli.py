@@ -23,12 +23,10 @@ from .harness import (
     ExperimentSpec,
     certificate,
     csv_blocks,
-    gap_bound,
     parse_config,
     run_experiment,
     sweep,
     sweep_csv,
-    theorem_bound,
 )
 from .oracle import ConvergenceError
 
@@ -102,6 +100,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _g17(value) -> str:
+    """``value`` as ``'%.17g'`` text, or "none" for None."""
+    return "none" if value is None else f"{value:.17g}"
+
+
 def _cmd_bounds(args) -> int:
     spec = _load_spec(args.config)
     cert = certificate(spec)
@@ -111,18 +114,13 @@ def _cmd_bounds(args) -> int:
     print(f"lambda = {cert.lam:.17g}")
     print(f"diameter = {cert.diameter:.17g}")
     print(f"set_modulus = {cert.alpha:.17g}")
-    print(f"C = {cert.C:.17g}" if cert.C is not None else "C = none")
+    print(f"C = {_g17(cert.C)}")
     if cert.eta is not None:
         print(f"eta = {cert.eta:.17g}")
-    rb = theorem_bound(spec, spec.horizon)
-    print(
-        f"regret_bound(T={spec.horizon}) = {rb:.17g}"
-        if rb is not None
-        else f"regret_bound(T={spec.horizon}) = none"
-    )
-    for t in (1, 2, spec.horizon):
-        gb = gap_bound(spec, t)
-        print(f"gap_bound(t={t}) = {gb:.17g}" if gb is not None else f"gap_bound(t={t}) = none")
+    print(f"regret_bound(T={spec.horizon}) = {_g17(cert.regret_at(spec.horizon))}")
+    # Rounds 1, 2 and T, each once and none past the horizon.
+    for t in sorted({1, min(2, spec.horizon), spec.horizon}):
+        print(f"gap_bound(t={t}) = {_g17(cert.gap(t))}")
     return 0
 
 

@@ -74,9 +74,6 @@ __all__ = [
     "SweepResult",
     "parse_config",
     "certificate",
-    "theorem_constant",
-    "theorem_bound",
-    "gap_bound",
     "run_experiment",
     "csv_blocks",
     "emit_csv",
@@ -136,15 +133,12 @@ class ExperimentSpec:
         try:
             cert = certificate(self)
             with np.errstate(all="ignore"):
-                ceiling = float(cert.regret(np.array([float(self.horizon)]))[0])
+                ceiling = cert.regret_at(self.horizon)
         except OverflowError as exc:
             raise ValueError(f"derived constants overflow: {exc}") from None
+        # A quadratic loss's lambda is its LossSpec's, finite and positive already.
         derived = [("G", cert.G), ("diameter", cert.diameter), ("eta", cert.eta), ("C", cert.C)]
-        if self.loss.kind == QUADRATIC:
-            derived.append(("lambda", cert.lam))
-        if cert.C is not None:
-            derived.append(("regret ceiling", ceiling))
-        for name, value in derived:
+        for name, value in derived + [("regret ceiling", ceiling)]:
             if value is not None and not (0.0 < value < math.inf):
                 raise ValueError(f"derived constant {name} = {value!r} is not finite and positive")
 
@@ -297,8 +291,8 @@ class Certificate:
     surrogate weight of the learners that have one, and ``C`` the constant
     of the theorem that applies; each is None otherwise. ``regret`` maps an
     array of rounds to the regret ceiling at each (NaN where no theorem
-    applies); ``gap`` maps a round t >= 1 to its surrogate gap ceiling, or
-    None.
+    applies), and ``regret_at`` is its value at one round; ``gap`` maps a
+    round t to its surrogate gap ceiling, or None (for every t < 1 too).
     """
 
     G: float
@@ -309,6 +303,14 @@ class Certificate:
     C: Optional[float]
     regret: Callable[[np.ndarray], np.ndarray]
     gap: Callable[[int], Optional[float]]
+
+    def regret_at(self, t: int) -> Optional[float]:
+        """The regret ceiling after t >= 1 rounds, or None when no theorem
+        applies; bit for bit ``RegretTrace.theorem_bound[t - 1]``, from the
+        same vectorised expression."""
+        if t < 1:
+            raise ValueError(f"t must be >= 1, got {t}")
+        return None if self.C is None else float(self.regret(np.array([float(t)]))[0])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -338,7 +340,7 @@ def certificate(spec: ExperimentSpec) -> Certificate:
         return make(
             C,
             lambda ts: 2.75 * G * math.sqrt(C) * (ts + 2.0) ** (2.0 / 3.0),
-            lambda t: C / (t + 2.0) ** (2.0 / 3.0),
+            lambda t: C / (t + 2.0) ** (2.0 / 3.0) if t >= 1 else None,
         )
     if spec.algo == ALGO_SC_OFW:
         gd = G + lam * D
@@ -360,30 +362,6 @@ def certificate(spec: ExperimentSpec) -> Certificate:
             lambda t: C * (t - 1.0) ** (1.0 / 3.0) if t >= 2 else None,
         )
     return make(None, lambda ts: np.full(ts.shape, np.nan), lambda t: None)
-
-
-def theorem_constant(spec: ExperimentSpec) -> Optional[float]:
-    """The constant C in the applicable bounds, or None when no bound applies."""
-    return certificate(spec).C
-
-
-def theorem_bound(spec: ExperimentSpec, t: int) -> Optional[float]:
-    """A priori regret bound after t rounds, or None when no bound applies.
-
-    Equal bit for bit to ``RegretTrace.theorem_bound[t - 1]``: both come
-    from the same vectorised expression.
-    """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    cert = certificate(spec)
-    return None if cert.C is None else float(cert.regret(np.array([float(t)]))[0])
-
-
-def gap_bound(spec: ExperimentSpec, t: int) -> Optional[float]:
-    """Per-round surrogate gap bound, or None where no bound applies."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return certificate(spec).gap(t)
 
 
 # -- running ----------------------------------------------------------------
@@ -559,7 +537,8 @@ def csv_blocks(trace: RegretTrace):
 
 
 def emit_csv(trace: RegretTrace) -> str:
-    """Render a trace as CSV: the join of ``csv_blocks``."""
+    """Render a trace as CSV: the join of ``csv_blocks``. The CLI streams
+    ``csv_blocks``; this stays while the benchmark's tracer wraps it by name."""
     return "".join(csv_blocks(trace))
 
 
@@ -628,8 +607,9 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
         raise ConfigError(str(exc)) from None
     # Every horizon must be one its own run could log.
     _allocate_logs(hs[-1])
-    G, lam = certify_constants(spec.loss, spec.domain)
-    learners = [_init_learner(s, G, lam) for s in specs]
+    cert = certificate(spec)  # its C, so its regret ceiling, holds at every horizon
+    lam = cert.lam
+    learners = [_init_learner(s, cert.G, lam) for s in specs]
     comparator = PrefixComparator(spec.domain, spec.loss.kind, lam)
     cum_losses = [0.0] * len(hs)
     result = SweepResult(spec=spec)
@@ -649,7 +629,7 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
                 comparator.point()  # certified here, as this horizon's run would
                 result.horizons.append(start)
                 result.regrets.append(float(cum_losses[k] - totals[-1]))
-                result.bounds.append(theorem_bound(specs[k], start))
+                result.bounds.append(cert.regret_at(start))
                 k += 1
     try:
         result.slope = loglog_slope(list(zip(result.horizons, result.regrets)))

@@ -15,9 +15,8 @@ draws round t's gradient or target from ``default_rng(round_seed(seed, t))``;
 at a time. It computes a chunk's PCG64 state and inc words in one
 vectorised pass and writes each round's into one generator through
 ``ctypes.state_address``; a probe checks the words' order, and a mismatch
-raises. ``make_rounds`` fills one ``Rounds`` (kind, lam and a read-only
-(T, dim) array) from the stream; ``as_rounds`` checks rounds given from
-outside as an array.
+raises. ``as_rounds`` checks rounds given from outside as an array and
+holds them in one ``Rounds``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "Rounds",
     "make_round",
     "round_chunks",
-    "make_rounds",
     "as_rounds",
     "certify_constants",
 ]
@@ -134,10 +132,9 @@ def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[floa
 class Rounds:
     """Rounds 1..T of one loss kind, as one array.
 
-    Row i of ``data``, a read-only (T, dim) array that ``make_rounds`` and
-    ``as_rounds`` fill with finite values, is round i + 1's gradient or
-    target; ``lam`` is their modulus (0.0 if linear). A ``Rounds`` built
-    directly is trusted.
+    Row i of ``data``, a read-only (T, dim) array that ``as_rounds`` fills
+    with finite values, is round i + 1's gradient or target; ``lam`` is
+    their modulus (0.0 if linear). A ``Rounds`` built directly is trusted.
     """
 
     kind: str
@@ -272,11 +269,10 @@ def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
     return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
 
 
-def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet, out: np.ndarray | None = None):
+def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet):
     """Rounds 1..T, ``_CHUNK`` at a time: yields each chunk's (n, dim) rows,
-    written into its rows of ``out``, a (T, dim) array, if given, else into
-    one buffer that the next chunk reuses. Round t is bit-identical to
-    ``make_round(spec, t, domain)``.
+    written into one buffer that the next chunk reuses. Round t is
+    bit-identical to ``make_round(spec, t, domain)``.
 
     ``_pcg64_states`` computes a chunk's PCG64 state and inc words; each
     round's are written into one reused generator through its
@@ -301,7 +297,7 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet, out: np.ndarray | 
     if order is None:
         raise RuntimeError(
             f"NumPy {np.__version__} stores PCG64's state words in neither order "
-            f"make_rounds' kernel knows; its probe read back {seen}"
+            f"round_chunks' kernel knows; its probe read back {seen}"
         )
 
     def generators(states):
@@ -311,11 +307,10 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet, out: np.ndarray | 
             yield rng
 
     linear = spec.kind == LINEAR
-    buffer = np.empty((min(T, _CHUNK), spec.dim)) if out is None else None
+    buffer = np.empty((min(T, _CHUNK), spec.dim))
     for start in range(0, T, _CHUNK):
-        n = min(_CHUNK, T - start)
-        rows = buffer[:n] if out is None else out[start : start + n]
-        seeds = round_seed(spec.seed, np.arange(start + 1, start + n + 1, dtype=np.uint64))
+        rows = buffer[: T - start]
+        seeds = round_seed(spec.seed, np.arange(start + 1, start + len(rows) + 1, dtype=np.uint64))
         rngs = generators(_pcg64_states(seeds)[:, order])
         if linear:
             for row, gen in zip(rows, rngs):
@@ -332,19 +327,10 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet, out: np.ndarray | 
             rows[i] = make_round(spec, start + i + 1, domain)
         if start == 0 and not np.array_equal(rows[0], reference):
             raise RuntimeError(
-                f"NumPy {np.__version__} seeds PCG64 differently from make_rounds' kernel; "
+                f"NumPy {np.__version__} seeds PCG64 differently from round_chunks' kernel; "
                 "round 1 does not match make_round"
             )
         yield rows
-
-
-def make_rounds(spec: LossSpec, T: int, domain: FeasibleSet) -> Rounds:
-    """Rounds 1..T in one read-only array, filled by ``round_chunks``."""
-    data = np.empty((max(T, 0), spec.dim))  # round_chunks refuses T < 1
-    for _ in round_chunks(spec, T, domain, data):
-        pass
-    data.flags.writeable = False
-    return Rounds(spec.kind, 0.0 if spec.kind == LINEAR else spec.lam, data)
 
 
 def as_rounds(kind: str, lam: float, data) -> Rounds:

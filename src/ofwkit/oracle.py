@@ -169,7 +169,9 @@ def offline_comparator(domain: FeasibleSet, rounds: Rounds) -> tuple[np.ndarray,
     against it. Quadratic rounds: the projection of the mean target,
     scored in closed form from the target sums; the Frank-Wolfe gap of
     ``x_star`` is certified (``ConvergenceError`` otherwise). No rounds, or
-    rounds of another dim than the set's, raise ``ValueError``.
+    rounds of another dim than the set's, raise ``ValueError``. Runs and
+    sweeps feed a ``PrefixComparator`` chunk by chunk; this stays while
+    the benchmark's tracer wraps it by name.
     """
     if not len(rounds) or rounds.data.shape[1] != domain.dim:
         raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rounds.data.shape}")

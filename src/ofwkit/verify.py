@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .losses import (
     LossSpec,
     certify_constants,
     gradient_at,
-    make_rounds,
+    round_chunks,
 )
 from .oracle import surrogate_argmin
 from .sets import L1Ball, L2Ball, LpBall, Simplex
@@ -213,17 +214,18 @@ def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
     spec = ExperimentSpec(domain=domain, loss=loss_spec, algo=algo, horizon=horizon)
     state, update = _init_learner(spec, *certify_constants(loss_spec, domain))
     states = [state]
-    rounds = make_rounds(loss_spec, horizon, domain)
-    for row in rounds.data:
-        state = update(state, gradient_at(rounds.kind, rounds.lam, row, state.x))
+    # Each chunk is copied before the next one reuses its buffer.
+    rows = np.concatenate([chunk.copy() for chunk in round_chunks(loss_spec, horizon, domain)])
+    for row in rows:
+        state = update(state, gradient_at(loss_spec.kind, loss_spec.lam, row, state.x))
         states.append(state)
-    return states, rounds
+    return states, rows
 
 
 def _check_surrogate_identity_ofw(seed=31) -> tuple[bool, str]:
     domain = L2Ball(6, 1.0)
     spec = LossSpec(kind=LINEAR, dim=6, seed=seed, G=1.0)
-    states, rounds = _run_with_states(ALGO_OFW_LS, domain, spec, 48)
+    states, rows = _run_with_states(ALGO_OFW_LS, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
     for t in (1, 7, 23, 48):
         state = states[t]
@@ -231,7 +233,7 @@ def _check_surrogate_identity_ofw(seed=31) -> tuple[bool, str]:
             y = domain.sample_rows(1, rng)[0]
             naive_grad = 2.0 * (y - state.x1)
             naive_val = float(np.dot(y - state.x1, y - state.x1))
-            for g in rounds.data[:t]:
+            for g in rows[:t]:
                 naive_grad = naive_grad + state.eta * g
                 naive_val += state.eta * float(np.dot(g, y))
             if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
@@ -244,9 +246,9 @@ def _check_surrogate_identity_ofw(seed=31) -> tuple[bool, str]:
 def _check_surrogate_identity_scofw(seed=32) -> tuple[bool, str]:
     domain = L2Ball(6, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
-    states, rounds = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
+    states, rows = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
     rng = np.random.default_rng(seed + 1)
-    grads = [gradient_at(QUADRATIC, spec.lam, row, st.x) for row, st in zip(rounds.data, states)]
+    grads = [gradient_at(QUADRATIC, spec.lam, row, st.x) for row, st in zip(rows, states)]
     for t in (1, 7, 23, 48):
         state = states[t]
         for _ in range(5):
@@ -342,7 +344,7 @@ def _check_surrogate_lipschitz(seed=36, n=2000) -> tuple[bool, str]:
     xs = domain.sample_rows(n, rng)
     ys = domain.sample_rows(n, rng)
     zs = domain.sample_rows(n, rng)
-    for i, row in enumerate(make_rounds(spec, n, domain).data):
+    for i, row in enumerate(chain.from_iterable(round_chunks(spec, n, domain))):
         x_t = xs[i]
         g_t = gradient_at(QUADRATIC, lam, row, x_t)
 

@@ -9,11 +9,12 @@ for bit.
 """
 
 import numpy as np
+from _helpers import seeded_rounds
 
 from ofwkit.core import dot
 from ofwkit.harness import ALGO_OGD, _init_learner, certificate
 from ofwkit.learners import OfwState
-from ofwkit.losses import loss_at, make_rounds
+from ofwkit.losses import loss_at
 from ofwkit.oracle import DEFAULT_ORACLE_TOL, ConvergenceError
 
 
@@ -55,7 +56,7 @@ def gap_columns(spec):
     state, update = _init_learner(spec, cert.G, cert.lam)
     gap_v = np.full(T, np.nan)
     gapb_v = np.full(T, np.nan)
-    rounds = make_rounds(spec.loss, T, spec.domain)
+    rounds = seeded_rounds(spec.loss, T, spec.domain)
     measure_until = spec.gap_cap if spec.gap_check and spec.algo != ALGO_OGD else 0
     kind, lam = rounds.kind, rounds.lam
     for i, row in enumerate(rounds.data):

@@ -1,9 +1,9 @@
-"""Test-only helpers: a brute-force line-search oracle, all-zero loss rounds and
-one seeded feasible point."""
+"""Test-only helpers: a brute-force line-search oracle, all-zero loss rounds,
+the seeded adversary's rounds in one array and one seeded feasible point."""
 
 import numpy as np
 
-from ofwkit.losses import LINEAR, Rounds, as_rounds
+from ofwkit.losses import LINEAR, Rounds, as_rounds, round_chunks
 
 
 def grid_line_search(a: float, b: float, grid_size: int) -> float:
@@ -22,6 +22,16 @@ def grid_line_search(a: float, b: float, grid_size: int) -> float:
 def zero_rounds(T: int, dim: int) -> Rounds:
     """T identically-zero linear losses; handy for fixed-point tests."""
     return as_rounds(LINEAR, 0.0, np.zeros((T, dim)))
+
+
+def seeded_rounds(spec, T: int, domain) -> Rounds:
+    """Rounds 1..T of the adversary ``spec`` as one read-only ``Rounds``.
+
+    Each of ``round_chunks``' chunks is copied before the next is drawn,
+    since the next one reuses its buffer.
+    """
+    data = np.concatenate([chunk.copy() for chunk in round_chunks(spec, T, domain)])
+    return as_rounds(spec.kind, 0.0 if spec.kind == LINEAR else spec.lam, data)
 
 
 def feasible_point(domain, seed: int) -> np.ndarray:

@@ -167,6 +167,18 @@ def test_bounds_prints_constants(config_path, capsys):
     assert "gap_bound(t=1) = 656.38380444212714" in out
 
 
+@pytest.mark.parametrize("T, rounds", [(1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (32, [1, 2, 32])])
+def test_bounds_prints_gap_bounds_once_each_within_the_horizon(tmp_path, capsys, T, rounds):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(GOOD_CONFIG.replace("T = 32", f"T = {T}"))
+    assert main(["bounds", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    gaps = [line for line in lines if line.startswith("gap_bound(")]
+    assert [line.split(")")[0] for line in gaps] == [f"gap_bound(t={t}" for t in rounds]
+    assert gaps[0] == "gap_bound(t=1) = 656.38380444212714"
+    assert f"regret_bound(T={T}) = " in "\n".join(lines)
+
+
 def test_bounds_baseline_has_no_constant(tmp_path, capsys):
     cfg = tmp_path / "ogd.cfg"
     cfg.write_text(GOOD_CONFIG.replace("algo = ofw_ls", "algo = ogd"))

@@ -9,7 +9,7 @@ import _comparator_reference as reference
 import _gap_reference
 import numpy as np
 import pytest
-from _helpers import zero_rounds
+from _helpers import seeded_rounds, zero_rounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,16 +27,14 @@ from ofwkit.harness import (
     ConfigError,
     ExperimentSpec,
     RegretTrace,
+    certificate,
     csv_blocks,
     emit_csv,
-    gap_bound,
     loglog_slope,
     parse_config,
     run_experiment,
     sweep,
     sweep_csv,
-    theorem_bound,
-    theorem_constant,
 )
 from ofwkit.losses import (
     LINEAR,
@@ -45,7 +43,6 @@ from ofwkit.losses import (
     Rounds,
     as_rounds,
     loss_at,
-    make_rounds,
     round_chunks,
 )
 from ofwkit.core import prefix_sums
@@ -217,76 +214,77 @@ def test_parse_config_accepts_or_raises_config_error(text):
 def test_regret_constants_raw_values():
     # radius 1/2: diameter 1, modulus 2, so the schedule constant is 4096/12
     half = L2Ball(10, 0.5)
-    assert theorem_constant(_spec(domain=half)) == pytest.approx(1024.0 / 3.0, rel=1e-12)
+    assert certificate(_spec(domain=half)).C == pytest.approx(1024.0 / 3.0, rel=1e-12)
     # lam=1 there: G = lam D = 1, so max(4 (G + lam D)^2 / lam, 288 lam / alpha^2)
     # = max(16, 72)
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
-    assert theorem_constant(_spec(domain=half, loss=quad, algo=ALGO_SC_OFW)) == 72.0
+    assert certificate(_spec(domain=half, loss=quad, algo=ALGO_SC_OFW)).C == 72.0
     # lam=2 on the simplex: G + lam D = 4 sqrt(2), so 16 * 32 / 2 = 256, and
     # t=9 on the general-set schedule gives 256 * 8^(1/3) = 512
     quad2 = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=2.0)
-    simplex_spec = _spec(domain=Simplex(10), loss=quad2, algo=ALGO_SC_OFW)
-    assert theorem_constant(simplex_spec) == pytest.approx(256.0, rel=1e-12)
-    assert gap_bound(simplex_spec, 9) == pytest.approx(512.0, rel=1e-12)
+    simplex = certificate(_spec(domain=Simplex(10), loss=quad2, algo=ALGO_SC_OFW))
+    assert simplex.C == pytest.approx(256.0, rel=1e-12)
+    assert simplex.gap(9) == pytest.approx(512.0, rel=1e-12)
 
 
 def test_theorem_constant_dispatch():
-    assert theorem_constant(_spec()) == pytest.approx(4096.0 / 3.0, rel=1e-12)
+    assert certificate(_spec()).C == pytest.approx(4096.0 / 3.0, rel=1e-12)
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
-    assert theorem_constant(_spec(loss=quad, algo=ALGO_SC_OFW)) == 288.0
+    assert certificate(_spec(loss=quad, algo=ALGO_SC_OFW)).C == 288.0
     simplex_spec = ExperimentSpec(
         domain=Simplex(10), loss=quad, algo=ALGO_SC_OFW, horizon=128
     )
     lip = np.sqrt(2.0) + np.sqrt(2.0)  # G + lam D with G = lam D
-    assert theorem_constant(simplex_spec) == pytest.approx(16.0 * lip**2, rel=1e-12)
-    assert theorem_constant(_spec(algo=ALGO_OGD)) is None
-    assert theorem_constant(_spec(algo=ALGO_OFW_DECAY)) is None
+    assert certificate(simplex_spec).C == pytest.approx(16.0 * lip**2, rel=1e-12)
+    assert certificate(_spec(algo=ALGO_OGD)).C is None
+    assert certificate(_spec(algo=ALGO_OFW_DECAY)).C is None
 
 
 def test_theorem_bound_formulas():
-    spec = _spec()
+    cert = certificate(_spec())
     C = 4096.0 / 3.0
-    assert theorem_bound(spec, 1024) == pytest.approx(
+    assert cert.regret_at(1024) == pytest.approx(
         2.75 * math.sqrt(C) * 1026.0 ** (2.0 / 3.0), rel=1e-12
     )
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
     sc = _spec(loss=quad, algo=ALGO_SC_OFW)
-    assert theorem_bound(sc, 100) == pytest.approx(
+    assert certificate(sc).regret_at(100) == pytest.approx(
         288.0 * math.sqrt(200.0) + 144.0 * math.log(100.0) + 2.0 * 2.0, rel=1e-12
     )
     simplex_spec = ExperimentSpec(
         domain=Simplex(10), loss=quad, algo=ALGO_SC_OFW, horizon=128
     )
-    C3 = theorem_constant(simplex_spec)
+    simplex = certificate(simplex_spec)
+    C3 = simplex.C
     G = np.sqrt(2.0)
     expected = (
         3.0 * math.sqrt(2.0) / 8.0 * C3 * 100.0 ** (2.0 / 3.0)
         + C3 * math.log(100.0) / 8.0
         + G * math.sqrt(2.0)
     )
-    assert theorem_bound(simplex_spec, 100) == pytest.approx(expected, rel=1e-12)
-    assert theorem_bound(_spec(algo=ALGO_OGD), 100) is None
+    assert simplex.regret_at(100) == pytest.approx(expected, rel=1e-12)
+    assert certificate(_spec(algo=ALGO_OGD)).regret_at(100) is None
     with pytest.raises(ValueError):
-        theorem_bound(spec, 0)
+        cert.regret_at(0)
 
 
 def test_gap_bound_values():
-    spec = _spec()
+    cert = certificate(_spec())
     C = 4096.0 / 3.0
     # the t=1 bound is C/3^(2/3), about 656.38
-    assert gap_bound(spec, 1) == pytest.approx(C / 3.0 ** (2.0 / 3.0), rel=1e-12)
-    assert gap_bound(spec, 1) == pytest.approx(656.3838, abs=5e-4)
+    assert cert.gap(1) == pytest.approx(C / 3.0 ** (2.0 / 3.0), rel=1e-12)
+    assert cert.gap(1) == pytest.approx(656.3838, abs=5e-4)
+    assert [cert.gap(t) for t in (0, -2, -3)] == [None] * 3  # no round before round 1
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
-    sc = _spec(loss=quad, algo=ALGO_SC_OFW)
-    assert gap_bound(sc, 1) is None  # no surrogate before round 1
-    assert gap_bound(sc, 2) == 288.0
-    assert gap_bound(sc, 500) == 288.0
-    simplex_spec = ExperimentSpec(
-        domain=Simplex(10), loss=quad, algo=ALGO_SC_OFW, horizon=128
+    sc = certificate(_spec(loss=quad, algo=ALGO_SC_OFW))
+    assert sc.gap(1) is None  # no surrogate before round 1
+    assert sc.gap(2) == 288.0
+    assert sc.gap(500) == 288.0
+    simplex = certificate(
+        ExperimentSpec(domain=Simplex(10), loss=quad, algo=ALGO_SC_OFW, horizon=128)
     )
-    C3 = theorem_constant(simplex_spec)
-    assert gap_bound(simplex_spec, 9) == pytest.approx(C3 * 2.0, rel=1e-12)
-    assert gap_bound(_spec(algo=ALGO_OGD), 3) is None
+    assert simplex.gap(9) == pytest.approx(simplex.C * 2.0, rel=1e-12)
+    assert certificate(_spec(algo=ALGO_OGD)).gap(3) is None
 
 
 @pytest.mark.parametrize(
@@ -300,21 +298,23 @@ def test_gap_bound_values():
     ids=["ofw_ls_l2", "ofw_ls_lp", "sc_ofw_l2", "sc_ofw_simplex"],
 )
 def test_trace_bounds_equal_scalar_bounds_bit_for_bit(domain, loss, algo):
-    # the per-round columns and the scalar bounds come from one expression
+    # the per-round columns and the certificate's scalar ceilings come
+    # from one expression
     T = 4096
     spec = ExperimentSpec(
         domain=domain, loss=loss, algo=algo, horizon=T, gap_check=True, gap_cap=T
     )
     trace = run_experiment(spec)
+    cert = certificate(spec)
     regret_off, gap_off = [], []
     for t in range(1, T + 1):
-        if trace.theorem_bound[t - 1] != theorem_bound(spec, t):
+        if trace.theorem_bound[t - 1] != cert.regret_at(t):
             regret_off.append(t)
-        expected, column = gap_bound(spec, t), trace.gap_bound[t - 1]
+        expected, column = cert.gap(t), trace.gap_bound[t - 1]
         if not (column == expected or (expected is None and math.isnan(column))):
             gap_off.append(t)
     assert regret_off == [] and gap_off == []
-    assert trace.final_bound == theorem_bound(spec, T)
+    assert trace.final_bound == cert.regret_at(T)
 
 
 # -- run_experiment ----------------------------------------------------------
@@ -412,7 +412,7 @@ def test_injected_rounds_are_stacked_once_into_read_only_rows():
         rounds.data[0, 0] = np.nan
     assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
     quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
-    wrong_kind = make_rounds(quad, 8, spec.domain)
+    wrong_kind = seeded_rounds(quad, 8, spec.domain)
     wrong = r"= \(8, 'linear', 0.0, 10\), got \(8, 'quadratic', 1.0, 10\)"
     with pytest.raises(ValueError, match=wrong):
         run_experiment(spec, rounds=wrong_kind)
@@ -423,7 +423,7 @@ def test_a_linear_spec_with_an_unused_lam_accepts_its_rounds():
     # against, whatever lam the spec carries.
     loss = LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0, lam=0.7)
     spec = _spec(loss=loss, horizon=64)
-    trace = run_experiment(spec, rounds=make_rounds(loss, 64, spec.domain))
+    trace = run_experiment(spec, rounds=seeded_rounds(loss, 64, spec.domain))
     assert trace.final_regret == run_experiment(spec).final_regret
 
 
@@ -483,7 +483,7 @@ def test_block_bookkeeping_equals_round_by_round_reference(domain, kind):
         gap_cap=40,
     )
     trace = run_experiment(spec)
-    rounds = make_rounds(spec.loss, 513, domain)
+    rounds = seeded_rounds(spec.loss, 513, domain)
     comp = reference.prefix_comparators(domain, rounds)
     cum = reference.running_sum(trace.loss.tolist())
     assert trace.comparator_cum.tobytes() == comp.tobytes()
@@ -572,7 +572,7 @@ def test_streamed_run_equals_a_run_on_its_whole_rounds(domain, algo, kind):
     # Horizons one short of, at and one past a block and a chunk of the
     # stream (1024 rounds); a gap cap of 1030 crosses the first chunk's end.
     loss = LossSpec(kind=kind, dim=6, seed=7, G=1.0, lam=0.7)
-    whole = make_rounds(loss, 2100, domain)
+    whole = seeded_rounds(loss, 2100, domain)
     for gap_cap in (5, 1030):
         for T in (1, 63, 64, 1023, 1024, 1025, 2100):
             spec = _spec(
@@ -599,7 +599,7 @@ def test_sweep_fails_the_comparator_certificate_where_its_run_does(monkeypatch):
     # that row, fails the comparator point's certificate at T = 200 alone.
     loss = LossSpec(kind=QUADRATIC, dim=10, seed=5, lam=1.0)
     spec = _spec(loss=loss, algo=ALGO_SC_OFW)
-    targets = make_rounds(loss, 200, spec.domain).data
+    targets = seeded_rounds(loss, 200, spec.domain).data
     mean = prefix_sums(targets, np.zeros(10))[-1] / 200.0
     project_rows = L2Ball.project_rows
 
@@ -1162,7 +1162,7 @@ def test_block_logged_losses_equal_loss_at_round_by_round(domain, kind):
     # chunk of the stream, with the gap oracle's blocks on and off.
     algo = ALGO_OFW_LS if kind == LINEAR else ALGO_SC_OFW
     loss = LossSpec(kind=kind, dim=domain.dim, seed=9, G=1.0, lam=0.7)
-    rows = make_rounds(loss, 1025, domain).data
+    rows = seeded_rounds(loss, 1025, domain).data
     longest = _spec(domain=domain, loss=loss, algo=algo, horizon=1025)
     reference = _losses_round_by_round(longest, rows)
     for T in (1, 63, 64, 65, 1025):
@@ -1185,7 +1185,7 @@ def test_a_sweep_ending_mid_block_logs_the_losses_of_its_runs(kind):
     domain = LpBall(6, 1.2, 1.5)
     loss = LossSpec(kind=kind, dim=6, seed=11, G=1.0, lam=0.7)
     horizons = [5, 70, 130, 1030]
-    rounds = make_rounds(loss, horizons[-1], domain)
+    rounds = seeded_rounds(loss, horizons[-1], domain)
     rows = rounds.data
     _, totals = ofwkit.oracle.offline_comparator(domain, rounds)
     for algo in [ALGO_OFW_DECAY] + ([ALGO_SC_OFW] if kind == QUADRATIC else []):

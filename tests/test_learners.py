@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import _learner_reference as reference
+from _helpers import seeded_rounds
+
 from ofwkit.learners import (
     OfwState,
     baseline_update,
@@ -18,7 +20,7 @@ from ofwkit.learners import (
     scofw_init,
     scofw_update,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, loss_at, make_round, make_rounds
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, loss_at, make_round
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 
@@ -319,7 +321,7 @@ def test_updates_equal_the_reference_bit_for_bit(algo, kind, set_kind):
     dom = SETS[set_kind]
     init, update, ref_update = LEARNERS[algo]
     spec = LossSpec(kind=kind, dim=dom.dim, seed=17, G=2.0, lam=0.5)
-    rounds = make_rounds(spec, 120, dom)
+    rounds = seeded_rounds(spec, 120, dom)
     state = ref = init(dom)
     skipped = 0
     for t, row in enumerate(rounds.data, start=1):
@@ -342,7 +344,7 @@ def test_states_are_snapshots_that_later_updates_leave_alone(algo):
     init, update, _ = LEARNERS[algo]
     dom = L2Ball(6, 1.0)
     kind = QUADRATIC if algo == "sc_ofw" else LINEAR
-    rounds = make_rounds(LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5), 200, dom)
+    rounds = seeded_rounds(LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5), 200, dom)
     state = init(dom)
     kept = [(state, _array_copies(state))]
     for row in rounds.data:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _helpers import feasible_point, zero_rounds
+from _helpers import feasible_point, seeded_rounds, zero_rounds
 
 from ofwkit import losses, sets
 from ofwkit.losses import (
@@ -11,8 +11,8 @@ from ofwkit.losses import (
     certify_constants,
     loss_at,
     make_round,
-    make_rounds,
     mix64,
+    round_chunks,
     round_seed,
 )
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
@@ -227,11 +227,13 @@ def test_make_rounds_equals_make_round(dom, kind):
     T = 1025
     for seed in (0, 1, -3, 2**63, 12345678901234):
         spec = LossSpec(kind=kind, dim=5, seed=seed, G=1.5, lam=0.5)
-        rounds = make_rounds(spec, T, dom)
-        lam = spec.lam if kind == QUADRATIC else 0.0
-        assert (len(rounds), rounds.kind, rounds.lam) == (T, kind, lam)
-        for t, row in enumerate(rounds.data, start=1):
-            assert row.tobytes() == make_round(spec, t, dom).tobytes()
+        shapes, t = [], 0
+        for rows in round_chunks(spec, T, dom):
+            shapes.append(rows.shape)
+            for row in rows:
+                t += 1
+                assert row.tobytes() == make_round(spec, t, dom).tobytes()
+        assert shapes == [(1024, 5), (1, 5)]
 
 
 def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
@@ -246,42 +248,43 @@ def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
     ]
     for kind, dom, threshold in cases:
         spec = LossSpec(kind=kind, dim=3, seed=9, G=1.5, lam=0.5)
-        unpatched = make_rounds(spec, 130, dom)
+        unpatched = seeded_rounds(spec, 130, dom)
         with monkeypatch.context() as patch:
             patch.setattr(*threshold, 2.0)
-            rounds = make_rounds(spec, 130, dom)
+            rounds = seeded_rounds(spec, 130, dom)
             expected = np.array([make_round(spec, t, dom) for t in range(1, 131)])
         assert rounds.data.tobytes() == expected.tobytes(), (kind, dom)
         assert rounds.data.tobytes() != unpatched.data.tobytes(), (kind, dom)
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
-def test_make_rounds_is_one_read_only_array(kind):
+def test_round_chunks_yields_one_reused_buffer(kind):
     dom = Simplex(4)
     spec = LossSpec(kind=kind, dim=4, seed=2, G=1.0, lam=0.5)
-    rounds = make_rounds(spec, 100, dom)
-    assert (rounds.kind, rounds.data.shape, rounds.data.dtype) == (kind, (100, 4), np.float64)
-    assert len(rounds) == 100
-    assert not rounds.data.flags.writeable
-    with pytest.raises(ValueError):
-        rounds.data[3, 0] = np.inf
+    (rows,) = round_chunks(spec, 100, dom)
+    assert (rows.shape, rows.dtype) == ((100, 4), np.float64)
+    chunks = list(round_chunks(spec, 2100, dom))
+    assert [c.shape for c in chunks] == [(1024, 4), (1024, 4), (52, 4)]
+    assert all(np.shares_memory(chunks[0], c) for c in chunks[1:])
 
 
 def test_make_rounds_validation():
+    # round_chunks is a generator: a bad request raises on the first chunk.
     dom = L2Ball(3, 1.0)
     lin = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
+    chunks = round_chunks(lin, 0, dom)
     with pytest.raises(ValueError):
-        make_rounds(lin, 0, dom)
+        next(chunks)
     quad = LossSpec(kind=QUADRATIC, dim=4, seed=0, lam=1.0)
     with pytest.raises(ValueError):
-        make_rounds(quad, 5, dom)
+        next(round_chunks(quad, 5, dom))
 
 
 def test_make_rounds_refuses_a_kernel_that_disagrees_with_numpy(monkeypatch):
     monkeypatch.setattr(losses, "_PCG64_MULT", losses._PCG64_MULT + 2)
     spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
-    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
-        make_rounds(spec, 3, L2Ball(3, 1.0))
+    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}.*round_chunks' kernel"):
+        next(round_chunks(spec, 3, L2Ball(3, 1.0)))
 
 
 def test_make_rounds_refuses_a_state_layout_it_does_not_know(monkeypatch):
@@ -291,8 +294,8 @@ def test_make_rounds_refuses_a_state_layout_it_does_not_know(monkeypatch):
     monkeypatch.setattr(losses, "_state_view", lambda bitgen: np.zeros(4, dtype=np.uint64))
     monkeypatch.setattr(losses, "_pcg64_states", seeded.append)
     spec = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
-    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}"):
-        make_rounds(spec, 3, L2Ball(3, 1.0))
+    with pytest.raises(RuntimeError, match=f"NumPy {np.__version__}.*round_chunks' kernel"):
+        next(round_chunks(spec, 3, L2Ball(3, 1.0)))
     assert seeded == []
 
 
@@ -311,7 +314,8 @@ def test_make_rounds_draws_never_use_the_state_fields_it_does_not_write(dom, mon
     view = losses._state_view
     monkeypatch.setattr(losses, "_state_view", recording_view)
     for kind in (LINEAR, QUADRATIC):
-        make_rounds(LossSpec(kind=kind, dim=5, seed=4, G=1.5, lam=0.5), 1025, dom)
+        for _ in round_chunks(LossSpec(kind=kind, dim=5, seed=4, G=1.5, lam=0.5), 1025, dom):
+            pass
     assert len(bitgens) == 2
     for bitgen in bitgens:
         assert (bitgen.state["has_uint32"], bitgen.state["uinteger"]) == (0, 0)

@@ -1,10 +1,10 @@
 import _comparator_reference as reference
 import numpy as np
 import pytest
-from _helpers import feasible_point, grid_line_search
+from _helpers import feasible_point, grid_line_search, seeded_rounds
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds, loss_at, make_rounds
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds, loss_at
 from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
@@ -60,7 +60,7 @@ def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
     else:
         spec = LossSpec(kind=QUADRATIC, dim=6, seed=3, lam=1.0)
         state, update = scofw_init(dom, lam=1.0), scofw_update
-    rounds = make_rounds(spec, 40, dom)
+    rounds = seeded_rounds(spec, 40, dom)
     for row in rounds.data:
         state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
     for tol in (1e-6, 1e-9, 1e-12):
@@ -78,7 +78,7 @@ def test_surrogate_argmin_on_simplex():
     dom = Simplex(5)
     state = scofw_init(dom, lam=1.0)
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=4, lam=1.0)
-    for row in make_rounds(spec, 20, dom).data:
+    for row in seeded_rounds(spec, 20, dom).data:
         state = scofw_update(state, loss_at(QUADRATIC, spec.lam, row, state.x)[1])
     xh, val = surrogate_argmin(state, tol=1e-10)
     assert dom.contains(xh, 1e-9)
@@ -92,7 +92,7 @@ def test_failed_certificate_raises(monkeypatch):
     dom = L2Ball(4, 1.0)
     state = ofw_update(ofw_init(dom, horizon=4, G=1.0), np.array([1.0, 2.0, 0.0, -1.0]))
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
-    rounds = make_rounds(spec, 4, dom)
+    rounds = seeded_rounds(spec, 4, dom)
     monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.5 * x)
     monkeypatch.setattr(L2Ball, "project_rows", lambda self, x: 0.5 * x)
     with pytest.raises(ConvergenceError):
@@ -124,7 +124,7 @@ def test_offline_comparator_linear_example():
 def test_offline_comparator_single_quadratic_round():
     dom = L2Ball(4, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
-    rounds = make_rounds(spec, 1, dom)
+    rounds = seeded_rounds(spec, 1, dom)
     x_star, totals = offline_comparator(dom, rounds)
     np.testing.assert_allclose(x_star, rounds.data[0], atol=1e-9)
     assert totals[-1] == pytest.approx(0.0, abs=1e-12)
@@ -133,7 +133,7 @@ def test_offline_comparator_single_quadratic_round():
 def test_offline_comparator_quadratic_matches_sample_cloud():
     dom = Simplex(6)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=6, lam=1.3)
-    rounds = make_rounds(spec, 32, dom)
+    rounds = seeded_rounds(spec, 32, dom)
     x_star, totals = offline_comparator(dom, rounds)
     total = totals[-1]
     assert dom.contains(x_star, 1e-9)
@@ -146,7 +146,7 @@ def test_offline_comparator_quadratic_matches_sample_cloud():
 def test_offline_comparator_linear_matches_sample_cloud():
     dom = LpBall(3, 1.0, 1.5)
     spec = LossSpec(kind=LINEAR, dim=3, seed=7, G=1.0)
-    rounds = make_rounds(spec, 16, dom)
+    rounds = seeded_rounds(spec, 16, dom)
     x_star, totals = offline_comparator(dom, rounds)
     total = totals[-1]
     assert dom.contains(x_star, 1e-9)
@@ -177,11 +177,11 @@ def test_offline_comparator_names_both_dims_of_a_mismatch():
 @pytest.mark.parametrize("name", SETS)
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind, name):
-    # The same rounds made by make_rounds, injected as nested lists, and
+    # The same rounds made by seeded_rounds, injected as nested lists, and
     # summed one round at a time give the same point and totals bit for bit.
     dom = SETS[name]
     spec = LossSpec(kind=kind, dim=6, seed=4, G=1.0, lam=0.9)
-    rounds = make_rounds(spec, 200, dom)
+    rounds = seeded_rounds(spec, 200, dom)
     x_star, totals = offline_comparator(dom, rounds)
     x_list, totals_list = offline_comparator(dom, as_rounds(kind, rounds.lam, rounds.data.tolist()))
     assert x_star.tobytes() == x_list.tobytes() and totals.tobytes() == totals_list.tobytes()
@@ -197,7 +197,7 @@ def test_prefix_minimizers_beat_any_fixed_point():
     lam = 1.0
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=8, lam=lam)
     state = scofw_init(dom, lam=lam)
-    rounds, played = make_rounds(spec, 24, dom).data, []
+    rounds, played = seeded_rounds(spec, 24, dom).data, []
     for row in rounds:
         played.append(state.x.copy())
         state = scofw_update(state, loss_at(QUADRATIC, lam, row, state.x)[1])
@@ -229,7 +229,7 @@ def test_strong_convexity_consequences_of_surrogates():
     dom = L2Ball(5, 1.0)
     spec = LossSpec(kind=LINEAR, dim=5, seed=10, G=1.0)
     state = ofw_init(dom, horizon=30, G=1.0)
-    for row in make_rounds(spec, 30, dom).data:
+    for row in seeded_rounds(spec, 30, dom).data:
         state = ofw_update(state, loss_at(LINEAR, 0.0, row, state.x)[1])
     alpha = state.curvature
     x_star, best = surrogate_argmin(state, tol=1e-12)
