@@ -4,11 +4,11 @@
 one cell at a time. For a finite v with 1e-4 <= |v| < 1e17, '%.17g' is
 fixed notation: the 17 digits of N = round-half-even(|v| * 10**(16 - k)),
 k = floor(log10|v|), with the point after digit k, trailing fraction
-zeros and a bare point dropped. N is computed exactly: Dekker's
-TwoProduct gives hi + lo == |v| * 10**s (s = 16 - k <= 20, where 10**s is
-a double); hi >= 1e16 > 2**53 is an even integer, so hi + rint(lo) rounds
-half to even. Zeros, inf, |v| outside the window and any k the exact
-tests cannot settle take ``'%.17g' % v`` itself.
+zeros and a bare point dropped. k is exact (see ``CellFormatter._scale``)
+and so is N: Dekker's TwoProduct gives hi + lo == |v| * 10**s (s = 16 -
+k <= 20, where 10**s is a double); hi >= 1e16 > 2**53 is an even integer,
+so hi + rint(lo) rounds half to even. Zeros, inf and |v| outside the
+window take ``'%.17g' % v`` itself.
 
 A cell is 10 words of 4 bytes, NUL where nothing is written, and its
 text is its non-NUL bytes. Bytes 0-2 take the separator before the cell
@@ -32,7 +32,6 @@ other reuse it.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +43,8 @@ __all__ = ["KERNEL_ROWS", "CellFormatter"]
 KERNEL_ROWS = 8 * BLOCK_ROWS
 _CELL_BYTES = 40
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split of a double
-_INV_LN10 = 1.0 / math.log(10.0)
+# The least double >= 10**k for k = -4..16: 10**k itself for k >= 0.
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 17)])
 _MASK_NONE = 21 * 17  # the mask rows of an empty cell
 _MASK_TEXT = _MASK_NONE + 1  # and of a cell formatted one at a time
 _OR_ALONE = 21 * 8  # the OR rows of both, for column 0 and the others
@@ -155,32 +155,38 @@ class CellFormatter:
 
     def _scale(self, v):
         """Leave in the workspace s = 16 - k, and hi + r == N exactly for
-        every cell formatted here (kern); 1.0 stands in for the others."""
+        every cell formatted here (kern); 1.0 stands in for the others.
+        k + 5 counts the ``_POW10`` entries <= |v|. N < 10**17, as no double
+        lies within 5e-18 (relative) below 10**(k + 1)."""
         n = v.size
         a, hi, lo, r, s = self._f[:5, :n]
         index = self._f[5, :n].view(np.int64)
-        kern, other, off = self._flags[:, :n]
+        kern, other = self._flags[:2, :n]
         np.abs(v, out=a)
         np.less(a, 1e17, out=kern)
         np.greater_equal(a, 1e-4, out=other)
         kern &= other
         np.logical_not(kern, out=other)
         np.copyto(a, 1.0, where=other)
-        np.log(a, out=s)
-        s *= _INV_LN10  # log10 to a few ulp: k is settled exactly below
-        np.floor(s, out=s)
-        np.subtract(16.0, s, out=s)
-        np.clip(s, 0.0, 20.0, out=s)
+        np.subtract(21.0, np.searchsorted(_POW10, a, side="right"), out=s)
         index[...] = s
-        _exact_scaled(a, index, hi, lo, r, self._tables)
+        # hi + lo == a * 10**s exactly: Dekker's TwoProduct, r and a scratch.
+        np.multiply(a, self._tables.pow10.take(index, mode="clip"), out=hi)
+        np.multiply(a, _SPLITTER, out=r)
+        np.subtract(r, a, out=lo)
+        np.subtract(r, lo, out=r)  # a's high half
+        np.subtract(a, r, out=a)  # a's low half
+        p_hi = self._tables.pow10_hi.take(index, mode="clip")
+        p_lo = self._tables.pow10_lo.take(index, mode="clip")
+        np.multiply(r, p_hi, out=lo)
+        lo -= hi
+        r *= p_lo
+        lo += r
+        np.multiply(a, p_hi, out=r)
+        lo += r
+        a *= p_lo
+        lo += a
         np.rint(lo, out=r)
-        # With |r| <= 8, a cell whose k may be off by one lies here.
-        np.less_equal(hi, 1e16, out=off)
-        np.greater_equal(hi, 1e17 - 16, out=other)
-        off |= other
-        off &= kern
-        if off.any():
-            _settle_exponents(v, np.flatnonzero(off), s, hi, r, kern, self._tables)
 
     def _write_digits(self, n):
         """Write N's digit words into both copies of each cell; leave N's
@@ -292,49 +298,3 @@ class CellFormatter:
             # A piece's text starts with the newline of its first row.
             pieces.append(str(data[keep][1:].data, "ascii") + "\n")
         return pieces
-
-
-def _exact_scaled(a, s, hi, lo, t, tables):
-    """hi + lo == a * 10**s exactly (Dekker's TwoProduct). Overwrites ``a``
-    and ``t``."""
-    np.multiply(a, tables.pow10.take(s, mode="clip"), out=hi)
-    np.multiply(a, _SPLITTER, out=t)
-    np.subtract(t, a, out=lo)
-    np.subtract(t, lo, out=t)  # a's high half
-    np.subtract(a, t, out=a)  # a's low half
-    p_hi = tables.pow10_hi.take(s, mode="clip")
-    p_lo = tables.pow10_lo.take(s, mode="clip")
-    np.multiply(t, p_hi, out=lo)
-    lo -= hi
-    t *= p_lo
-    lo += t
-    np.multiply(a, p_hi, out=t)
-    lo += t
-    a *= p_lo
-    lo += a
-
-
-def _settle_exponents(v, idx, s, hi, r, kern, tables):
-    """Redo cells ``idx`` with k moved by one where the exact product
-    a * 10**s = hi + lo shows it off: below 1e16 k is too high, and at
-    N = hi + rint(lo) >= 10**17 too low. In [2**56, 2**57) hi is a multiple
-    of 16 and |rint(lo)| <= 8, so N >= 10**17 exactly when hi > 1e17, or
-    hi == 1e17 and rint(lo) >= 0. A cell still off drops out of ``kern``."""
-
-    def scaled(si):
-        a, h, lo, t = np.empty((4, idx.size))
-        np.abs(v[idx], out=a)
-        _exact_scaled(a, si.astype(np.int64), h, lo, t, tables)
-        np.rint(lo, out=t)
-        high = (h < 1e16) | ((h == 1e16) & (lo < 0))
-        low = (h > 1e17) | ((h == 1e17) & (t >= 0))
-        return h, t, high, low
-
-    _, _, high, low = scaled(s[idx])
-    si = s[idx] + high - low
-    ok = (si >= 0) & (si <= 20)
-    np.clip(si, 0, 20, out=si)
-    hi[idx], r[idx], high, low = scaled(si)
-    ok &= ~(high | low)
-    s[idx] = si
-    kern[idx[~ok]] = False

@@ -346,6 +346,8 @@ def as_rounds(kind: str, lam: float, data) -> Rounds:
     if not (lam == 0.0 if kind == LINEAR else 0.0 < lam < math.inf):
         want = "lam 0.0" if kind == LINEAR else "a finite lam > 0"
         raise ValueError(f"{kind} rounds need {want}, got {lam!r}")
+    if np.iscomplexobj(data):
+        raise ValueError("rounds have complex data")
     rows = np.array(data, dtype=np.float64)
     if rows.ndim != 2 or 0 in rows.shape:
         raise ValueError(f"expected an (n, dim) array, n, dim >= 1, got shape {rows.shape}")

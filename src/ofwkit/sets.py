@@ -82,11 +82,12 @@ class FeasibleSet:
     # -- interface -------------------------------------------------------
 
     def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
-        """Membership test with additive slack ``tol`` on the constraints."""
-        raise NotImplementedError
+        """Membership test with additive slack ``tol`` on the constraints:
+        ``contains_rows`` of the one row ``x``."""
+        return bool(self.contains_rows(as_vector(x, self.dim)[None], tol)[0])
 
     def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
-        """``contains(x[i], tol)`` of each row of a finite (n, dim) array, as n bools."""
+        """Membership of each row of a finite (n, dim) array, slack ``tol``, as n bools."""
         raise NotImplementedError
 
     def lmo(self, g) -> np.ndarray:
@@ -94,23 +95,8 @@ class FeasibleSet:
 
         Ties (see ``is_tie``) are resolved to ``anchor()``.
         """
-        # as_vector_and_norm(g, self.dim) and is_tie, inline: every learner
-        # round calls this once.
-        g = np.asarray(g, dtype=np.float64, order="C")
-        if g.ndim != 1:
-            raise ValueError(f"expected a 1-D vector, got shape {g.shape}")
-        try:
-            sq = float(g.dot(g))
-        except (FloatingPointError, RuntimeWarning):
-            sq = math.inf
-        if not math.isfinite(sq) and not np.isfinite(g).all():
-            raise ValueError("vector has non-finite entries")
-        if g.shape[0] != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {g.shape[0]}")
-        norm = math.sqrt(sq)
-        if norm == math.inf:
-            norm = l2_norm(g)
-        if norm <= ZERO_GRADIENT_TOL:
+        g, norm = as_vector_and_norm(g, self.dim)
+        if is_tie(norm):
             return self.anchor()
         return self._lmo(g, norm)
 
@@ -194,10 +180,6 @@ class _Ball(FeasibleSet):
         """The ball's norm of each row of an (n, dim) array, row i equal
         bit for bit to the norm of ``x[i]``."""
         raise NotImplementedError
-
-    def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
-        x = as_vector(x, self.dim)
-        return self._norm(x) <= self.radius + tol
 
     def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
         return self.norm_rows(x) <= self.radius + tol
@@ -596,10 +578,6 @@ class L1Ball(_Ball):
 @dataclass(frozen=True)
 class Simplex(FeasibleSet):
     """Probability simplex {x : x >= 0, sum x = 1}. A polytope, modulus 0."""
-
-    def contains(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.all(x >= -tol)) and abs(float(x.sum()) - 1.0) <= tol
 
     def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
         x = as_rows(x, self.dim)

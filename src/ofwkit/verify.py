@@ -133,13 +133,12 @@ def _check_strong_convexity_definition(domain, n=10_000, seed=92) -> tuple[bool,
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     dist_sq = ((x - y) ** 2).sum(axis=1, keepdims=True)
     m = gamma * x + (1.0 - gamma) * y + gamma * (1.0 - gamma) * 0.5 * alpha * dist_sq * z
-    norms = domain.norm_rows(m)
-    bad = np.nonzero(norms > domain.radius + FEAS_SLACK)[0]
+    bad = np.flatnonzero(~domain.contains_rows(m, FEAS_SLACK))
     if bad.size:
         i = int(bad[0])
         return False, (
             f"{bad.size} of {n} certificates infeasible; first at sample {i}: "
-            f"norm={float(norms[i])!r} radius={domain.radius!r} "
+            f"norm={float(domain.norm_rows(m[i : i + 1])[0])!r} radius={domain.radius!r} "
             f"x={x[i].tolist()} y={y[i].tolist()} gamma={float(gamma[i, 0])!r}"
         )
     return True, f"{n} certificates feasible (modulus {alpha:.6g})"

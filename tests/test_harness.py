@@ -4,6 +4,8 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
+from functools import partial
 
 import _comparator_reference as reference
 import _gap_reference
@@ -36,6 +38,16 @@ from ofwkit.harness import (
     sweep,
     sweep_csv,
 )
+from ofwkit.learners import (
+    baseline_update,
+    ofw_decay_init,
+    ofw_decay_update,
+    ofw_init,
+    ofw_update,
+    ogd_init,
+    scofw_init,
+    scofw_update,
+)
 from ofwkit.losses import (
     LINEAR,
     QUADRATIC,
@@ -45,7 +57,7 @@ from ofwkit.losses import (
     loss_at,
     round_chunks,
 )
-from ofwkit.core import prefix_sums
+from ofwkit.core import as_rows, as_vector, as_vector_and_norm, prefix_sums
 from ofwkit.sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
@@ -404,6 +416,38 @@ def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
         run_experiment(spec, rounds=as_rounds(kind, lam, data))
 
 
+def test_complex_input_is_refused_at_every_entry_point():
+    # numpy would keep the real parts, with only a warning; every check
+    # refuses complex values before it converts them, so nothing warns.
+    g = np.array([1 + 5j] + [0.0] * 9)
+    rows = np.vstack([g, g])
+    domain = L2Ball(10, 1.0)
+    calls = [
+        partial(as_vector, g),
+        partial(as_vector, g.tolist()),
+        partial(as_vector_and_norm, g, 10),
+        partial(as_rows, rows, 10),
+        partial(as_rows, rows.tolist(), 10),
+    ]
+    for dom in (domain, LpBall(10, 1.0, 1.5), L1Ball(10, 1.0), Simplex(10)):
+        calls += [partial(f, g) for f in (dom.lmo, dom.project, dom.contains)]
+        calls += [partial(f, rows) for f in (dom.lmo_rows, dom.project_rows, dom.contains_rows)]
+    calls += [
+        partial(ofw_update, ofw_init(domain, 8, 1.0), g),
+        partial(ofw_decay_update, ofw_decay_init(domain, 8, 1.0), g),
+        partial(scofw_update, scofw_init(domain, 1.0), g),
+        partial(baseline_update, ogd_init(domain, 1.0), g),
+        partial(as_rounds, LINEAR, 0.0, rows.tolist()),
+        lambda: run_experiment(_spec(horizon=2), rounds=as_rounds(LINEAR, 0.0, rows)),
+    ]
+    message = "^(vector has|rows have|rounds have) complex (entries|data)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 def test_injected_rounds_are_stacked_once_into_read_only_rows():
     spec, rows = _spec(horizon=8), np.zeros((8, 10))
     rounds = as_rounds(LINEAR, 0.0, rows)
@@ -700,7 +744,7 @@ def _format_in_blocks(values, cols=8, rows=8 * 64):
     formatter = ofwkit.csvtext.CellFormatter(min(len(values), rows), cols)
     pieces = []
     with warnings.catch_warnings():
-        # main runs this way: a log10(0) or a NaN-to-int cast must not happen.
+        # main runs this way: a NaN-to-int cast must not happen.
         warnings.simplefilter("error", RuntimeWarning)
         for start in range(0, len(values), rows):
             block = values[start : start + rows]
@@ -715,6 +759,9 @@ def _formatter_cases():
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     powers = [10.0**j for j in range(-5, 19)]
     near = [np.nextafter(x, to) for x in powers for to in (0.0, np.inf)]
+    # 40 doubles either side of each power of ten from 1e-5 to 1e17.
+    bits = np.array([float(f"1e{j}") for j in range(-5, 18)]).view(np.int64)
+    around = (bits[:, None] + np.arange(-40, 41)).view(np.float64).ravel()
     # 16-digit integers below 2**51, where n + 0.25 is a double.
     ints = rng.integers(10**15, 2**51, 500).astype(float)
     # 17-digit values whose last 8 digits sit at the edges of their group.
@@ -732,9 +779,22 @@ def _formatter_cases():
         "bit_patterns": rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         "special": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]),
         "powers_of_ten": np.array(powers + near + [1e-4, 1e17, -1e-4, -1e17]),
+        "power_of_ten_neighbourhoods": np.concatenate([around, -around]),
         "halfway": np.concatenate([ints + 0.5, ints + 0.25, ints + 0.75, -(ints + 0.25)]),
         "round_numbers": np.arange(1.0, 2**20 + 1),
     }
+
+
+def test_exponent_table_holds_the_least_double_at_or_above_each_power_of_ten():
+    # The formatter's k + 5 counts the entries <= |v|, and below the next
+    # power of ten N = round(|v| * 10**(16 - k)) must not carry to 10**17.
+    table = ofwkit.csvtext._POW10.tolist()
+    assert table == [float(f"1e{k}") for k in range(-4, 17)]
+    assert Fraction(1e17) == 10**17
+    for k, (least, next_least) in enumerate(zip(table, table[1:] + [1e17]), -4):
+        assert Fraction(least) >= Fraction(10) ** k > Fraction(float(np.nextafter(least, 0.0)))
+        top = Fraction(float(np.nextafter(next_least, 0.0)))
+        assert top * Fraction(10) ** (16 - k) < 10**17 - Fraction(1, 2)
 
 
 @pytest.mark.parametrize("case", sorted(_formatter_cases()))

@@ -1,3 +1,5 @@
+import re
+
 import _lmo_reference
 import _sampler_reference as reference
 import numpy as np
@@ -6,7 +8,7 @@ from _helpers import feasible_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofwkit.core import l2_norm, lp_norm, row_l2_norms
+from ofwkit.core import as_vector, l2_norm, lp_norm, row_l2_norms
 from ofwkit.sets import MIN_P_GAP, ZERO_GRADIENT_TOL, L1Ball, L2Ball, LpBall, Simplex, is_tie
 
 ALL_SETS = [
@@ -54,8 +56,19 @@ def test_contains_rows_matches_contains_row_by_row(dom):
     for tol in (0.0, 1e-9):
         got = dom.contains_rows(rows, tol)
         assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == [_contains_reference(dom, row, tol) for row in rows]
         assert got.tolist() == [dom.contains(row, tol) for row in rows]
         assert 0 < got.sum() < len(rows)
+
+
+def _contains_reference(dom, row, tol):
+    """Membership of one row, from the set's definition."""
+    if isinstance(dom, Simplex):
+        return bool((row >= -tol).all()) and abs(float(row.sum()) - 1.0) <= tol
+    if isinstance(dom, L1Ball):
+        return float(np.abs(row).sum()) <= dom.radius + tol
+    norm = l2_norm(row) if isinstance(dom, L2Ball) else lp_norm(row, dom.p)
+    return norm <= dom.radius + tol
 
 
 def test_lmo_l2_example():
@@ -264,6 +277,21 @@ def test_simplex_sample_rows_equal_reference_batches():
         got = dom.sample_rows(300, np.random.default_rng(dim))
         want = reference.simplex_batch(dom, 300, np.random.default_rng(dim))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
+def test_lmo_raises_the_message_of_as_vector(dom):
+    d = dom.dim
+    nan, minus_inf, nan_long = np.zeros(d), np.zeros(d), np.zeros(d + 1)
+    nan[1] = nan_long[1] = np.nan
+    minus_inf[0] = -np.inf
+    for bad in (nan, minus_inf, np.zeros((1, d)), np.zeros(d - 1), nan_long):
+        with pytest.raises(ValueError) as want:
+            as_vector(bad, d)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            dom.lmo(bad)
+    # A wrong length with a non-finite entry is named for the entry.
+    assert str(want.value) == "vector has non-finite entries"
 
 
 @pytest.mark.parametrize("dom", ALL_SETS, ids=_ids(ALL_SETS))
