@@ -100,6 +100,12 @@ def _as_float64(x, complex_message: str) -> np.ndarray:
     return v
 
 
+def _as_real(v) -> np.ndarray:
+    """``v`` as float64, complex input refused; a float64 array keeps its strides."""
+    v = np.asarray(v)
+    return v if v.dtype is _FLOAT64 else _as_float64(v, "vector has complex entries")
+
+
 def dot(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean inner product. Shapes must match exactly."""
     if u.shape != v.shape:
@@ -137,7 +143,7 @@ def l2_norm(v: np.ndarray) -> float:
     only then is the norm recomputed on ``v / max|v|``, so the common case
     pays one extra comparison.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _as_real(v)
     if v.ndim != 1:
         v = v.ravel()
     n = math.sqrt(_sum_of_squares(v))
@@ -179,7 +185,7 @@ def lp_norm(v: np.ndarray, p: float) -> float:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return l2_norm(v)
-    a = np.abs(v)
+    a = np.abs(_as_real(v))
     if p == 1:
         return float(a.sum())
     m = float(a.max()) if a.size else 0.0

@@ -416,7 +416,7 @@ def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
     ``loss_v`` once it has been played, from the plays it kept, by one
     ``loss_rows``. With ``gap_v``, each round's surrogate gap is logged
     there too, measured by ``surrogate_gaps`` from the block's plays and
-    gradients.
+    gradients, which are kept only then.
     """
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
@@ -425,7 +425,8 @@ def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
             x_t = state.x
             g_t = gradient_at(kind, lam, row, x_t)
             xs.append(x_t)
-            gs.append(g_t)
+            if gap_v is not None:
+                gs.append(g_t)
             state = update(state, g_t)
         xs = np.array(xs)
         stop = start + len(block)

@@ -13,6 +13,8 @@ with sigma_t = min(1, t^(-1/2)) in place of the line search and a heavier
 eta, and projected online gradient descent.
 
 Updates are pure: each consumes one gradient and returns a fresh state.
+A gradient's finiteness is checked by the round's ``lmo`` or projection,
+and first by ``as_vector`` only for input that needs converting.
 States hold running sums only, so a step costs O(dim) regardless of t.
 A state is a frozen snapshot: an update shares the fields it leaves as
 they are and never writes into an array an earlier state holds.
@@ -57,6 +59,16 @@ __all__ = [
 # When the oracle vertex coincides with the iterate to this Euclidean
 # distance, the step is skipped rather than fed to the line search.
 ZERO_STEP_TOL = 1e-12
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _gradient(g, dim: int) -> np.ndarray:
+    """``g`` as is if it is a C-contiguous float64 ndarray of shape (dim,), left to
+    the round's ``lmo`` or projection to refuse if not finite; else ``as_vector(g, dim)``."""
+    if type(g) is np.ndarray and g.dtype is _FLOAT64 and g.shape == (dim,) and g.flags.c_contiguous:
+        return g
+    return as_vector(g, dim)
 
 
 def ofw_gradient(eta: float, grad_sum: np.ndarray, x1: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -218,9 +230,10 @@ def ofw_decay_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
 def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
     """Absorb the round-(t+1) gradient and take one Frank-Wolfe step on the
     anchored surrogate, of size ``sigma`` or, if None, the line search's."""
-    g = as_vector(g, state.domain.dim)
     if state.t >= state.horizon:
+        as_vector(g, state.domain.dim)  # a bad gradient is named first
         raise ValueError(f"horizon {state.horizon} exhausted")
+    g = _gradient(g, state.domain.dim)
     domain, x, x1, eta = state.domain, state.x, state.x1, state.eta
     grad_sum = state.grad_sum + g
     x_next = _fw_step(domain, x, ofw_gradient(eta, grad_sum, x1, x), OfwState.curvature, sigma)
@@ -239,13 +252,13 @@ def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
 
 
 def ofw_update(state: OfwState, g) -> OfwState:
-    """Absorb the round-(t+1) gradient and move along the oracle direction."""
+    """Absorb the round-(t+1) gradient, which ``lmo`` checks, and step toward its vertex."""
     return _ofw_advance(state, g, None)
 
 
 def ofw_decay_update(state: OfwState, g) -> OfwState:
     """``ofw_update`` with the step sigma_t = min(1, t^(-1/2)) in place of the
-    line search."""
+    line search; ``lmo`` checks the gradient there too."""
     return _ofw_advance(state, g, min(1.0, (state.t + 1) ** -0.5))
 
 
@@ -314,9 +327,9 @@ def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:
 
 
 def scofw_update(state: ScOfwState, g) -> ScOfwState:
-    """Absorb one gradient; curvature grows with t, no horizon needed."""
+    """Absorb one gradient, which ``lmo`` checks; curvature grows with t, no horizon."""
     domain, x, lam = state.domain, state.x, state.lam
-    g = as_vector(g, domain.dim)
+    g = _gradient(g, domain.dim)
     t = state.t + 1
     grad_sum = state.grad_sum + g
     iterate_sum = state.iterate_sum + x
@@ -360,9 +373,9 @@ def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> OgdState:
 
 
 def baseline_update(state: OgdState, g) -> OgdState:
-    """One projected OGD step."""
+    """One projected OGD step; the projection checks the gradient."""
     domain, lam = state.domain, state.lam
-    g = as_vector(g, domain.dim)
+    g = _gradient(g, domain.dim)
     t = state.t + 1
     if lam > 0.0:
         step = 1.0 / (lam * t)

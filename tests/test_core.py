@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -141,6 +142,38 @@ def test_l2_norm_survives_overflow_of_squares():
         assert l2_norm(g) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
         assert lp_norm(g, 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert l2_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_norms_refuse_complex_input_and_keep_the_bits_of_real_input():
+    z = np.array([1 + 5j, 0.0])
+    for bad in (z, z.tolist(), z.reshape(2, 1), z.astype(np.complex64)):
+        for norm in [l2_norm] + [partial(lp_norm, p=p) for p in (1.0, 1.5, 2, 3.0)]:
+            with pytest.raises(ValueError, match="^vector has complex entries$"):
+                norm(bad)
+
+    def l2_reference(v):
+        v = np.asarray(v, dtype=np.float64)
+        v = v if v.ndim == 1 else v.ravel()
+        return float(np.sqrt(v.dot(v)))
+
+    def lp_reference(v, p):
+        # lp_norm's steps on float64; other real input is converted first.
+        v = np.asarray(v)
+        a = np.abs(v if v.dtype == np.float64 else v.astype(np.float64))
+        if p == 1:
+            return float(a.sum())
+        m = float(a.max())
+        return m * float(np.add.reduce((a / m) ** p)) ** (1.0 / p)
+
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal(203) * 10.0 ** rng.uniform(-3, 3, 203)
+    forms = [h, h[::3], h[1::2], h.tolist(), h.astype(np.float32), np.rint(h).astype(np.int64),
+             h[:200].reshape(20, 10), np.asfortranarray(h[:200].reshape(20, 10))]
+    for v in forms:
+        assert l2_norm(v) == l2_reference(v)
+        assert lp_norm(v, 2) == l2_reference(v)
+        for p in (1.0, 1.5, 3.0) if np.ndim(v) == 1 else (1.0,):
+            assert lp_norm(v, p) == lp_reference(v, p)
 
 
 def test_blocked_prefix_sums_equal_a_running_loop_bit_for_bit():

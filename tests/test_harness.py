@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
@@ -54,10 +55,11 @@ from ofwkit.losses import (
     LossSpec,
     Rounds,
     as_rounds,
+    gradient_at,
     loss_at,
     round_chunks,
 )
-from ofwkit.core import as_rows, as_vector, as_vector_and_norm, prefix_sums
+from ofwkit.core import BLOCK_ROWS, as_rows, as_vector, as_vector_and_norm, prefix_sums
 from ofwkit.sets import FeasibleSet, L1Ball, L2Ball, LpBall, Simplex
 
 BASE_CONFIG = """
@@ -414,6 +416,28 @@ def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
     spec, (kind, lam, data), message = _bad_rounds(case)
     with pytest.raises(ValueError, match=message):
         run_experiment(spec, rounds=as_rounds(kind, lam, data))
+
+
+@pytest.mark.parametrize("gap_check", [False, True])
+def test_a_run_keeps_a_blocks_gradients_only_to_measure_its_gaps(gap_check, monkeypatch):
+    # Each gradient is a fresh array here; count those still alive at each update.
+    alive, held = [], []
+
+    def fresh_gradient(*args):
+        g = np.array(gradient_at(*args))
+        alive.append(weakref.ref(g))
+        return g
+
+    def counted_update(state, g):
+        held.append(sum(ref() is not None for ref in alive))
+        return ofw_update(state, g)
+
+    monkeypatch.setattr(ofwkit.harness, "gradient_at", fresh_gradient)
+    monkeypatch.setattr(ofwkit.harness, "ofw_update", counted_update)
+    T = 2 * BLOCK_ROWS + 5
+    run_experiment(_spec(horizon=T, gap_check=gap_check, gap_cap=T))
+    assert len(held) == T
+    assert max(held) == (BLOCK_ROWS if gap_check else 1)
 
 
 def test_complex_input_is_refused_at_every_entry_point():

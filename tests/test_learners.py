@@ -6,6 +6,8 @@ import pytest
 import _learner_reference as reference
 from _helpers import seeded_rounds
 
+import ofwkit.learners
+from ofwkit.core import as_vector
 from ofwkit.learners import (
     OfwState,
     baseline_update,
@@ -418,3 +420,93 @@ def test_an_exhausted_horizon_is_refused_after_the_gradient_check(algo):
             update(state, g)
         assert str(info.value) == message
         assert _snapshot(state) == before
+
+
+def _gradient_forms(g):
+    # ``g`` as input that ``as_vector`` converts or copies, and as a read-only
+    # float64 vector, which it takes as is.
+    strided = np.zeros(2 * len(g), dtype=g.dtype)
+    strided[::2] = g
+    read_only = g.copy()
+    read_only.flags.writeable = False
+    forms = {
+        "list": g.tolist(),
+        "float32": g.astype(np.float32),
+        "strided": strided[::2],
+        "read_only": read_only,
+    }
+    if np.isfinite(g).all():
+        forms["int"] = np.rint(4.0 * g).astype(np.int64)
+    return forms
+
+
+@pytest.mark.parametrize("set_kind", SETS)
+@pytest.mark.parametrize("algo", LEARNERS)
+def test_updates_take_every_gradient_form_as_as_vector_gives_it(algo, set_kind):
+    dom, dim = SETS[set_kind], SETS[set_kind].dim
+    _, update, _ = LEARNERS[algo]
+    state = _played(algo, dom, 3, 200)
+    before = _snapshot(state)
+    g = np.linspace(-1.0, 0.75, dim)
+    for name, form in _gradient_forms(g).items():
+        _same_state(update(state, form), update(state, as_vector(form, dim)))
+        assert _snapshot(state) == before, name
+    for bad in (np.nan, np.inf, -np.inf):
+        nonfinite = g.copy()
+        nonfinite[2] = bad
+        for vector in (nonfinite, np.append(nonfinite, np.nan)):
+            for name, form in _gradient_forms(vector).items():
+                with pytest.raises(ValueError) as expected:
+                    as_vector(form, dim)
+                with pytest.raises(ValueError) as info:
+                    update(state, form)
+                assert str(info.value) == str(expected.value) == "vector has non-finite entries"
+                assert _snapshot(state) == before, (name, bad, len(vector))
+
+
+@pytest.mark.parametrize("algo", ["ofw_ls", "ofw_decay"])
+def test_an_exhausted_horizon_names_a_strided_bad_gradient_first(algo):
+    dom = L2Ball(5, 1.0)
+    _, update, _ = LEARNERS[algo]
+    state = _played(algo, dom, 3, 3)
+    before = _snapshot(state)
+    h = np.ones(10)
+    for g, message in [
+        (h[::2], "horizon 3 exhausted"),
+        (np.full(10, np.nan)[::2], "vector has non-finite entries"),
+        (h[:8:2], "expected dimension 5, got 4"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            update(state, g)
+        assert str(info.value) == message
+        assert _snapshot(state) == before
+
+
+@pytest.mark.parametrize("set_kind", SETS)
+@pytest.mark.parametrize("algo", LEARNERS)
+def test_a_float64_gradient_is_checked_by_the_round_oracle_alone(algo, set_kind, monkeypatch):
+    # A C-contiguous float64 vector of length dim skips ``as_vector``: the
+    # round's one ``lmo`` (or, for OGD, ``project``) call checks it. Input
+    # that needs converting goes through ``as_vector`` once.
+    dom, dim = SETS[set_kind], SETS[set_kind].dim
+    _, update, _ = LEARNERS[algo]
+    state = _played(algo, dom, 3, 200)
+    calls = []
+    monkeypatch.setattr(
+        ofwkit.learners, "as_vector", lambda g, d=None: calls.append(1) or as_vector(g, d)
+    )
+    oracle = "project" if algo == "ogd" else "lmo"
+    owner = next(c for c in type(dom).__mro__ if oracle in vars(c))
+    checked = vars(owner)[oracle]
+    oracle_calls = []
+    monkeypatch.setattr(owner, oracle, lambda self, v: oracle_calls.append(1) or checked(self, v))
+    g = np.linspace(-1.0, 0.75, dim)
+    update(state, g)
+    assert (len(calls), len(oracle_calls)) == (0, 1)
+    update(state, g.tolist())
+    update(state, np.repeat(g, 2)[::2])
+    assert (len(calls), len(oracle_calls)) == (2, 3)
+    g[2] = np.nan
+    with pytest.raises(ValueError, match="vector has non-finite entries"):
+        update(state, g)
+    assert (len(calls), len(oracle_calls)) == (2, 4)
