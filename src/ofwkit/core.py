@@ -5,11 +5,12 @@ closed-form minimizer of the one-dimensional model ``sigma*a + sigma**2*b``
 on [0, 1] that the Frank-Wolfe updates use to pick a step size.
 
 The row-wise helpers (``as_rows``, ``row_dots``, ``row_l2_norms``,
-``prefix_sums``, ``running_sums``) batch the same arithmetic over (n, dim)
-arrays. Row i of each result equals the per-vector computation on row i
-bit for bit, so batched bookkeeping reproduces the sequential one exactly.
-Vectors and rows are made C-contiguous on the way in: numpy rounds dot
-products over strided memory differently.
+``row_lp_norms``, ``prefix_sums``, ``running_sums``) batch the same
+arithmetic over (n, dim) arrays. Row i of each result equals the
+per-vector computation on row i bit for bit, so batched bookkeeping
+reproduces the sequential one exactly; ``lp_norm`` at p != 2 is
+``row_lp_norms`` of one row. Vectors and rows are made C-contiguous on the
+way in: numpy rounds dot products over strided memory differently.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "row_dots",
     "l2_norm",
     "row_l2_norms",
+    "row_lp_norms",
     "lp_norm",
     "unit_max_lp_norm",
     "row_unit_max_lp_norms",
@@ -174,32 +176,37 @@ def row_l2_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def row_lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """lp norm, p >= 1, of each row of an (n, dim) array. At p = 1 a sum past
+    the largest float is inf; at p other than 1 and 2 each row is scaled by
+    its largest entry first, so that no power overflows."""
+    if p == 2:
+        return row_l2_norms(rows)
+    a = np.abs(rows)
+    if p == 1:
+        with np.errstate(over="ignore"):
+            return a.sum(axis=1)
+    m = np.maximum.reduce(a, axis=1, initial=0.0)
+    a /= np.where(m > 0.0, m, 1.0)[:, None]
+    return m * row_unit_max_lp_norms(a, p, out=a)
+
+
 def lp_norm(v: np.ndarray, p: float) -> float:
-    """lp norm of a vector for p >= 1.
+    """lp norm of a real vector for p >= 1; input that is not 1-D is raveled.
 
     p=2 routes through the Euclidean norm so that ``lp_norm(v, 2)**2``
-    agrees with ``dot(v, v)`` to rounding. Other exponents rescale by the
-    max entry first so moderate vectors cannot overflow under large p.
+    agrees with ``dot(v, v)`` to rounding; a float64 array keeps its strides.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
         return l2_norm(v)
-    a = np.abs(_as_real(v))
-    if p == 1:
-        return float(a.sum())
-    m = float(a.max()) if a.size else 0.0
-    if m == 0.0:
-        return 0.0
-    return m * unit_max_lp_norm(a / m, p)
+    return float(row_lp_norms(_as_real(v).reshape(1, -1), p)[0])
 
 
 def unit_max_lp_norm(a: np.ndarray, p: float) -> float:
-    """lp norm, p != 2, of a nonnegative vector whose largest entry is 1.
-
-    ``lp_norm``'s last step, after its scaling by the largest entry, which
-    a vector of this kind does not need. ``lp_norm`` takes p = 2 through
-    ``l2_norm``, which rounds differently.
+    """lp norm of a nonnegative vector whose largest entry is 1, unscaled.
+    At p = 2 it rounds differently from ``l2_norm``, which ``lp_norm`` takes.
     """
     return float(np.add.reduce(a**p)) ** (1.0 / p)
 

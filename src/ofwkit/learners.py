@@ -198,6 +198,10 @@ def _anchored_state(domain: FeasibleSet, horizon: int, G: float, step_size_param
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     if not (G > 0.0):
         raise ValueError(f"G must be positive, got {G!r}")
+    # An eta that underflows to 0 leaves the learner still.
+    eta = step_size_parameter(domain.diameter, G, horizon)
+    if not (0.0 < eta < np.inf):
+        raise ValueError(f"eta = {eta!r} is not finite and positive")
     x1 = domain.anchor()
     return OfwState(
         domain=domain,
@@ -205,7 +209,7 @@ def _anchored_state(domain: FeasibleSet, horizon: int, G: float, step_size_param
         x1=x1,
         grad_sum=np.zeros(domain.dim),
         t=0,
-        eta=step_size_parameter(domain.diameter, G, horizon),
+        eta=eta,
         horizon=horizon,
     )
 

@@ -7,7 +7,7 @@ by reference oracles and the projected-gradient baseline. ``lmo_rows`` and
 bit for bit to the per-vector call. ``sample_rows`` draws n feasible points
 from one generator; ``feasible_rows`` fills row i from the i-th of n
 generators, as ``sample_rows(1, ...)`` would, and both scale by one law.
-Each ball's ``norm_rows`` is its norm of each row.
+Each ball's ``norm_rows`` is ``core.row_lp_norms`` at its exponent ``p``.
 Balls are centered at the origin; the simplex is the probability simplex.
 
 ``strong_convexity`` is the modulus with which the set body is strongly
@@ -28,9 +28,9 @@ from .core import (
     as_vector,
     as_vector_and_norm,
     l2_norm,
-    lp_norm,
     row_dots,
     row_l2_norms,
+    row_lp_norms,
     row_unit_max_lp_norms,
     unit_max_lp_norm,
 )
@@ -164,7 +164,7 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class _Ball(FeasibleSet):
-    """Shared behavior for norm balls centered at the origin."""
+    """Shared behavior for lp balls centered at the origin, of exponent ``p``."""
 
     radius: float
 
@@ -173,13 +173,9 @@ class _Ball(FeasibleSet):
         if not (self.radius > 0.0) or not np.isfinite(self.radius):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
-    def _norm(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def norm_rows(self, x) -> np.ndarray:
-        """The ball's norm of each row of an (n, dim) array, row i equal
-        bit for bit to the norm of ``x[i]``."""
-        raise NotImplementedError
+        """The ball's lp norm, at its ``p``, of each row of an (n, dim) array."""
+        return row_lp_norms(as_rows(x, self.dim), self.p)
 
     def contains_rows(self, x, tol: float = DEFAULT_FEASIBILITY_TOL) -> np.ndarray:
         return self.norm_rows(x) <= self.radius + tol
@@ -195,7 +191,7 @@ class _Ball(FeasibleSet):
         for i in np.flatnonzero(norms < _MIN_DIRECTION_NORM).tolist():
             while norms[i] < _MIN_DIRECTION_NORM:
                 rng.standard_normal(out=z[i])
-                norms[i] = self._norm(z[i])
+                norms[i] = self.norm_rows(z[i : i + 1])[0]
         return self._spread(z, norms.tolist(), rng.random(n).tolist())
 
     def feasible_rows(self, rows, rngs):
@@ -231,11 +227,7 @@ class _Ball(FeasibleSet):
 class L2Ball(_Ball):
     """Euclidean ball {x : ||x||_2 <= radius}."""
 
-    def _norm(self, x):
-        return l2_norm(x)
-
-    def norm_rows(self, x):
-        return row_l2_norms(as_rows(x, self.dim))
+    p = 2.0
 
     def _lmo(self, g, norm):
         return (-self.radius / norm) * g
@@ -279,20 +271,6 @@ class LpBall(_Ball):
         super().__post_init__()
         if not (1.0 + MIN_P_GAP <= self.p <= 2.0):
             raise ValueError(f"p must lie in [1 + {MIN_P_GAP:g}, 2], got {self.p!r}")
-
-    def _norm(self, x):
-        return lp_norm(x, self.p)
-
-    def norm_rows(self, x):
-        x = as_rows(x, self.dim)
-        if self.p == 2:
-            return row_l2_norms(x)
-        a = np.abs(x)
-        m = a.max(axis=1)
-        # lp_norm's steps: scale by the largest entry, which leaves zero
-        # rows at zero.
-        a /= np.where(m > 0.0, m, 1.0)[:, None]
-        return m * row_unit_max_lp_norms(a, self.p, out=a)
 
     def _lmo(self, g, norm):
         # First-order condition on the boundary: the minimizer has
@@ -452,7 +430,7 @@ def _shrink_to_lp_sphere(a, y, mass, t, p):
     # After an entry step of e relative to y, the next error is at most
     # (k-1)/2 * e**2 relative.
     y_tol = max(math.sqrt(2.0 * target / max(k - 1.0, 1.0)), 16.0 * _EPS)
-    hi = float(np.add.reduce(a**q)) ** (1.0 / q) / t ** (p - 1.0)
+    hi = unit_max_lp_norm(a, q) / t ** (p - 1.0)
     c = 0.0
     yk1 = _unless_unit(operator.pow, y, k - 1.0)
     # y*psi' - psi, the numerator of a Newton step. It must use b = y**k
@@ -532,14 +510,7 @@ def _solve_entries(a, c, y, cap, k, tol):
 class L1Ball(_Ball):
     """l1 ball {x : ||x||_1 <= radius}. A polytope, so modulus 0."""
 
-    # A sum past the largest float is inf, which is beyond every radius.
-    def _norm(self, x):
-        with np.errstate(over="ignore"):
-            return float(np.abs(x).sum())
-
-    def norm_rows(self, x):
-        with np.errstate(over="ignore"):
-            return np.abs(as_rows(x, self.dim)).sum(axis=1)
+    p = 1.0
 
     def _lmo(self, g, norm):
         j = np.abs(g).argmax()
@@ -557,7 +528,8 @@ class L1Ball(_Ball):
 
     def project(self, x):
         x = as_vector(x, self.dim)
-        if self._norm(x) <= self.radius:
+        # A sum past the largest float is inf, which is beyond every radius.
+        if row_lp_norms(x[None], 1.0)[0] <= self.radius:
             return x.copy()
         w = _project_simplex(np.abs(x), self.radius)
         return np.sign(x) * w
@@ -565,7 +537,7 @@ class L1Ball(_Ball):
     def project_rows(self, x):
         x = as_rows(x, self.dim)
         out = x.copy()
-        outside = self.norm_rows(x) > self.radius
+        outside = row_lp_norms(x, 1.0) > self.radius
         w = _project_simplex_rows(np.abs(x[outside]), self.radius)
         out[outside] = np.sign(x[outside]) * w
         return out

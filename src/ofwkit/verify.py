@@ -221,45 +221,37 @@ def _run_with_states(algo: str, domain, loss_spec: LossSpec, horizon: int):
     return states, rows
 
 
-def _check_surrogate_identity_ofw(seed=31) -> tuple[bool, str]:
+# Each learner's surrogate gradient and value at y, summed term by term: the
+# learner ``state`` after the rounds ``rows``, played from the states ``played``.
+def _naive_ofw_surrogate(state, played, rows, spec, y):
+    naive_grad = 2.0 * (y - state.x1)
+    naive_val = float(np.dot(y - state.x1, y - state.x1))
+    for g in rows:
+        naive_grad = naive_grad + state.eta * g
+        naive_val += state.eta * float(np.dot(g, y))
+    return naive_grad, naive_val
+
+
+def _naive_scofw_surrogate(state, played, rows, spec, y):
+    naive_grad = np.zeros(y.shape[0])
+    naive_val = 0.0
+    for row, before in zip(rows, played):
+        g = gradient_at(QUADRATIC, spec.lam, row, before.x)
+        d = y - before.x
+        naive_grad = naive_grad + g + spec.lam * d
+        naive_val += float(np.dot(g, y)) + 0.5 * spec.lam * float(np.dot(d, d))
+    return naive_grad, naive_val
+
+
+def _check_surrogate_identity(algo: str, spec: LossSpec, naive_surrogate) -> tuple[bool, str]:
     domain = L2Ball(6, 1.0)
-    spec = LossSpec(kind=LINEAR, dim=6, seed=seed, G=1.0)
-    states, rows = _run_with_states(ALGO_OFW_LS, domain, spec, 48)
-    rng = np.random.default_rng(seed + 1)
+    states, rows = _run_with_states(algo, domain, spec, 48)
+    rng = np.random.default_rng(spec.seed + 1)
     for t in (1, 7, 23, 48):
         state = states[t]
         for _ in range(5):
             y = domain.sample_rows(1, rng)[0]
-            naive_grad = 2.0 * (y - state.x1)
-            naive_val = float(np.dot(y - state.x1, y - state.x1))
-            for g in rows[:t]:
-                naive_grad = naive_grad + state.eta * g
-                naive_val += state.eta * float(np.dot(g, y))
-            if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
-                return False, f"gradient mismatch at t={t} y={y.tolist()}"
-            if abs(state.value(y) - naive_val) > 1e-9:
-                return False, f"value mismatch at t={t} y={y.tolist()}"
-    return True, "running sums match naive summation"
-
-
-def _check_surrogate_identity_scofw(seed=32) -> tuple[bool, str]:
-    domain = L2Ball(6, 1.0)
-    spec = LossSpec(kind=QUADRATIC, dim=6, seed=seed, lam=0.7)
-    states, rows = _run_with_states(ALGO_SC_OFW, domain, spec, 48)
-    rng = np.random.default_rng(seed + 1)
-    grads = [gradient_at(QUADRATIC, spec.lam, row, st.x) for row, st in zip(rows, states)]
-    for t in (1, 7, 23, 48):
-        state = states[t]
-        for _ in range(5):
-            y = domain.sample_rows(1, rng)[0]
-            naive_grad = np.zeros(domain.dim)
-            naive_val = 0.0
-            for tau in range(t):
-                x_tau = states[tau].x
-                naive_grad = naive_grad + grads[tau] + spec.lam * (y - x_tau)
-                naive_val += float(np.dot(grads[tau], y)) + 0.5 * spec.lam * float(
-                    np.dot(y - x_tau, y - x_tau)
-                )
+            naive_grad, naive_val = naive_surrogate(state, states[:t], rows[:t], spec, y)
             if float(np.linalg.norm(state.gradient(y) - naive_grad)) > 1e-9:
                 return False, f"gradient mismatch at t={t} y={y.tolist()}"
             if abs(state.value(y) - naive_val) > 1e-9:
@@ -380,8 +372,12 @@ def _check_step_cost_linear() -> tuple[bool, str]:
 
 
 def _learner_checks():
-    yield "learners.surrogate_identity.ofw_ls", _check_surrogate_identity_ofw
-    yield "learners.surrogate_identity.sc_ofw", _check_surrogate_identity_scofw
+    for algo, spec, naive in (
+        (ALGO_OFW_LS, LossSpec(kind=LINEAR, dim=6, seed=31, G=1.0), _naive_ofw_surrogate),
+        (ALGO_SC_OFW, LossSpec(kind=QUADRATIC, dim=6, seed=32, lam=0.7), _naive_scofw_surrogate),
+    ):
+        check = partial(_check_surrogate_identity, algo, spec, naive)
+        yield f"learners.surrogate_identity.{algo}", check
     for algo in (ALGO_OFW_LS, ALGO_SC_OFW):
         yield f"learners.contraction.{algo}", partial(_check_contraction, algo)
     yield "learners.comparator_drift.ofw_ls", _check_comparator_drift_ofw

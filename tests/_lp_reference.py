@@ -14,7 +14,7 @@ from ofwkit.core import as_vector, lp_norm
 def reference_project(ball, x):
     """Euclidean projection of ``x`` onto the ``LpBall`` ``ball``."""
     x = as_vector(x, ball.dim)
-    if ball._norm(x) <= ball.radius:
+    if lp_norm(x, ball.p) <= ball.radius:
         return x.copy()
     a = np.abs(x)
     scale = float(a.max())

@@ -172,8 +172,10 @@ def test_norms_refuse_complex_input_and_keep_the_bits_of_real_input():
     for v in forms:
         assert l2_norm(v) == l2_reference(v)
         assert lp_norm(v, 2) == l2_reference(v)
-        for p in (1.0, 1.5, 3.0) if np.ndim(v) == 1 else (1.0,):
-            assert lp_norm(v, p) == lp_reference(v, p)
+        # Input that is not 1-D is raveled, in C order, for every p.
+        raveled = v if np.ndim(v) == 1 else np.ravel(v)
+        for p in (1.0, 1.5, 3.0):
+            assert lp_norm(v, p) == lp_reference(raveled, p)
 
 
 def test_blocked_prefix_sums_equal_a_running_loop_bit_for_bit():

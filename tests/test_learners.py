@@ -43,6 +43,17 @@ def test_ofw_init_validation():
         ofw_init(L2Ball(2, 1.0), horizon=4, G=0.0)
 
 
+@pytest.mark.parametrize("init", [ofw_init, ofw_decay_init])
+def test_ofw_inits_refuse_an_eta_that_is_not_finite_and_positive(init):
+    # eta = D / (2 G ...) underflows to 0.0 at D = 2e-300, G = 1e300: such a
+    # learner never moves, and a gradient [inf, 0, 0] met 0 * inf before
+    # lmo could name it. D = 2e300, G = 1e-300 overflows it to inf.
+    with pytest.raises(ValueError, match=r"^eta = 0\.0 is not finite and positive$"):
+        init(L2Ball(3, 1e-300), 10, 1e300)
+    with pytest.raises(ValueError, match=r"^eta = inf is not finite and positive$"):
+        init(L2Ball(3, 1e300), 10, 1e-300)
+
+
 def test_ofw_first_update_hand_trace():
     # interval [-1, 1], g=1: surrogate gradient at 0 is eta, oracle vertex
     # is -1, slope a = -eta, curvature b = 1, so sigma = eta/2 = 0.125
