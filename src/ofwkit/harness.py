@@ -143,55 +143,53 @@ class ExperimentSpec:
                 raise ValueError(f"derived constant {name} = {value!r} is not finite and positive")
 
 
-_SET_KINDS = ("l2_ball", "lp_ball", "l1_ball", "simplex")
+# Each kind's class or loss field, and the keys it takes. A set's keys are
+# its arguments after ``set.dim``; a loss's one key is its constant.
+_RADIUS = ("set.r",)
+_SET_KINDS = {
+    "l2_ball": (L2Ball, _RADIUS),
+    "lp_ball": (LpBall, _RADIUS + ("set.p",)),
+    "l1_ball": (L1Ball, _RADIUS),
+    "simplex": (Simplex, ()),
+}
+_LOSS_KINDS = {LINEAR: ("loss.G", "G"), QUADRATIC: ("loss.lambda", "lam")}
+_SET_KEYS = tuple(dict.fromkeys(key for _, keys in _SET_KINDS.values() for key in keys))
+_LOSS_KEYS = tuple(key for key, _ in _LOSS_KINDS.values())
 _KNOWN_KEYS = (
-    "set.kind",
-    "set.dim",
-    "set.r",
-    "set.p",
-    "loss.kind",
-    "loss.G",
-    "loss.lambda",
-    "algo",
-    "T",
-    "seed",
-    "gap_check",
-    "gap_cap",
-    "output",
+    ("set.kind", "set.dim", "loss.kind", "algo", "T", "seed", "gap_check", "gap_cap", "output")
+    + _SET_KEYS
+    + _LOSS_KEYS
 )
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"key {key!r}: expected true or false, got {value!r}")
-
-
-def _require(entries: dict, key: str) -> str:
+def _read(entries: dict, key: str, kind: type = str, default=None):
+    """``entries[key]`` read as ``kind`` (str, int, float or bool), or
+    ``default`` when the key is absent; with no default it is required."""
     if key not in entries:
-        raise ConfigError(f"missing required key {key!r}")
-    return entries[key]
+        if default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    text = entries[key]
+    try:
+        return {"true": True, "false": False}[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r}: expected {_EXPECTED[kind]}, got {text!r}") from None
 
 
-def _forbid(entries: dict, key: str, why: str):
-    if key in entries:
-        raise ConfigError(f"key {key!r} does not apply: {why}")
+def _lookup(entries: dict, key: str, table: dict, expected: str):
+    """The kind named by the required ``key`` and its row of ``table``."""
+    kind = _read(entries, key)
+    if kind not in table:
+        raise ConfigError(f"key {key!r}: expected {expected}, got {kind!r}")
+    return kind, table[kind]
+
+
+def _refuse(entries: dict, kind: str, takes: tuple, keys: tuple):
+    """Refuse the first of ``keys`` given in ``entries`` that ``kind`` does not take."""
+    for key in keys:
+        if key in entries and key not in takes:
+            raise ConfigError(f"key {key!r} does not apply to {kind}")
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -199,7 +197,8 @@ def parse_config(text: str) -> ExperimentSpec:
 
     One assignment per line; ``#`` starts a comment; blank lines are
     ignored. Unknown keys, duplicates, missing required keys, malformed
-    values, and inconsistent combinations all raise ``ConfigError``.
+    values, keys the chosen set or loss kind does not take, and
+    inconsistent combinations all raise ``ConfigError``.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,65 +215,38 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    set_kind = _require(entries, "set.kind")
-    if set_kind not in _SET_KINDS:
-        raise ConfigError(f"key 'set.kind': expected one of {_SET_KINDS}, got {set_kind!r}")
-    dim = _parse_int("set.dim", _require(entries, "set.dim"))
+    set_kind, (make_set, set_keys) = _lookup(
+        entries, "set.kind", _SET_KINDS, f"one of {tuple(_SET_KINDS)}"
+    )
+    dim = _read(entries, "set.dim", int)
+    _refuse(entries, set_kind, set_keys, _SET_KEYS)
+    args = [_read(entries, key, float) for key in set_keys]
     try:
-        if set_kind == "simplex":
-            _forbid(entries, "set.r", "the simplex has no radius")
-            _forbid(entries, "set.p", "set.p only applies to lp_ball")
-            domain: FeasibleSet = Simplex(dim)
-        else:
-            r = _parse_float("set.r", _require(entries, "set.r"))
-            if set_kind == "lp_ball":
-                p = _parse_float("set.p", _require(entries, "set.p"))
-                domain = LpBall(dim, r, p)
-            else:
-                _forbid(entries, "set.p", "set.p only applies to lp_ball")
-                domain = L2Ball(dim, r) if set_kind == "l2_ball" else L1Ball(dim, r)
+        domain: FeasibleSet = make_set(dim, *args)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid set: {exc}") from None
 
-    loss_kind = _require(entries, "loss.kind")
-    seed = _parse_int("seed", _require(entries, "seed"))
+    loss_kind, (loss_key, field_name) = _lookup(
+        entries, "loss.kind", _LOSS_KINDS, "linear or quadratic"
+    )
+    seed = _read(entries, "seed", int)
+    _refuse(entries, loss_kind, (loss_key,), _LOSS_KEYS)
+    constant = _read(entries, loss_key, float)
     try:
-        if loss_kind == LINEAR:
-            _forbid(entries, "loss.lambda", "linear losses have no modulus")
-            G = _parse_float("loss.G", _require(entries, "loss.G"))
-            loss = LossSpec(kind=LINEAR, dim=dim, seed=seed, G=G)
-        elif loss_kind == QUADRATIC:
-            _forbid(entries, "loss.G", "quadratic losses certify G from the set")
-            lam = _parse_float("loss.lambda", _require(entries, "loss.lambda"))
-            loss = LossSpec(kind=QUADRATIC, dim=dim, seed=seed, lam=lam)
-        else:
-            raise ConfigError(
-                f"key 'loss.kind': expected linear or quadratic, got {loss_kind!r}"
-            )
+        loss = LossSpec(kind=loss_kind, dim=dim, seed=seed, **{field_name: constant})
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid loss: {exc}") from None
 
-    algo = _require(entries, "algo")
-    horizon = _parse_int("T", _require(entries, "T"))
-    gap_check = _parse_bool("gap_check", entries["gap_check"]) if "gap_check" in entries else False
-    gap_cap = (
-        _parse_int("gap_cap", entries["gap_cap"]) if "gap_cap" in entries else DEFAULT_GAP_CAP
-    )
-    output = entries.get("output")
-
+    # A value's ConfigError passes through with its text.
     try:
         return ExperimentSpec(
             domain=domain,
             loss=loss,
-            algo=algo,
-            horizon=horizon,
-            gap_check=gap_check,
-            gap_cap=gap_cap,
-            output=output,
+            algo=_read(entries, "algo"),
+            horizon=_read(entries, "T", int),
+            gap_check=_read(entries, "gap_check", bool, False),
+            gap_cap=_read(entries, "gap_cap", int, DEFAULT_GAP_CAP),
+            output=entries.get("output"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -14,7 +14,8 @@ eta, and projected online gradient descent.
 
 Updates are pure: each consumes one gradient and returns a fresh state.
 A gradient's finiteness is checked by the round's ``lmo`` or projection,
-and first by ``as_vector`` only for input that needs converting.
+and first by ``as_vector`` only for input that needs converting or an OGD
+step of 0.
 States hold running sums only, so a step costs O(dim) regardless of t.
 A state is a frozen snapshot: an update shares the fields it leaves as
 they are and never writes into an array an earlier state holds.
@@ -377,7 +378,8 @@ def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> OgdState:
 
 
 def baseline_update(state: OgdState, g) -> OgdState:
-    """One projected OGD step; the projection checks the gradient."""
+    """One projected OGD step; the projection checks the gradient, or
+    ``as_vector`` when the step is 0."""
     domain, lam = state.domain, state.lam
     g = _gradient(g, domain.dim)
     t = state.t + 1
@@ -385,6 +387,8 @@ def baseline_update(state: OgdState, g) -> OgdState:
         step = 1.0 / (lam * t)
     else:
         step = domain.diameter / (state.G * t**0.5)
+    if step == 0.0:  # 0.0 * inf is NaN, with a warning
+        as_vector(g, domain.dim)
     # Built as _ofw_advance builds its state.
     new = object.__new__(OgdState)
     fields = new.__dict__

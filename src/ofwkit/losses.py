@@ -38,7 +38,6 @@ __all__ = [
     "LossSpec",
     "loss_rows",
     "gradient_at",
-    "loss_at",
     "Rounds",
     "make_round",
     "round_chunks",
@@ -119,13 +118,6 @@ def gradient_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> np.nda
     """Gradient at ``x`` of the round of ``kind`` whose gradient or target is
     ``row``: ``row`` itself if linear, lam * (x - row) if quadratic."""
     return row if kind == LINEAR else lam * (x - row)
-
-
-def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(f(x), gradient at x) of the round of ``kind`` whose gradient or target
-    is ``row``: the one-row case of ``loss_rows``, and ``gradient_at``."""
-    value = loss_rows(kind, lam, np.atleast_2d(row), np.atleast_2d(x))[0]
-    return float(value), gradient_at(kind, lam, row, x)
 
 
 @dataclass(frozen=True)

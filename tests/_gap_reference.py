@@ -9,12 +9,11 @@ for bit.
 """
 
 import numpy as np
-from _helpers import seeded_rounds
+from _helpers import loss_at, seeded_rounds
 
 from ofwkit.core import dot
 from ofwkit.harness import ALGO_OGD, _init_learner, certificate
 from ofwkit.learners import OfwState
-from ofwkit.losses import loss_at
 from ofwkit.oracle import DEFAULT_ORACLE_TOL, ConvergenceError
 
 

@@ -1,9 +1,10 @@
 """Test-only helpers: a brute-force line-search oracle, all-zero loss rounds,
-the seeded adversary's rounds in one array and one seeded feasible point."""
+the seeded adversary's rounds in one array, one seeded feasible point and
+one round's loss and gradient."""
 
 import numpy as np
 
-from ofwkit.losses import LINEAR, Rounds, as_rounds, round_chunks
+from ofwkit.losses import LINEAR, Rounds, as_rounds, gradient_at, loss_rows, round_chunks
 
 
 def grid_line_search(a: float, b: float, grid_size: int) -> float:
@@ -37,3 +38,10 @@ def seeded_rounds(spec, T: int, domain) -> Rounds:
 def feasible_point(domain, seed: int) -> np.ndarray:
     """The feasible point ``domain`` draws from ``np.random.default_rng(seed)``."""
     return domain.sample_rows(1, np.random.default_rng(seed))[0]
+
+
+def loss_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(f(x), gradient at x) of the round of ``kind`` whose gradient or target
+    is ``row``: the one-row case of ``loss_rows``, and ``gradient_at``."""
+    value = loss_rows(kind, lam, np.atleast_2d(row), np.atleast_2d(x))[0]
+    return float(value), gradient_at(kind, lam, row, x)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -9,10 +10,11 @@ from fractions import Fraction
 from functools import partial
 
 import _comparator_reference as reference
+import _config_reference
 import _gap_reference
 import numpy as np
 import pytest
-from _helpers import seeded_rounds, zero_rounds
+from _helpers import loss_at, seeded_rounds, zero_rounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +58,6 @@ from ofwkit.losses import (
     Rounds,
     as_rounds,
     gradient_at,
-    loss_at,
     round_chunks,
 )
 from ofwkit.core import BLOCK_ROWS, as_rows, as_vector, as_vector_and_norm, prefix_sums
@@ -175,6 +176,40 @@ def test_parse_config_loss_key_consistency():
         parse_config(quad)
 
 
+_SET_TAKES = {"l2_ball": ("set.r",), "lp_ball": ("set.r", "set.p"), "l1_ball": ("set.r",), "simplex": ()}
+_LOSS_TAKES = {LINEAR: ("loss.G",), QUADRATIC: ("loss.lambda",)}
+_KIND_VALUES = {"set.r": "1", "set.p": "1.5", "loss.G": "1", "loss.lambda": "1"}
+
+
+def _kind_config(kind, add=None, drop=None):
+    """A runnable config of set or loss ``kind`` (the other part an l2_ball
+    or linear losses), with the key ``add`` added and ``drop`` left out."""
+    set_kind = kind if kind in _SET_TAKES else "l2_ball"
+    loss_kind = kind if kind in _LOSS_TAKES else LINEAR
+    keys = _SET_TAKES[set_kind] + _LOSS_TAKES[loss_kind] + ((add,) if add else ())
+    lines = [f"set.kind = {set_kind}", "set.dim = 4", f"loss.kind = {loss_kind}"]
+    lines += ["algo = ogd", "T = 8", "seed = 1"]
+    lines += [f"{key} = {_KIND_VALUES[key]}" for key in keys if key != drop]
+    return "\n".join(lines) + "\n"
+
+
+# Every (kind, key it does not take) and every (kind, key it takes, removed).
+_KIND_REFUSALS = [
+    (kind, add, drop)
+    for table, keys in ((_SET_TAKES, ("set.r", "set.p")), (_LOSS_TAKES, ("loss.G", "loss.lambda")))
+    for kind, takes in table.items()
+    for add, drop in [(key, None) for key in keys if key not in takes] + [(None, key) for key in takes]
+]
+
+
+@pytest.mark.parametrize("kind, add, drop", _KIND_REFUSALS)
+def test_parse_config_refuses_foreign_and_missing_kind_keys(kind, add, drop):
+    assert isinstance(parse_config(_kind_config(kind)), ExperimentSpec)
+    message = f"key {add!r} does not apply" if add else f"missing required key {drop!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(_kind_config(kind, add, drop))
+
+
 # Extreme values for every numeric key, half the time, else ordinary ones.
 _FUZZ_VALUES = st.one_of(
     st.sampled_from(["1", "1e-320", "1e308", "nan", "inf", str(10**400), "-inf", "0", "-1"]),
@@ -184,21 +219,35 @@ _FUZZ_VALUES = st.one_of(
 
 @st.composite
 def _configs(draw):
+    # Half the configs get one fault, their other values plain ones: a key of
+    # another set or loss kind, a required key left out, or a value that is
+    # malformed for most keys.
+    fault = draw(st.sampled_from([None, None, None, "foreign", "missing", "malformed"]))
+    values = _FUZZ_VALUES if fault is None else st.sampled_from(["2", "3", "10"])
     set_kind = draw(st.sampled_from(["l2_ball", "lp_ball", "l1_ball", "simplex"]))
     loss_kind = draw(st.sampled_from([LINEAR, QUADRATIC]))
-    entries = {"set.kind": set_kind, "set.dim": draw(_FUZZ_VALUES)}
+    entries = {"set.kind": set_kind, "set.dim": draw(values)}
     if set_kind != "simplex":
-        entries["set.r"] = draw(_FUZZ_VALUES)
+        entries["set.r"] = draw(values)
     if set_kind == "lp_ball":
-        entries["set.p"] = draw(_FUZZ_VALUES)
+        entries["set.p"] = draw(values)
     entries["loss.kind"] = loss_kind
-    entries["loss.G" if loss_kind == LINEAR else "loss.lambda"] = draw(_FUZZ_VALUES)
+    entries["loss.G" if loss_kind == LINEAR else "loss.lambda"] = draw(values)
     entries["algo"] = draw(st.sampled_from(ALGORITHMS))
     for key in ("T", "seed"):
-        entries[key] = draw(_FUZZ_VALUES)
+        entries[key] = draw(values)
     if draw(st.booleans()):
         entries["gap_check"] = "true"
-        entries["gap_cap"] = draw(_FUZZ_VALUES)
+        entries["gap_cap"] = draw(values)
+    if fault == "foreign":
+        foreign = [key for key in ("set.r", "set.p", "loss.G", "loss.lambda") if key not in entries]
+        entries[draw(st.sampled_from(foreign))] = draw(values)
+    elif fault == "missing":
+        required = [key for key in entries if key not in ("gap_check", "gap_cap")]
+        del entries[draw(st.sampled_from(required))]
+    elif fault == "malformed":
+        key = draw(st.sampled_from(sorted(entries)))
+        entries[key] = draw(st.sampled_from(["soon", "yes", "1.5", "0x10", "cube"]))
     return "".join(f"{key} = {value}\n" for key, value in entries.items())
 
 
@@ -206,20 +255,30 @@ _ONE_POINT_SIMPLEX = (
     "set.kind = simplex\nset.dim = 1\nloss.kind = quadratic\nloss.lambda = 1\n"
     "algo = {}\nT = 16\nseed = 1\n"
 )
+# A runnable config but for the kind named "cube".
+_UNKNOWN_KIND = (
+    "set.kind = {}\nset.dim = 3\nloss.kind = {}\nloss.lambda = 1\nalgo = ogd\nT = 8\nseed = 1\n"
+)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(_configs())
 @example(_ONE_POINT_SIMPLEX.format(ALGO_OFW_LS))
 @example(_ONE_POINT_SIMPLEX.format(ALGO_OFW_DECAY))
+@example(_UNKNOWN_KIND.format("cube", QUADRATIC))
+@example(_UNKNOWN_KIND.format("simplex", "cube"))
 def test_parse_config_accepts_or_raises_config_error(text):
     # Parsing builds the spec and its certificate but never runs it, so a
-    # huge T costs nothing here.
+    # huge T costs nothing here. The branch-per-kind reference parser must
+    # agree: an equal spec, or a ConfigError too.
     try:
         spec = parse_config(text)
     except ConfigError:
+        with pytest.raises(ConfigError):
+            _config_reference.parse_config(text)
         return
     assert isinstance(spec, ExperimentSpec)
+    assert _config_reference.parse_config(text) == spec
 
 
 # -- bound formulas ----------------------------------------------------------

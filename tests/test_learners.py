@@ -1,10 +1,11 @@
+import warnings
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
 
 import _learner_reference as reference
-from _helpers import seeded_rounds
+from _helpers import loss_at, seeded_rounds
 
 import ofwkit.learners
 from ofwkit.core import as_vector
@@ -22,7 +23,7 @@ from ofwkit.learners import (
     scofw_init,
     scofw_update,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, loss_at, make_round
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, make_round
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 
@@ -231,6 +232,18 @@ def test_ogd_init_validation():
         ogd_init(L2Ball(2, 1.0), G=0.0)
     with pytest.raises(ValueError):
         ogd_init(L2Ball(2, 1.0), G=1.0, lam=-0.1)
+
+
+def test_ogd_zero_step_names_non_finite_gradient():
+    # lam * t passes the largest float in round 2, so the step is exactly 0.0:
+    # a finite gradient leaves the point as it is, and an infinite one is
+    # named rather than turned into NaN by 0.0 * inf.
+    state = baseline_update(ogd_init(L2Ball(3, 1.0), 1.0, 1e308), np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(baseline_update(state, np.array([1.0, -2.0, 3.0])).x, state.x)
+        with pytest.raises(ValueError, match="vector has non-finite entries"):
+            baseline_update(state, np.array([np.inf, 0.0, 0.0]))
 
 
 def test_baselines_stay_feasible():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _helpers import feasible_point, seeded_rounds, zero_rounds
+from _helpers import feasible_point, loss_at, seeded_rounds, zero_rounds
 
 from ofwkit import losses, sets
 from ofwkit.losses import (
@@ -9,7 +9,6 @@ from ofwkit.losses import (
     LossSpec,
     as_rounds,
     certify_constants,
-    loss_at,
     make_round,
     mix64,
     round_chunks,

@@ -1,10 +1,10 @@
 import _comparator_reference as reference
 import numpy as np
 import pytest
-from _helpers import feasible_point, grid_line_search, seeded_rounds
+from _helpers import feasible_point, grid_line_search, loss_at, seeded_rounds
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds, loss_at
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds
 from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
