@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "BLOCK_ROWS",
+    "as_int",
     "as_vector",
     "as_vector_and_norm",
     "as_rows",
@@ -46,6 +47,19 @@ __all__ = [
 BLOCK_ROWS = 64
 
 _FLOAT64 = np.dtype(np.float64)
+
+
+def as_int(n, name: str, low: int | None = None) -> int:
+    """``n`` as an int; ``ValueError`` naming ``name`` unless ``n`` is an
+    integral number, not a bool, and at least ``low`` (None, 0 or 1) if given."""
+    try:
+        k = int(n)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if isinstance(n, (bool, np.bool_)) or k is None or k != n or (low is not None and k < low):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+        raise ValueError(f"{name} must be {kind}, got {n!r}")
+    return k
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_ROWS, prefix_sums
+from .core import BLOCK_ROWS, as_int, prefix_sums
 from .csvtext import KERNEL_ROWS, CellFormatter
 from .learners import (
     baseline_update,
@@ -116,8 +116,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", as_int(self.horizon, "horizon", 1))
         if self.horizon > np.iinfo(np.intp).max:
             raise ValueError(f"horizon {self.horizon} exceeds the largest array length")
         if self.loss.dim != self.domain.dim:
@@ -126,8 +125,7 @@ class ExperimentSpec:
             )
         if self.algo == ALGO_SC_OFW and self.loss.kind != QUADRATIC:
             raise ValueError("sc_ofw needs strongly convex losses (loss.kind = quadratic)")
-        if not isinstance(self.gap_cap, int) or self.gap_cap < 0:
-            raise ValueError(f"gap_cap must be a nonnegative integer, got {self.gap_cap!r}")
+        object.__setattr__(self, "gap_cap", as_int(self.gap_cap, "gap_cap", 0))
         # The regret ceiling grows with t, so a finite one at T bounds every
         # round's regret and gap ceilings.
         try:
@@ -612,14 +610,11 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
 
 
 def _horizon(h) -> int:
-    """``h`` as an int; ``ConfigError`` unless it is an integral number, not a bool."""
+    """``h`` as an int; ``ConfigError`` unless ``as_int`` takes it."""
     try:
-        n = int(h)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if isinstance(h, (bool, np.bool_)) or n is None or n != h:
-        raise ConfigError(f"horizons must be integers, got {h!r}")
-    return n
+        return as_int(h, "horizon")
+    except ValueError:
+        raise ConfigError(f"horizons must be integers, got {h!r}") from None
 
 
 def sweep_csv(result: SweepResult) -> str:

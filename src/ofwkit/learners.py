@@ -17,8 +17,9 @@ A gradient's finiteness is checked by the round's ``lmo`` or projection,
 and first by ``as_vector`` only for input that needs converting or an OGD
 step of 0.
 States hold running sums only, so a step costs O(dim) regardless of t.
-A state is a frozen snapshot: an update shares the fields it leaves as
-they are and never writes into an array an earlier state holds.
+A state is a named tuple, a frozen snapshot: an update unpacks it once,
+builds the next state in one call, shares the fields it leaves as they
+are and never writes into an array an earlier state holds.
 The states of the two Frank-Wolfe learners are their current surrogates:
 each has ``value(x)``, ``gradient(x)`` and ``curvature``, the modulus of
 the isotropic quadratic, which ``oracle.surrogate_argmin`` minimizes.
@@ -28,12 +29,12 @@ after it, one row each, for ``oracle.surrogate_gaps``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_vector, line_search_quadratic, row_dots, running_sums
+from .core import as_int, as_vector, line_search_quadratic, row_dots, running_sums
 from .sets import FeasibleSet
 
 __all__ = [
@@ -145,8 +146,7 @@ def _fw_step(domain: FeasibleSet, x, grad_f, curvature, sigma) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
-class OfwState:
+class OfwState(NamedTuple):
     """State after absorbing t gradients; ``x`` is the next play.
 
     Both learners on the anchored surrogate hold it: ``ofw_ls`` and the
@@ -195,8 +195,7 @@ def ofw_decay_step_size_parameter(diameter: float, G: float, horizon: int) -> fl
 
 
 def _anchored_state(domain: FeasibleSet, horizon: int, G: float, step_size_parameter) -> OfwState:
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    horizon = as_int(horizon, "horizon", 1)
     if not (G > 0.0):
         raise ValueError(f"G must be positive, got {G!r}")
     # An eta that underflows to 0 leaves the learner still.
@@ -235,25 +234,13 @@ def ofw_decay_init(domain: FeasibleSet, horizon: int, G: float) -> OfwState:
 def _ofw_advance(state: OfwState, g, sigma) -> OfwState:
     """Absorb the round-(t+1) gradient and take one Frank-Wolfe step on the
     anchored surrogate, of size ``sigma`` or, if None, the line search's."""
-    if state.t >= state.horizon:
-        as_vector(g, state.domain.dim)  # a bad gradient is named first
-        raise ValueError(f"horizon {state.horizon} exhausted")
-    g = _gradient(g, state.domain.dim)
-    domain, x, x1, eta = state.domain, state.x, state.x1, state.eta
-    grad_sum = state.grad_sum + g
+    domain, x, x1, grad_sum, t, eta, horizon = state
+    if t >= horizon:
+        as_vector(g, domain.dim)  # a bad gradient is named first
+        raise ValueError(f"horizon {horizon} exhausted")
+    grad_sum = grad_sum + _gradient(g, domain.dim)
     x_next = _fw_step(domain, x, ofw_gradient(eta, grad_sum, x1, x), OfwState.curvature, sigma)
-    # The frozen state built without its __init__, which sets each field
-    # through object.__setattr__; it is as frozen.
-    new = object.__new__(OfwState)
-    fields = new.__dict__
-    fields["domain"] = domain
-    fields["x"] = x_next
-    fields["x1"] = x1
-    fields["grad_sum"] = grad_sum
-    fields["t"] = state.t + 1
-    fields["eta"] = eta
-    fields["horizon"] = state.horizon
-    return new
+    return OfwState(domain, x_next, x1, grad_sum, t + 1, eta, horizon)
 
 
 def ofw_update(state: OfwState, g) -> OfwState:
@@ -267,8 +254,7 @@ def ofw_decay_update(state: OfwState, g) -> OfwState:
     return _ofw_advance(state, g, min(1.0, (state.t + 1) ** -0.5))
 
 
-@dataclass(frozen=True)
-class ScOfwState:
+class ScOfwState(NamedTuple):
     """State of the strongly-convex variant after absorbing t gradients.
 
     The state is the surrogate
@@ -333,28 +319,16 @@ def scofw_init(domain: FeasibleSet, lam: float) -> ScOfwState:
 
 def scofw_update(state: ScOfwState, g) -> ScOfwState:
     """Absorb one gradient, which ``lmo`` checks; curvature grows with t, no horizon."""
-    domain, x, lam = state.domain, state.x, state.lam
-    g = _gradient(g, domain.dim)
-    t = state.t + 1
-    grad_sum = state.grad_sum + g
-    iterate_sum = state.iterate_sum + x
-    iterate_sq_sum = state.iterate_sq_sum + float(x.dot(x))
-    grad_f = scofw_gradient(lam, t, grad_sum, iterate_sum, x)
-    # Built as _ofw_advance builds its state.
-    new = object.__new__(ScOfwState)
-    fields = new.__dict__
-    fields["domain"] = domain
-    fields["x"] = _fw_step(domain, x, grad_f, lam * t, None)
-    fields["grad_sum"] = grad_sum
-    fields["iterate_sum"] = iterate_sum
-    fields["iterate_sq_sum"] = iterate_sq_sum
-    fields["t"] = t
-    fields["lam"] = lam
-    return new
+    domain, x, grad_sum, iterate_sum, iterate_sq_sum, t, lam = state
+    grad_sum = grad_sum + _gradient(g, domain.dim)
+    t += 1
+    iterate_sum = iterate_sum + x
+    iterate_sq_sum += float(x.dot(x))
+    x_next = _fw_step(domain, x, scofw_gradient(lam, t, grad_sum, iterate_sum, x), lam * t, None)
+    return ScOfwState(domain, x_next, grad_sum, iterate_sum, iterate_sq_sum, t, lam)
 
 
-@dataclass(frozen=True)
-class OgdState:
+class OgdState(NamedTuple):
     """Projected online gradient descent after absorbing t gradients."""
 
     domain: FeasibleSet
@@ -380,21 +354,13 @@ def ogd_init(domain: FeasibleSet, G: float, lam: float = 0.0) -> OgdState:
 def baseline_update(state: OgdState, g) -> OgdState:
     """One projected OGD step; the projection checks the gradient, or
     ``as_vector`` when the step is 0."""
-    domain, lam = state.domain, state.lam
+    domain, x, t, G, lam = state
     g = _gradient(g, domain.dim)
-    t = state.t + 1
+    t += 1
     if lam > 0.0:
         step = 1.0 / (lam * t)
     else:
-        step = domain.diameter / (state.G * t**0.5)
+        step = domain.diameter / (G * t**0.5)
     if step == 0.0:  # 0.0 * inf is NaN, with a warning
         as_vector(g, domain.dim)
-    # Built as _ofw_advance builds its state.
-    new = object.__new__(OgdState)
-    fields = new.__dict__
-    fields["domain"] = domain
-    fields["x"] = domain.project(state.x - step * g)
-    fields["t"] = t
-    fields["G"] = state.G
-    fields["lam"] = lam
-    return new
+    return OgdState(domain, domain.project(x - step * g), t, G, lam)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, l2_norm, row_dots, row_l2_norms
+from .core import BLOCK_ROWS, as_int, l2_norm, row_dots, row_l2_norms
+from . import sets
 from .sets import FeasibleSet
 
 __all__ = [
@@ -89,10 +90,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, QUADRATIC):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "dim", as_int(self.dim, "dim", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not -(2**63) <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [-2**63, 2**64), got {self.seed!r}")
         if self.kind == LINEAR and not (0.0 < self.G < math.inf):
@@ -137,15 +136,13 @@ class Rounds:
         return self.data.shape[0]
 
 
-_MIN_NORM = 1e-12  # linear rounds redraw a direction shorter than this
-
-
 def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
     """Round t's (dim,) gradient or target, from ``default_rng(round_seed(seed, t))``.
 
     A linear round's gradient has norm exactly G; a quadratic round's
     target is a feasible point of ``domain``.
     """
+    t = as_int(t, "round index")
     if not 1 <= t < 2**64:
         # round_seed keeps t * stride to 64 bits, so round t + 2**64 would be round t.
         raise ValueError(f"round index must lie in [1, 2**64), got {t}")
@@ -155,7 +152,7 @@ def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
     if spec.kind == LINEAR:
         z = rng.standard_normal(spec.dim)
         n = l2_norm(z)
-        while n < _MIN_NORM:
+        while n < sets._MIN_DIRECTION_NORM:
             z = rng.standard_normal(spec.dim)
             n = l2_norm(z)
         return (spec.G / n) * z
@@ -277,6 +274,7 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet):
     kernel: the probe read back neither order, or round 1 is not
     ``make_round``'s.
     """
+    T = as_int(T, "T")
     if T < 1:
         raise ValueError(f"need at least one round, got T = {T}")
     reference = make_round(spec, 1, domain)
@@ -310,7 +308,7 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet):
             norms = row_l2_norms(rows)
             # A first draw too short to scale is redrawn by make_round, whose
             # row has norm G already: G / G is exactly 1.
-            redrawn = np.flatnonzero(norms < _MIN_NORM)
+            redrawn = np.flatnonzero(norms < sets._MIN_DIRECTION_NORM)
             norms[redrawn] = spec.G
             rows *= (spec.G / norms)[:, None]
         else:

@@ -152,7 +152,10 @@ class PrefixComparator:
 
     def point(self) -> np.ndarray:
         """A copy of the best fixed point of the rounds fed so far; for
-        quadratic rounds, its Frank-Wolfe gap is certified."""
+        quadratic rounds, its Frank-Wolfe gap is certified. ``ValueError``
+        before any round is fed."""
+        if self.x is None:
+            raise ValueError("no rounds were fed, so there is no comparator point")
         x_star = self.x.copy()
         if self.kind != LINEAR:
             grad = self.lam * (self.t * x_star - self.row_sum)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    as_int,
     as_rows,
     as_vector,
     as_vector_and_norm,
@@ -51,8 +52,9 @@ DEFAULT_FEASIBILITY_TOL = 1e-9
 ZERO_GRADIENT_TOL = 1e-12
 # Smallest p - 1 an LpBall accepts.
 MIN_P_GAP = 1e-9
-# A ball's random direction shorter than this, in the ball's norm, is
-# drawn again before it is scaled.
+# A random direction shorter than this is drawn again before it is scaled:
+# a ball's, in the ball's norm, and a linear round's gradient, in the
+# Euclidean norm (``losses`` reads it at call time).
 _MIN_DIRECTION_NORM = 1e-12
 
 
@@ -76,8 +78,7 @@ class FeasibleSet:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", as_int(self.dim, "dim", 1))
 
     # -- interface -------------------------------------------------------
 

@@ -58,6 +58,7 @@ from ofwkit.losses import (
     Rounds,
     as_rounds,
     gradient_at,
+    make_round,
     round_chunks,
 )
 from ofwkit.core import BLOCK_ROWS, as_rows, as_vector, as_vector_and_norm, prefix_sums
@@ -1209,6 +1210,37 @@ def test_sweep_validation():
     assert numpy_ints.horizons == [16, 32, 64]
     assert all(type(h) is int for h in numpy_ints.horizons)
     assert numpy_ints.regrets == sweep(_spec(), [16, 32, 64]).regrets
+
+
+_LIN3 = LossSpec(kind=LINEAR, dim=3, seed=0, G=1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda n: _spec(horizon=n), "horizon must be a positive integer"),
+        (lambda n: _spec(gap_cap=n), "gap_cap must be a nonnegative integer"),
+        (lambda n: LossSpec(kind=LINEAR, dim=n, seed=0, G=1.0), "dim must be a positive integer"),
+        (lambda n: LossSpec(kind=LINEAR, dim=3, seed=n, G=1.0), "seed must be an integer"),
+        (lambda n: L2Ball(n, 1.0), "dim must be a positive integer"),
+        (lambda n: Simplex(n), "dim must be a positive integer"),
+        (lambda n: ofw_init(L2Ball(3, 1.0), n, 1.0), "horizon must be a positive integer"),
+        (lambda n: ofw_decay_init(L2Ball(3, 1.0), n, 1.0), "horizon must be a positive integer"),
+        (lambda n: make_round(_LIN3, n, L2Ball(3, 1.0)), "round index must be an integer"),
+        (lambda n: next(round_chunks(_LIN3, n, L2Ball(3, 1.0))), "T must be an integer"),
+    ],
+    ids=["horizon", "gap_cap", "loss_dim", "seed", "ball_dim", "simplex_dim", "ofw_horizon",
+         "decay_horizon", "round_index", "round_chunks_T"],
+)
+def test_counts_refuse_bools_and_non_integers_naming_the_argument(make, message):
+    # A count is an integral number, as a sweep's horizons are: a bool or a
+    # fraction is refused with a ValueError that names it. An integral
+    # float or NumPy integer is taken as the int it equals.
+    for bad in (True, np.bool_(True), 1.5, 2.5, "2", math.inf, math.nan, None):
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            make(bad)
+    for n in (np.int64(2), np.uint8(2), 2.0):
+        assert repr(make(n)) == repr(make(2))
 
 
 def test_sweep_slope_none_with_too_few_horizons():

@@ -237,10 +237,10 @@ def test_make_rounds_equals_make_round(dom, kind):
 
 def test_make_rounds_redraws_short_directions_as_make_round_does(monkeypatch):
     # At a minimum norm of 2, most dim-3 draws are redrawn, some twice or
-    # more: linear directions by losses' threshold, the directions of
-    # quadratic targets on a ball by the ball sampler's.
+    # more: linear directions and the directions of quadratic targets on a
+    # ball, by the one threshold.
     cases = [
-        (LINEAR, L2Ball(3, 1.0), (losses, "_MIN_NORM")),
+        (LINEAR, L2Ball(3, 1.0), (sets, "_MIN_DIRECTION_NORM")),
         (QUADRATIC, L2Ball(3, 1.0), (sets, "_MIN_DIRECTION_NORM")),
         (QUADRATIC, LpBall(3, 2.0, 1.3), (sets, "_MIN_DIRECTION_NORM")),
         (QUADRATIC, L1Ball(3, 0.5), (sets, "_MIN_DIRECTION_NORM")),

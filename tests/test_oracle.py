@@ -5,7 +5,7 @@ from _helpers import feasible_point, grid_line_search, loss_at, seeded_rounds
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
 from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds
-from ofwkit.oracle import ConvergenceError, offline_comparator, surrogate_argmin
+from ofwkit.oracle import ConvergenceError, PrefixComparator, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 SETS = {
@@ -172,6 +172,17 @@ def test_offline_comparator_names_both_dims_of_a_mismatch():
     # A Rounds built directly is trusted, but one with no rounds has no comparator.
     with pytest.raises(ValueError, match=r"got shape \(0, 3\)$"):
         offline_comparator(L2Ball(3, 1.0), Rounds(LINEAR, 0.0, np.empty((0, 3))))
+
+
+@pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
+def test_prefix_comparator_has_no_point_before_its_first_round(kind):
+    comparator = PrefixComparator(L2Ball(3, 1.0), kind, 0.5)
+    for _ in range(2):  # an empty chunk feeds no round either
+        with pytest.raises(ValueError, match="^no rounds were fed"):
+            comparator.point()
+        comparator.add(np.empty((0, 3)), np.empty(0))
+    comparator.add(np.array([[0.6, 0.0, 0.0]]), np.empty(1))
+    assert comparator.point().shape == (3,)
 
 
 @pytest.mark.parametrize("name", SETS)
