@@ -7,11 +7,12 @@ played so far, the regret against it, the a priori regret bound when one
 applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
-The adversary is a stream of ``losses.round_chunks``, or one chunk of
-``losses.Rounds`` given from outside, which ``as_rounds`` checks once. A
-run holds its logs and one chunk of rounds, never all T: it plays each
-chunk, one row per round, and scores it with an ``oracle.PrefixComparator``
-before the next is drawn. A round computes only its gradient; the losses
+The adversary is a stream of ``losses.round_chunks``, or one (T, dim)
+array given from outside, which ``as_rounds`` checks once; either is
+played with the spec's loss kind and certified lam. A run holds its logs
+and one chunk of rounds, never all T: it plays each chunk, one row per
+round, and scores it with an ``oracle.PrefixComparator`` before the next
+is drawn. A round computes only its gradient; the losses
 are logged ``core.BLOCK_ROWS`` rounds at a time from the plays of a block,
 and the surrogate gaps are measured as often by ``oracle.surrogate_gaps``,
 from the plays and gradients of one block. The cumulative loss and regret are
@@ -49,7 +50,7 @@ from .losses import (
     LINEAR,
     QUADRATIC,
     LossSpec,
-    Rounds,
+    as_rounds,
     certify_constants,
     gradient_at,
     loss_rows,
@@ -406,7 +407,7 @@ def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
     return state
 
 
-def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> RegretTrace:
+def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
     """Play ``spec.horizon`` rounds and log the trace.
 
     The protocol each round: the learner commits its point, the adversary
@@ -423,11 +424,10 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     ``rounds`` is the loss sequence to play; by default the seeded
     adversary's from ``round_chunks``, each chunk played and scored by a
     ``PrefixComparator`` before the next is drawn. Rounds from outside, a
-    single chunk, are checked by ``as_rounds``; here only their count,
-    kind, lam and dim are held against the spec's (lam 0.0 for linear
-    losses), and a mismatch raises ``ValueError`` before the learner
-    moves. ``comparator_total`` and ``final_regret`` are the
-    last cells of ``comparator_cum`` and ``regret``.
+    (T, dim) array-like played as one chunk with the spec's loss kind and
+    certified lam, are checked by ``as_rounds`` and held to shape (T, dim)
+    (``ValueError`` otherwise) before the learner moves. ``comparator_total``
+    and ``final_regret`` are the last cells of ``comparator_cum`` and ``regret``.
 
     A horizon too long to log raises ``ConfigError`` before any round is
     generated.
@@ -436,15 +436,14 @@ def run_experiment(spec: ExperimentSpec, rounds: Rounds | None = None) -> Regret
     T, dim = spec.horizon, spec.domain.dim
     kind, lam = spec.loss.kind, cert.lam
     if rounds is not None:
-        got = (len(rounds), rounds.kind, rounds.lam, rounds.data.shape[1])
-        want = (T, kind, lam, dim)
-        if got != want:
-            raise ValueError(f"expected (rounds, kind, lam, dim) = {want}, got {got}")
+        rounds = as_rounds(rounds)
+        if rounds.shape != (T, dim):
+            raise ValueError(f"expected rounds of shape {(T, dim)}, got {rounds.shape}")
     state, update = _init_learner(spec, cert.G, cert.lam)
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
-    chunks = round_chunks(spec.loss, T, spec.domain) if rounds is None else [rounds.data]
+    chunks = round_chunks(spec.loss, T, spec.domain) if rounds is None else [rounds]
     # The Frank-Wolfe learners' states are their surrogates; OGD has none.
     measured = min(spec.gap_cap, T) if spec.gap_check and spec.algo != ALGO_OGD else 0
     comparator = PrefixComparator(spec.domain, kind, lam)

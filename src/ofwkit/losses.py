@@ -15,8 +15,8 @@ draws round t's gradient or target from ``default_rng(round_seed(seed, t))``;
 at a time. It computes a chunk's PCG64 state and inc words in one
 vectorised pass and writes each round's into one generator through
 ``ctypes.state_address``; a probe checks the words' order, and a mismatch
-raises. ``as_rounds`` checks rounds given from outside as an array and
-holds them in one ``Rounds``.
+raises. ``as_rounds`` checks rounds given from outside and holds them in
+one read-only (n, dim) array, played with a spec's kind and lam.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "LossSpec",
     "loss_rows",
     "gradient_at",
-    "Rounds",
     "make_round",
     "round_chunks",
     "as_rounds",
@@ -117,23 +116,6 @@ def gradient_at(kind: str, lam: float, row: np.ndarray, x: np.ndarray) -> np.nda
     """Gradient at ``x`` of the round of ``kind`` whose gradient or target is
     ``row``: ``row`` itself if linear, lam * (x - row) if quadratic."""
     return row if kind == LINEAR else lam * (x - row)
-
-
-@dataclass(frozen=True)
-class Rounds:
-    """Rounds 1..T of one loss kind, as one array.
-
-    Row i of ``data``, a read-only (T, dim) array that ``as_rounds`` fills
-    with finite values, is round i + 1's gradient or target; ``lam`` is
-    their modulus (0.0 if linear). A ``Rounds`` built directly is trusted.
-    """
-
-    kind: str
-    lam: float
-    data: np.ndarray
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
 
 
 def make_round(spec: LossSpec, t: int, domain: FeasibleSet) -> np.ndarray:
@@ -323,19 +305,13 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet):
         yield rows
 
 
-def as_rounds(kind: str, lam: float, data) -> Rounds:
-    """Checked, read-only ``Rounds`` holding a copy of ``data``, rounds from outside.
+def as_rounds(data) -> np.ndarray:
+    """A checked, read-only float64 copy of ``data``, rounds from outside.
 
-    ``data`` is an (n, dim) array, n >= 1 and dim >= 1, whose row i is
-    round i + 1's gradient (``kind`` linear, ``lam`` 0.0) or target (``kind``
-    quadratic, ``lam`` finite and positive). Anything else raises
+    ``data`` is an (n, dim) array, n, dim >= 1, whose row i is round i + 1's
+    gradient (linear losses) or target (quadratic ones). Anything else raises
     ``ValueError`` naming it; a non-finite row is named by its round number.
     """
-    if kind not in (LINEAR, QUADRATIC):
-        raise ValueError(f"unknown loss kind {kind!r}")
-    if not (lam == 0.0 if kind == LINEAR else 0.0 < lam < math.inf):
-        want = "lam 0.0" if kind == LINEAR else "a finite lam > 0"
-        raise ValueError(f"{kind} rounds need {want}, got {lam!r}")
     if np.iscomplexobj(data):
         raise ValueError("rounds have complex data")
     rows = np.array(data, dtype=np.float64)
@@ -345,7 +321,7 @@ def as_rounds(kind: str, lam: float, data) -> Rounds:
     if bad.size:
         raise ValueError(f"round {bad[0] + 1} has non-finite data")
     rows.flags.writeable = False
-    return Rounds(kind, float(lam), rows)
+    return rows
 
 
 def certify_constants(spec: LossSpec, domain: FeasibleSet) -> tuple[float, float]:

@@ -6,15 +6,18 @@ fixed total of a stream of rounds, which regret is measured against.
 ``surrogate_gaps`` measures the surrogate gaps of a block of consecutive
 plays in one row-wise pass; ``surrogate_argmin`` is its one-row case, for
 a single state. These routines are allowed to project; the online
-learners never are.
+learners never are. A certificate allows a Frank-Wolfe gap of its
+tolerance plus 64 machine epsilons of D * (||gradient at the anchor|| +
+curvature * D), D the set's diameter: the rounding its own arithmetic
+can leave, at any loss scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BLOCK_ROWS, dot, prefix_sums, row_dots
-from .losses import LINEAR, Rounds
+from .core import BLOCK_ROWS, dot, l2_norm, prefix_sums, row_dots, row_l2_norms
+from .losses import LINEAR
 from .sets import FeasibleSet
 
 __all__ = [
@@ -33,19 +36,25 @@ class ConvergenceError(RuntimeError):
     """A computed minimizer failed its Frank-Wolfe-gap certificate."""
 
 
-def _uncertified(gap: float, tol: float) -> str:
-    return f"minimizer failed its certificate: Frank-Wolfe gap {gap!r} > {tol!r}"
+def _uncertified(gap: float, allowed: float) -> str:
+    return f"minimizer failed its certificate: Frank-Wolfe gap {float(gap)!r} > {float(allowed)!r}"
 
 
-def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, tol: float):
-    """Raise unless the Frank-Wolfe gap <grad, x - lmo(grad)> is at most ``tol``.
+def _allowed_gap(domain: FeasibleSet, anchor_grad_norm, curvature, tol=DEFAULT_ORACLE_TOL):
+    """The gap a certificate allows (see the module docstring), elementwise."""
+    D = domain.diameter
+    return tol + 64 * np.finfo(float).eps * D * (anchor_grad_norm + curvature * D)
+
+
+def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, allowed: float):
+    """Raise unless the Frank-Wolfe gap <grad, x - lmo(grad)> is at most ``allowed``.
 
     For a convex objective with gradient ``grad`` at ``x`` that gap
     upper-bounds the suboptimality of ``x``.
     """
     gap = dot(grad, x - domain.lmo(grad))
-    if not gap <= tol:
-        raise ConvergenceError(_uncertified(gap, tol))
+    if not gap <= allowed:
+        raise ConvergenceError(_uncertified(gap, allowed))
 
 
 def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
@@ -58,9 +67,9 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     ``x0 - gradient(x0) / curvature``; x0 is the set's anchor, kept as is
     by rows whose gradient vanishes there (projecting a feasible point
     onto the simplex can move it by rounding). Each row's Frank-Wolfe gap
-    at the result must be at most ``tol``, else ``ConvergenceError`` names
-    the round of the first failing row. Rows without positive curvature
-    have no unique minimizer; their minima are NaN.
+    at the result must be at most ``tol`` plus a rounding allowance, else
+    ``ConvergenceError`` names the round of the first failing row. Rows
+    without positive curvature have no unique minimizer; their minima are NaN.
     """
     # The free minimizers x0 - g0 / curvature are worked in g0's buffer.
     curvature, gradient, values = state.surrogate_rows(xs, gs)
@@ -68,6 +77,7 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     domain = state.domain
     x0 = domain.anchor()
     x = gradient(x0)
+    allowed = _allowed_gap(domain, row_l2_norms(x), curvature, tol)
     stay = ~x.any(axis=1)
     x /= np.where(live, curvature, 1.0)[:, None]
     x = domain.project_rows(np.subtract(x0, x, out=x))
@@ -76,11 +86,11 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     step = domain.lmo_rows(grad)
     fw_gaps = row_dots(grad, np.subtract(x, step, out=step))
     del grad, step
-    failed = np.flatnonzero(live & ~(fw_gaps <= tol))
+    failed = np.flatnonzero(live & ~(fw_gaps <= allowed))
     if failed.size:
         k = int(failed[0])
         # The state after k rounds plays in round k + 1.
-        raise ConvergenceError(f"round {state.t + k + 1}: {_uncertified(float(fw_gaps[k]), tol)}")
+        raise ConvergenceError(f"round {state.t + k + 1}: {_uncertified(fw_gaps[k], allowed[k])}")
     best = values(x)
     best[~live] = np.nan
     return x, best, values
@@ -90,9 +100,9 @@ def surrogate_argmin(state, tol: float = DEFAULT_ORACLE_TOL) -> tuple[np.ndarray
     """Minimize a learner state's surrogate in closed form, certified to ``tol``.
 
     ``state`` is an ``OfwState`` or ``ScOfwState``; this is the one-row
-    case of ``surrogate_gaps``' minimizer. The Frank-Wolfe gap at the
-    result must be at most ``tol``, else ``ConvergenceError`` is raised, so
-    the returned value is within ``tol`` of the true minimum. A surrogate
+    case of ``surrogate_gaps``' minimizer. Its Frank-Wolfe gap, which bounds
+    the value's excess over the true minimum, must be at most ``tol`` plus
+    its rounding allowance, else ``ConvergenceError`` is raised. A surrogate
     without positive curvature (the strongly convex learner before its
     first round) has no unique minimizer and raises ``ValueError``.
     """
@@ -159,26 +169,28 @@ class PrefixComparator:
         x_star = self.x.copy()
         if self.kind != LINEAR:
             grad = self.lam * (self.t * x_star - self.row_sum)
-            _certify(self.domain, grad, x_star, DEFAULT_ORACLE_TOL)
+            g0 = l2_norm(self.lam * (self.t * self.domain.anchor() - self.row_sum))
+            _certify(self.domain, grad, x_star, _allowed_gap(self.domain, g0, self.lam * self.t))
         return x_star
 
 
-def offline_comparator(domain: FeasibleSet, rounds: Rounds) -> tuple[np.ndarray, np.ndarray]:
+def offline_comparator(domain: FeasibleSet, kind: str, lam: float, rows: np.ndarray) -> tuple:
     """Best fixed feasible point in hindsight, and each prefix's best total.
 
     Returns ``(x_star, totals)``, ``totals[t - 1]`` the least total loss of
-    one feasible point over rounds 1..t, from a ``PrefixComparator`` fed
-    every round. Linear rounds: the lmo of the gradient prefix sum, scored
-    against it. Quadratic rounds: the projection of the mean target,
-    scored in closed form from the target sums; the Frank-Wolfe gap of
-    ``x_star`` is certified (``ConvergenceError`` otherwise). No rounds, or
-    rounds of another dim than the set's, raise ``ValueError``. Runs and
-    sweeps feed a ``PrefixComparator`` chunk by chunk; this stays while
-    the benchmark's tracer wraps it by name.
+    one feasible point over rounds 1..t, from a ``PrefixComparator(domain,
+    kind, lam)`` fed ``rows``, an (n, dim) array of one round per row.
+    Linear rounds: the lmo of the gradient prefix sum, scored against it.
+    Quadratic rounds: the projection of the mean target, scored in closed
+    form from the target sums; the Frank-Wolfe gap of ``x_star`` is
+    certified (``ConvergenceError`` otherwise). No rounds, or rounds of
+    another dim than the set's, raise ``ValueError``. Runs and sweeps feed a
+    ``PrefixComparator`` chunk by chunk; this stays while the benchmark's
+    tracer wraps it by name.
     """
-    if not len(rounds) or rounds.data.shape[1] != domain.dim:
-        raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rounds.data.shape}")
-    totals = np.empty(len(rounds))
-    comparator = PrefixComparator(domain, rounds.kind, rounds.lam)
-    comparator.add(rounds.data, totals)
+    if not len(rows) or rows.shape[1] != domain.dim:
+        raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rows.shape}")
+    totals = np.empty(len(rows))
+    comparator = PrefixComparator(domain, kind, lam)
+    comparator.add(rows, totals)
     return comparator.point(), totals

@@ -14,21 +14,22 @@ from ofwkit.harness import CSV_HEADER
 from ofwkit.losses import LINEAR
 
 
-def prefix_comparators(domain, rounds):
-    """Best-in-hindsight total loss of each prefix, one round at a time."""
-    comp_v = np.empty(len(rounds))
+def prefix_comparators(domain, kind, lam, rows):
+    """Best-in-hindsight total loss of each prefix of the rounds of ``kind``
+    and ``lam`` whose gradients or targets are ``rows``, one round at a time."""
+    comp_v = np.empty(len(rows))
     prefix = np.zeros(domain.dim)
     target_sq_prefix = 0.0
-    for i, row in enumerate(rounds.data):
+    for i, row in enumerate(rows):
         t = i + 1
         prefix = prefix + row
-        if rounds.kind == LINEAR:
+        if kind == LINEAR:
             x_best = domain.lmo(prefix)
             comp = float(prefix.dot(x_best))
         else:
             target_sq_prefix += float(row.dot(row))
             x_best = domain.project(prefix / t)
-            comp = 0.5 * rounds.lam * (
+            comp = 0.5 * lam * (
                 t * float(x_best.dot(x_best))
                 - 2.0 * float(prefix.dot(x_best))
                 + target_sq_prefix
@@ -47,22 +48,22 @@ def running_sum(values):
     return out
 
 
-def offline_comparator(domain, rounds):
+def offline_comparator(domain, kind, lam, rows):
     """The offline comparator's point and total, summed one round at a time.
 
     Quadratic rounds are scored in the prefix comparators' closed form.
     """
     total = np.zeros(domain.dim)
     target_sq = 0.0
-    for row in rounds.data:
+    for row in rows:
         total = total + row
         target_sq += float(row.dot(row))
-    if rounds.kind == LINEAR:
+    if kind == LINEAR:
         x_star = domain.lmo(total)
         return x_star, dot(total, x_star)
-    n = len(rounds)
+    n = len(rows)
     x = domain.project(total / n)
-    return x, 0.5 * rounds.lam * (n * dot(x, x) - 2.0 * dot(total, x) + target_sq)
+    return x, 0.5 * lam * (n * dot(x, x) - 2.0 * dot(total, x) + target_sq)
 
 
 def _cell(value):

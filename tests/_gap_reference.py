@@ -55,10 +55,10 @@ def gap_columns(spec):
     state, update = _init_learner(spec, cert.G, cert.lam)
     gap_v = np.full(T, np.nan)
     gapb_v = np.full(T, np.nan)
-    rounds = seeded_rounds(spec.loss, T, spec.domain)
+    rows = seeded_rounds(spec.loss, T, spec.domain)
     measure_until = spec.gap_cap if spec.gap_check and spec.algo != ALGO_OGD else 0
-    kind, lam = rounds.kind, rounds.lam
-    for i, row in enumerate(rounds.data):
+    kind, lam = spec.loss.kind, cert.lam
+    for i, row in enumerate(rows):
         x_t = state.x
         if i < measure_until and state.curvature > 0.0:
             _, best = surrogate_argmin(state)

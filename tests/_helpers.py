@@ -4,7 +4,7 @@ one round's loss and gradient."""
 
 import numpy as np
 
-from ofwkit.losses import LINEAR, Rounds, as_rounds, gradient_at, loss_rows, round_chunks
+from ofwkit.losses import as_rounds, gradient_at, loss_rows, round_chunks
 
 
 def grid_line_search(a: float, b: float, grid_size: int) -> float:
@@ -20,19 +20,20 @@ def grid_line_search(a: float, b: float, grid_size: int) -> float:
     return float(sigma[int(np.argmin(values))])
 
 
-def zero_rounds(T: int, dim: int) -> Rounds:
-    """T identically-zero linear losses; handy for fixed-point tests."""
-    return as_rounds(LINEAR, 0.0, np.zeros((T, dim)))
+def zero_rounds(T: int, dim: int) -> np.ndarray:
+    """T identically-zero linear losses, a read-only (T, dim) array; handy
+    for fixed-point tests."""
+    return as_rounds(np.zeros((T, dim)))
 
 
-def seeded_rounds(spec, T: int, domain) -> Rounds:
-    """Rounds 1..T of the adversary ``spec`` as one read-only ``Rounds``.
+def seeded_rounds(spec, T: int, domain) -> np.ndarray:
+    """Rounds 1..T of the adversary ``spec`` as one read-only (T, dim) array.
 
     Each of ``round_chunks``' chunks is copied before the next is drawn,
     since the next one reuses its buffer.
     """
     data = np.concatenate([chunk.copy() for chunk in round_chunks(spec, T, domain)])
-    return as_rounds(spec.kind, 0.0 if spec.kind == LINEAR else spec.lam, data)
+    return as_rounds(data)
 
 
 def feasible_point(domain, seed: int) -> np.ndarray:

@@ -55,8 +55,8 @@ from ofwkit.losses import (
     LINEAR,
     QUADRATIC,
     LossSpec,
-    Rounds,
     as_rounds,
+    certify_constants,
     gradient_at,
     make_round,
     round_chunks,
@@ -442,40 +442,36 @@ def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch)
 
 
 def _bad_rounds(case):
-    """(spec, the injected rounds' kind, lam and data, the error they raise)."""
+    """(spec, the injected rounds, the error they raise)."""
     linear = np.zeros((8, 10))
     quad_spec = _spec(loss=LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0), horizon=8)
     quad = 0.1 * np.random.default_rng(3).standard_normal((8, 10))
     if case == "dim":
-        wrong = r"= \(8, 'linear', 0.0, 10\), got \(8, 'linear', 0.0, 9\)$"
-        return _spec(horizon=8), (LINEAR, 0.0, np.zeros((8, 9))), wrong
-    if case == "lam":
-        # The learner and the ceilings would use the spec's lam, the losses the rounds'.
-        wrong = r"= \(8, 'quadratic', 1.0, 10\), got \(8, 'quadratic', 50.0, 10\)$"
-        return quad_spec, (QUADRATIC, 50.0, quad), wrong
+        wrong = r"^expected rounds of shape \(8, 10\), got \(8, 9\)$"
+        return _spec(horizon=8), np.zeros((8, 9)), wrong
     if case == "missing":
         # A row of missing entries reads as NaN.
         rows = linear.tolist()
         rows[6] = [None] * 10
-        return _spec(horizon=8), (LINEAR, 0.0, rows), "^round 7 has non-finite data$"
+        return _spec(horizon=8), rows, "^round 7 has non-finite data$"
     if case == "non_finite":
         quad[3] = np.nan
-        return quad_spec, (QUADRATIC, 1.0, quad), "^round 4 has non-finite data$"
+        return quad_spec, quad, "^round 4 has non-finite data$"
     # Of two non-finite rounds, the earlier one is named.
     linear[5, 0] = -np.inf
     linear[1, 9] = np.inf
-    return _spec(horizon=8), (LINEAR, 0.0, linear), "^round 2 has non-finite data$"
+    return _spec(horizon=8), linear, "^round 2 has non-finite data$"
 
 
-@pytest.mark.parametrize("case", ["dim", "lam", "missing", "non_finite", "first"])
+@pytest.mark.parametrize("case", ["dim", "missing", "non_finite", "first"])
 def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
     def no_update(*args):
         raise AssertionError("the learner moved before the rounds were checked")
 
     monkeypatch.setattr(ofwkit.harness, "ofw_update", no_update)
-    spec, (kind, lam, data), message = _bad_rounds(case)
+    spec, data, message = _bad_rounds(case)
     with pytest.raises(ValueError, match=message):
-        run_experiment(spec, rounds=as_rounds(kind, lam, data))
+        run_experiment(spec, rounds=data)
 
 
 @pytest.mark.parametrize("gap_check", [False, True])
@@ -521,8 +517,8 @@ def test_complex_input_is_refused_at_every_entry_point():
         partial(ofw_decay_update, ofw_decay_init(domain, 8, 1.0), g),
         partial(scofw_update, scofw_init(domain, 1.0), g),
         partial(baseline_update, ogd_init(domain, 1.0), g),
-        partial(as_rounds, LINEAR, 0.0, rows.tolist()),
-        lambda: run_experiment(_spec(horizon=2), rounds=as_rounds(LINEAR, 0.0, rows)),
+        partial(as_rounds, rows.tolist()),
+        lambda: run_experiment(_spec(horizon=2), rounds=rows),
     ]
     message = "^(vector has|rows have|rounds have) complex (entries|data)$"
     with warnings.catch_warnings():
@@ -534,25 +530,11 @@ def test_complex_input_is_refused_at_every_entry_point():
 
 def test_injected_rounds_are_stacked_once_into_read_only_rows():
     spec, rows = _spec(horizon=8), np.zeros((8, 10))
-    rounds = as_rounds(LINEAR, 0.0, rows)
-    assert not rounds.data.flags.writeable
+    rounds = as_rounds(rows)
+    assert not rounds.flags.writeable
     with pytest.raises(ValueError):
-        rounds.data[0, 0] = np.nan
+        rounds[0, 0] = np.nan
     assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
-    quad = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
-    wrong_kind = seeded_rounds(quad, 8, spec.domain)
-    wrong = r"= \(8, 'linear', 0.0, 10\), got \(8, 'quadratic', 1.0, 10\)"
-    with pytest.raises(ValueError, match=wrong):
-        run_experiment(spec, rounds=wrong_kind)
-
-
-def test_a_linear_spec_with_an_unused_lam_accepts_its_rounds():
-    # Linear rounds have lam 0.0, and so has the certified lam they are held
-    # against, whatever lam the spec carries.
-    loss = LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0, lam=0.7)
-    spec = _spec(loss=loss, horizon=64)
-    trace = run_experiment(spec, rounds=seeded_rounds(loss, 64, spec.domain))
-    assert trace.final_regret == run_experiment(spec).final_regret
 
 
 @pytest.mark.parametrize(
@@ -612,12 +594,13 @@ def test_block_bookkeeping_equals_round_by_round_reference(domain, kind):
     )
     trace = run_experiment(spec)
     rounds = seeded_rounds(spec.loss, 513, domain)
-    comp = reference.prefix_comparators(domain, rounds)
+    lam = certify_constants(spec.loss, domain)[1]
+    comp = reference.prefix_comparators(domain, kind, lam, rounds)
     cum = reference.running_sum(trace.loss.tolist())
     assert trace.comparator_cum.tobytes() == comp.tobytes()
     assert trace.cum_loss.tobytes() == cum.tobytes()
     assert trace.regret.tobytes() == (cum - comp).tobytes()
-    x_star, total = reference.offline_comparator(domain, rounds)
+    x_star, total = reference.offline_comparator(domain, kind, lam, rounds)
     assert trace.comparator_point.tobytes() == x_star.tobytes()
     assert trace.comparator_total == total
     assert emit_csv(trace) == reference.emit_csv(trace)
@@ -666,10 +649,10 @@ def test_block_comparator_resolves_ties_like_the_lmo(domain):
     # Gradients +g, -g, ... bring every even prefix sum back to exactly
     # zero, so tie rows and ordinary rows share each block.
     g = np.random.default_rng(4).standard_normal(6)
-    rounds = as_rounds(LINEAR, 0.0, [g if t % 2 else -g for t in range(1, 301)])
+    rounds = as_rounds([g if t % 2 else -g for t in range(1, 301)])
     spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0), horizon=300)
     trace = run_experiment(spec, rounds=rounds)
-    comp = reference.prefix_comparators(domain, rounds)
+    comp = reference.prefix_comparators(domain, LINEAR, 0.0, rounds)
     assert trace.comparator_cum.tobytes() == comp.tobytes()
     assert np.all(trace.comparator_cum[1::2] == 0.0)
 
@@ -706,8 +689,27 @@ def test_streamed_run_equals_a_run_on_its_whole_rounds(domain, algo, kind):
             spec = _spec(
                 domain=domain, loss=loss, algo=algo, horizon=T, gap_check=True, gap_cap=gap_cap
             )
-            prefix = Rounds(whole.kind, whole.lam, whole.data[:T])
-            _same_traces(run_experiment(spec), run_experiment(spec, prefix))
+            _same_traces(run_experiment(spec), run_experiment(spec, whole[:T]))
+
+
+@pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
+def test_injected_rounds_play_as_the_seeded_stream_in_any_layout(domain):
+    # Seeded rows injected into a linear spec that carries an unused lam,
+    # and into a quadratic spec, are played with the spec's kind and
+    # certified lam: the trace is the seeded run's. A nested list, float32,
+    # Fortran-ordered and strided copies of the same rows play alike.
+    for kind, algo in ((LINEAR, ALGO_OFW_LS), (QUADRATIC, ALGO_SC_OFW)):
+        loss = LossSpec(kind=kind, dim=6, seed=13, G=1.0, lam=0.7)
+        spec = _spec(domain=domain, loss=loss, algo=algo, horizon=130, gap_check=True, gap_cap=70)
+        rows = seeded_rounds(loss, 130, domain)
+        _same_traces(run_experiment(spec, rounds=rows), run_experiment(spec))
+        exact = rows.astype(np.float32).astype(np.float64)
+        strided = np.zeros((130, 12))
+        strided[:, ::2] = exact
+        expected = run_experiment(spec, rounds=np.ascontiguousarray(exact))
+        layouts = [exact.tolist(), exact.astype(np.float32), np.asfortranarray(exact)]
+        for layout in layouts + [strided[:, ::2]]:
+            _same_traces(run_experiment(spec, rounds=layout), expected)
 
 
 @pytest.mark.parametrize("algo, kind", _ALGO_LOSS_PAIRS)
@@ -727,7 +729,7 @@ def test_sweep_fails_the_comparator_certificate_where_its_run_does(monkeypatch):
     # that row, fails the comparator point's certificate at T = 200 alone.
     loss = LossSpec(kind=QUADRATIC, dim=10, seed=5, lam=1.0)
     spec = _spec(loss=loss, algo=ALGO_SC_OFW)
-    targets = seeded_rounds(loss, 200, spec.domain).data
+    targets = seeded_rounds(loss, 200, spec.domain)
     mean = prefix_sums(targets, np.zeros(10))[-1] / 200.0
     project_rows = L2Ball.project_rows
 
@@ -1337,7 +1339,7 @@ def test_block_logged_losses_equal_loss_at_round_by_round(domain, kind):
     # chunk of the stream, with the gap oracle's blocks on and off.
     algo = ALGO_OFW_LS if kind == LINEAR else ALGO_SC_OFW
     loss = LossSpec(kind=kind, dim=domain.dim, seed=9, G=1.0, lam=0.7)
-    rows = seeded_rounds(loss, 1025, domain).data
+    rows = seeded_rounds(loss, 1025, domain)
     longest = _spec(domain=domain, loss=loss, algo=algo, horizon=1025)
     reference = _losses_round_by_round(longest, rows)
     for T in (1, 63, 64, 65, 1025):
@@ -1360,9 +1362,9 @@ def test_a_sweep_ending_mid_block_logs_the_losses_of_its_runs(kind):
     domain = LpBall(6, 1.2, 1.5)
     loss = LossSpec(kind=kind, dim=6, seed=11, G=1.0, lam=0.7)
     horizons = [5, 70, 130, 1030]
-    rounds = seeded_rounds(loss, horizons[-1], domain)
-    rows = rounds.data
-    _, totals = ofwkit.oracle.offline_comparator(domain, rounds)
+    rows = seeded_rounds(loss, horizons[-1], domain)
+    lam = certify_constants(loss, domain)[1]
+    _, totals = ofwkit.oracle.offline_comparator(domain, kind, lam, rows)
     for algo in [ALGO_OFW_DECAY] + ([ALGO_SC_OFW] if kind == QUADRATIC else []):
         spec = _spec(domain=domain, loss=loss, algo=algo)
         result = sweep(spec, horizons)

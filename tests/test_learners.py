@@ -23,7 +23,7 @@ from ofwkit.learners import (
     scofw_init,
     scofw_update,
 )
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, make_round
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, certify_constants, make_round
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
 
@@ -347,11 +347,11 @@ def test_updates_equal_the_reference_bit_for_bit(algo, kind, set_kind):
     dom = SETS[set_kind]
     init, update, ref_update = LEARNERS[algo]
     spec = LossSpec(kind=kind, dim=dom.dim, seed=17, G=2.0, lam=0.5)
-    rounds = seeded_rounds(spec, 120, dom)
+    lam = certify_constants(spec, dom)[1]
     state = ref = init(dom)
     skipped = 0
-    for t, row in enumerate(rounds.data, start=1):
-        g = np.zeros(dom.dim) if t == 1 else loss_at(rounds.kind, rounds.lam, row, state.x)[1]
+    for t, row in enumerate(seeded_rounds(spec, 120, dom), start=1):
+        g = np.zeros(dom.dim) if t == 1 else loss_at(kind, lam, row, state.x)[1]
         x_before = state.x
         state, ref = update(state, g), ref_update(ref, g)
         _same_state(state, ref)
@@ -369,11 +369,12 @@ def test_states_are_snapshots_that_later_updates_leave_alone(algo):
     init, update, _ = LEARNERS[algo]
     dom = L2Ball(6, 1.0)
     kind = QUADRATIC if algo == "sc_ofw" else LINEAR
-    rounds = seeded_rounds(LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5), 200, dom)
+    spec = LossSpec(kind=kind, dim=6, seed=23, G=2.0, lam=0.5)
+    lam = certify_constants(spec, dom)[1]
     state = init(dom)
     kept = [(state, _array_copies(state))]
-    for row in rounds.data:
-        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
+    for row in seeded_rounds(spec, 200, dom):
+        state = update(state, loss_at(kind, lam, row, state.x)[1])
         kept.append((state, _array_copies(state)))
     for state, copies in kept:
         for name, value in copies.items():
@@ -399,10 +400,11 @@ def test_updates_pass_unchanged_fields_on_by_identity(algo, set_kind):
     dom = SETS[set_kind]
     init, update, _ = LEARNERS[algo]
     for kind in KINDS[algo]:
-        rounds = seeded_rounds(LossSpec(kind=kind, dim=dom.dim, seed=31, G=2.0, lam=0.5), 50, dom)
+        spec = LossSpec(kind=kind, dim=dom.dim, seed=31, G=2.0, lam=0.5)
+        lam = certify_constants(spec, dom)[1]
         state = init(dom)
-        for row in rounds.data:
-            nxt = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
+        for row in seeded_rounds(spec, 50, dom):
+            nxt = update(state, loss_at(kind, lam, row, state.x)[1])
             for name in UNCHANGED[algo]:
                 assert getattr(nxt, name) is getattr(state, name), (kind, nxt.t, name)
             state = nxt

@@ -4,7 +4,7 @@ import pytest
 from _helpers import feasible_point, grid_line_search, loss_at, seeded_rounds
 
 from ofwkit.learners import ofw_init, ofw_update, scofw_init, scofw_update
-from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, Rounds, as_rounds
+from ofwkit.losses import LINEAR, QUADRATIC, LossSpec, as_rounds, certify_constants
 from ofwkit.oracle import ConvergenceError, PrefixComparator, offline_comparator, surrogate_argmin
 from ofwkit.sets import L1Ball, L2Ball, LpBall, Simplex
 
@@ -16,9 +16,10 @@ SETS = {
 }
 
 
-def _total_loss(rounds, x):
-    """The rounds' losses at x, summed one round at a time."""
-    return sum(loss_at(rounds.kind, rounds.lam, row, x)[0] for row in rounds.data)
+def _total_loss(kind, lam, rows, x):
+    """The losses at x of the rounds of ``kind`` and ``lam`` whose gradients
+    or targets are ``rows``, summed one round at a time."""
+    return sum(loss_at(kind, lam, row, x)[0] for row in rows)
 
 
 def test_fresh_ofw_state_is_anchored_quadratic():
@@ -60,9 +61,9 @@ def test_surrogate_argmin_certifies_requested_tolerance(set_kind, learner):
     else:
         spec = LossSpec(kind=QUADRATIC, dim=6, seed=3, lam=1.0)
         state, update = scofw_init(dom, lam=1.0), scofw_update
-    rounds = seeded_rounds(spec, 40, dom)
-    for row in rounds.data:
-        state = update(state, loss_at(rounds.kind, rounds.lam, row, state.x)[1])
+    lam = certify_constants(spec, dom)[1]
+    for row in seeded_rounds(spec, 40, dom):
+        state = update(state, loss_at(spec.kind, lam, row, state.x)[1])
     for tol in (1e-6, 1e-9, 1e-12):
         xh, val = surrogate_argmin(state, tol=tol)
         grad = state.gradient(xh)
@@ -78,7 +79,7 @@ def test_surrogate_argmin_on_simplex():
     dom = Simplex(5)
     state = scofw_init(dom, lam=1.0)
     spec = LossSpec(kind=QUADRATIC, dim=5, seed=4, lam=1.0)
-    for row in seeded_rounds(spec, 20, dom).data:
+    for row in seeded_rounds(spec, 20, dom):
         state = scofw_update(state, loss_at(QUADRATIC, spec.lam, row, state.x)[1])
     xh, val = surrogate_argmin(state, tol=1e-10)
     assert dom.contains(xh, 1e-9)
@@ -98,7 +99,7 @@ def test_failed_certificate_raises(monkeypatch):
     with pytest.raises(ConvergenceError):
         surrogate_argmin(state)
     with pytest.raises(ConvergenceError):
-        offline_comparator(dom, rounds)
+        offline_comparator(dom, QUADRATIC, 1.0, rounds)
 
 
 def test_scofw_surrogate_requires_one_round():
@@ -115,8 +116,8 @@ def test_offline_comparator_linear_example():
     # summed gradient (1, 1): the oracle point is the antipode on the unit
     # ball, total loss -sqrt(2)
     dom = L2Ball(2, 1.0)
-    rounds = as_rounds(LINEAR, 0.0, [[1.0, 0.0], [0.0, 1.0]])
-    x_star, totals = offline_comparator(dom, rounds)
+    rows = as_rounds([[1.0, 0.0], [0.0, 1.0]])
+    x_star, totals = offline_comparator(dom, LINEAR, 0.0, rows)
     np.testing.assert_allclose(x_star, [-np.sqrt(0.5), -np.sqrt(0.5)], rtol=1e-12)
     assert totals[-1] == pytest.approx(-np.sqrt(2.0), rel=1e-12)
 
@@ -124,54 +125,52 @@ def test_offline_comparator_linear_example():
 def test_offline_comparator_single_quadratic_round():
     dom = L2Ball(4, 1.0)
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=5, lam=1.0)
-    rounds = seeded_rounds(spec, 1, dom)
-    x_star, totals = offline_comparator(dom, rounds)
-    np.testing.assert_allclose(x_star, rounds.data[0], atol=1e-9)
+    rows = seeded_rounds(spec, 1, dom)
+    x_star, totals = offline_comparator(dom, QUADRATIC, 1.0, rows)
+    np.testing.assert_allclose(x_star, rows[0], atol=1e-9)
     assert totals[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_offline_comparator_quadratic_matches_sample_cloud():
     dom = Simplex(6)
     spec = LossSpec(kind=QUADRATIC, dim=6, seed=6, lam=1.3)
-    rounds = seeded_rounds(spec, 32, dom)
-    x_star, totals = offline_comparator(dom, rounds)
+    rows = seeded_rounds(spec, 32, dom)
+    x_star, totals = offline_comparator(dom, QUADRATIC, 1.3, rows)
     total = totals[-1]
     assert dom.contains(x_star, 1e-9)
-    assert total == pytest.approx(_total_loss(rounds, x_star), rel=1e-12, abs=1e-12)
+    assert total == pytest.approx(_total_loss(QUADRATIC, 1.3, rows, x_star), rel=1e-12, abs=1e-12)
     for k in range(2000):
         x = feasible_point(dom, k)
-        assert total <= _total_loss(rounds, x) + 1e-6
+        assert total <= _total_loss(QUADRATIC, 1.3, rows, x) + 1e-6
 
 
 def test_offline_comparator_linear_matches_sample_cloud():
     dom = LpBall(3, 1.0, 1.5)
     spec = LossSpec(kind=LINEAR, dim=3, seed=7, G=1.0)
-    rounds = seeded_rounds(spec, 16, dom)
-    x_star, totals = offline_comparator(dom, rounds)
+    rows = seeded_rounds(spec, 16, dom)
+    x_star, totals = offline_comparator(dom, LINEAR, 0.0, rows)
     total = totals[-1]
     assert dom.contains(x_star, 1e-9)
     for k in range(5000):
         x = feasible_point(dom, k)
-        assert total <= _total_loss(rounds, x) + 1e-9
+        assert total <= _total_loss(LINEAR, 0.0, rows, x) + 1e-9
 
 
 def test_offline_comparator_validation():
     # Rounds from outside reach the comparator through as_rounds, which
-    # refuses an empty sequence and a quadratic round without a modulus.
+    # refuses an empty sequence.
     dom = L2Ball(2, 1.0)
     with pytest.raises(ValueError):
-        offline_comparator(dom, as_rounds(LINEAR, 0.0, np.empty((0, 2))))
-    with pytest.raises(ValueError):
-        offline_comparator(dom, as_rounds(QUADRATIC, 0.0, np.zeros((3, 2))))
+        offline_comparator(dom, LINEAR, 0.0, as_rounds(np.empty((0, 2))))
 
 
 def test_offline_comparator_names_both_dims_of_a_mismatch():
-    rounds = as_rounds(LINEAR, 0.0, np.ones((4, 5)))
+    rows = as_rounds(np.ones((4, 5)))
     with pytest.raises(ValueError, match=r"^expected rounds of dim 3, got shape \(4, 5\)$"):
-        offline_comparator(L2Ball(3, 1.0), rounds)
-    # A Rounds built directly is trusted, but one with no rounds has no comparator.
+        offline_comparator(L2Ball(3, 1.0), LINEAR, 0.0, rows)
+    # Rows passed directly are trusted, but no rows have no comparator.
     with pytest.raises(ValueError, match=r"got shape \(0, 3\)$"):
-        offline_comparator(L2Ball(3, 1.0), Rounds(LINEAR, 0.0, np.empty((0, 3))))
+        offline_comparator(L2Ball(3, 1.0), LINEAR, 0.0, np.empty((0, 3)))
 
 
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
@@ -192,12 +191,13 @@ def test_offline_comparator_on_rounds_equals_it_on_their_objects(kind, name):
     # summed one round at a time give the same point and totals bit for bit.
     dom = SETS[name]
     spec = LossSpec(kind=kind, dim=6, seed=4, G=1.0, lam=0.9)
-    rounds = seeded_rounds(spec, 200, dom)
-    x_star, totals = offline_comparator(dom, rounds)
-    x_list, totals_list = offline_comparator(dom, as_rounds(kind, rounds.lam, rounds.data.tolist()))
+    lam = certify_constants(spec, dom)[1]
+    rows = seeded_rounds(spec, 200, dom)
+    x_star, totals = offline_comparator(dom, kind, lam, rows)
+    x_list, totals_list = offline_comparator(dom, kind, lam, as_rounds(rows.tolist()))
     assert x_star.tobytes() == x_list.tobytes() and totals.tobytes() == totals_list.tobytes()
-    assert totals.tobytes() == reference.prefix_comparators(dom, rounds).tobytes()
-    x_ref, total_ref = reference.offline_comparator(dom, rounds)
+    assert totals.tobytes() == reference.prefix_comparators(dom, kind, lam, rows).tobytes()
+    x_ref, total_ref = reference.offline_comparator(dom, kind, lam, rows)
     assert x_star.tobytes() == x_ref.tobytes() and totals[-1] == total_ref
 
 
@@ -208,7 +208,7 @@ def test_prefix_minimizers_beat_any_fixed_point():
     lam = 1.0
     spec = LossSpec(kind=QUADRATIC, dim=4, seed=8, lam=lam)
     state = scofw_init(dom, lam=lam)
-    rounds, played = seeded_rounds(spec, 24, dom).data, []
+    rounds, played = seeded_rounds(spec, 24, dom), []
     for row in rounds:
         played.append(state.x.copy())
         state = scofw_update(state, loss_at(QUADRATIC, lam, row, state.x)[1])
@@ -240,7 +240,7 @@ def test_strong_convexity_consequences_of_surrogates():
     dom = L2Ball(5, 1.0)
     spec = LossSpec(kind=LINEAR, dim=5, seed=10, G=1.0)
     state = ofw_init(dom, horizon=30, G=1.0)
-    for row in seeded_rounds(spec, 30, dom).data:
+    for row in seeded_rounds(spec, 30, dom):
         state = ofw_update(state, loss_at(LINEAR, 0.0, row, state.x)[1])
     alpha = state.curvature
     x_star, best = surrogate_argmin(state, tol=1e-12)
