@@ -367,16 +367,27 @@ def _init_learner(spec: ExperimentSpec, G: float, lam: float):
     return ogd_init(spec.domain, G, lam), baseline_update
 
 
-def _allocate_logs(T: int) -> np.ndarray:
-    """The (6, T) array behind a trace's logged columns.
+def _allocated(what: str, make, *args):
+    """``make(*args)``, which allocates buffers before any round is generated.
 
-    A horizon too long to log is a config error, raised before any round is
-    generated.
+    A size numpy refuses (``ValueError``, ``MemoryError``, or an
+    ``OverflowError`` converting it) is a config error that names ``what``.
     """
     try:
-        return np.empty((6, T))
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"horizon {T} is too long to log: {exc}") from None
+        return make(*args)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _allocate_logs(T: int) -> np.ndarray:
+    """The (6, T) array behind a trace's logged columns."""
+    return _allocated(f"horizon {T} is too long to log", np.empty, (6, T))
+
+
+def _allocate_learner(spec: ExperimentSpec, G: float, lam: float):
+    """``_init_learner``, whose state holds the run's per-dimension buffers."""
+    dim = spec.domain.dim
+    return _allocated(f"set.dim {dim} is too large to allocate", _init_learner, spec, G, lam)
 
 
 def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
@@ -429,8 +440,8 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
     (``ValueError`` otherwise) before the learner moves. ``comparator_total``
     and ``final_regret`` are the last cells of ``comparator_cum`` and ``regret``.
 
-    A horizon too long to log raises ``ConfigError`` before any round is
-    generated.
+    A horizon too long to log, or a ``set.dim`` too large to allocate,
+    raises ``ConfigError`` before any round is generated.
     """
     cert = certificate(spec)
     T, dim = spec.horizon, spec.domain.dim
@@ -439,7 +450,7 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
         rounds = as_rounds(rounds)
         if rounds.shape != (T, dim):
             raise ValueError(f"expected rounds of shape {(T, dim)}, got {rounds.shape}")
-    state, update = _init_learner(spec, cert.G, cert.lam)
+    state, update = _allocate_learner(spec, cert.G, cert.lam)
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
@@ -562,8 +573,9 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     included. Gaps are not measured, since only final regrets and bounds
     are kept. The slope is fitted when at least 3 horizons produce
     positive regret, else left None. Every horizon is validated, and the
-    logs of the longest run allocated, before any round is generated; a
-    bad or unloggable horizon raises ``ConfigError``.
+    logs of the longest run and every learner allocated, before any round
+    is generated; a bad or unloggable horizon, or a ``set.dim`` too large
+    to allocate, raises ``ConfigError``.
     """
     hs = [_horizon(h) for h in horizons]
     if not hs:
@@ -579,7 +591,7 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     _allocate_logs(hs[-1])
     cert = certificate(spec)  # its C, so its regret ceiling, holds at every horizon
     lam = cert.lam
-    learners = [_init_learner(s, cert.G, lam) for s in specs]
+    learners = [_allocate_learner(s, cert.G, lam) for s in specs]
     comparator = PrefixComparator(spec.domain, spec.loss.kind, lam)
     cum_losses = [0.0] * len(hs)
     result = SweepResult(spec=spec)

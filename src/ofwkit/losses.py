@@ -306,7 +306,7 @@ def round_chunks(spec: LossSpec, T: int, domain: FeasibleSet):
 
 
 def as_rounds(data) -> np.ndarray:
-    """A checked, read-only float64 copy of ``data``, rounds from outside.
+    """A checked, read-only, C-ordered float64 copy of ``data``, rounds from outside.
 
     ``data`` is an (n, dim) array, n, dim >= 1, whose row i is round i + 1's
     gradient (linear losses) or target (quadratic ones). Anything else raises
@@ -314,7 +314,8 @@ def as_rounds(data) -> np.ndarray:
     """
     if np.iscomplexobj(data):
         raise ValueError("rounds have complex data")
-    rows = np.array(data, dtype=np.float64)
+    # C order keeps each round a contiguous row, which the learner takes as is.
+    rows = np.array(data, dtype=np.float64, order="C")
     if rows.ndim != 2 or 0 in rows.shape:
         raise ValueError(f"expected an (n, dim) array, n, dim >= 1, got shape {rows.shape}")
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))

@@ -6,17 +6,19 @@ fixed total of a stream of rounds, which regret is measured against.
 ``surrogate_gaps`` measures the surrogate gaps of a block of consecutive
 plays in one row-wise pass; ``surrogate_argmin`` is its one-row case, for
 a single state. These routines are allowed to project; the online
-learners never are. A certificate allows a Frank-Wolfe gap of its
-tolerance plus 64 machine epsilons of D * (||gradient at the anchor|| +
-curvature * D), D the set's diameter: the rounding its own arithmetic
-can leave, at any loss scale.
+learners never are. One Frank-Wolfe-gap certificate, on the row oracles,
+serves the surrogate minimizers and the comparator point, and a failure
+names its round. It allows a gap of its tolerance plus 64 machine
+epsilons of D * (||gradient at the anchor|| + curvature * D), D the set's
+diameter: the rounding its own arithmetic can leave, at any loss scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import BLOCK_ROWS, dot, l2_norm, prefix_sums, row_dots, row_l2_norms
+from .core import BLOCK_ROWS, prefix_sums, row_dots, row_l2_norms
+from .learners import scofw_gradient
 from .losses import LINEAR
 from .sets import FeasibleSet
 
@@ -36,25 +38,25 @@ class ConvergenceError(RuntimeError):
     """A computed minimizer failed its Frank-Wolfe-gap certificate."""
 
 
-def _uncertified(gap: float, allowed: float) -> str:
-    return f"minimizer failed its certificate: Frank-Wolfe gap {float(gap)!r} > {float(allowed)!r}"
-
-
-def _allowed_gap(domain: FeasibleSet, anchor_grad_norm, curvature, tol=DEFAULT_ORACLE_TOL):
-    """The gap a certificate allows (see the module docstring), elementwise."""
+def _certify(domain: FeasibleSet, grad, x, g0_norm, curvature, first_round, tol=DEFAULT_ORACLE_TOL):
+    """Certify row k of ``x`` as the minimizer of a surrogate with gradient
+    ``grad[k]`` there, of norm ``g0_norm[k]`` at the set's anchor, and of
+    ``curvature``: its Frank-Wolfe gap <grad[k], x[k] - lmo(grad[k])>, which
+    bounds its excess over the true minimum, must be at most ``tol`` plus
+    the rounding allowance, else ``ConvergenceError`` names round
+    ``first_round + k`` of the first failing row. Rows without positive
+    curvature have no unique minimizer and are exempt."""
     D = domain.diameter
-    return tol + 64 * np.finfo(float).eps * D * (anchor_grad_norm + curvature * D)
-
-
-def _certify(domain: FeasibleSet, grad: np.ndarray, x: np.ndarray, allowed: float):
-    """Raise unless the Frank-Wolfe gap <grad, x - lmo(grad)> is at most ``allowed``.
-
-    For a convex objective with gradient ``grad`` at ``x`` that gap
-    upper-bounds the suboptimality of ``x``.
-    """
-    gap = dot(grad, x - domain.lmo(grad))
-    if not gap <= allowed:
-        raise ConvergenceError(_uncertified(gap, allowed))
+    allowed = tol + 64 * np.finfo(float).eps * D * (g0_norm + curvature * D)
+    step = domain.lmo_rows(grad)
+    fw_gaps = row_dots(grad, np.subtract(x, step, out=step))
+    failed = np.flatnonzero((curvature > 0.0) & ~(fw_gaps <= allowed))
+    if failed.size:
+        k = int(failed[0])
+        raise ConvergenceError(
+            f"round {first_round + k}: minimizer failed its certificate: "
+            f"Frank-Wolfe gap {float(fw_gaps[k])!r} > {float(allowed[k])!r}"
+        )
 
 
 def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
@@ -67,9 +69,8 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     ``x0 - gradient(x0) / curvature``; x0 is the set's anchor, kept as is
     by rows whose gradient vanishes there (projecting a feasible point
     onto the simplex can move it by rounding). Each row's Frank-Wolfe gap
-    at the result must be at most ``tol`` plus a rounding allowance, else
-    ``ConvergenceError`` names the round of the first failing row. Rows
-    without positive curvature have no unique minimizer; their minima are NaN.
+    at the result is certified by ``_certify``. Rows without positive
+    curvature have no unique minimizer; their minima are NaN.
     """
     # The free minimizers x0 - g0 / curvature are worked in g0's buffer.
     curvature, gradient, values = state.surrogate_rows(xs, gs)
@@ -77,20 +78,13 @@ def _minimize_rows(state, xs: np.ndarray, gs: np.ndarray, tol: float):
     domain = state.domain
     x0 = domain.anchor()
     x = gradient(x0)
-    allowed = _allowed_gap(domain, row_l2_norms(x), curvature, tol)
+    g0_norms = row_l2_norms(x)
     stay = ~x.any(axis=1)
     x /= np.where(live, curvature, 1.0)[:, None]
     x = domain.project_rows(np.subtract(x0, x, out=x))
     x[stay] = x0
-    grad = gradient(x)
-    step = domain.lmo_rows(grad)
-    fw_gaps = row_dots(grad, np.subtract(x, step, out=step))
-    del grad, step
-    failed = np.flatnonzero(live & ~(fw_gaps <= allowed))
-    if failed.size:
-        k = int(failed[0])
-        # The state after k rounds plays in round k + 1.
-        raise ConvergenceError(f"round {state.t + k + 1}: {_uncertified(fw_gaps[k], allowed[k])}")
+    # The state after k rounds plays in round k + 1.
+    _certify(domain, gradient(x), x, g0_norms, curvature, state.t + 1, tol)
     best = values(x)
     best[~live] = np.nan
     return x, best, values
@@ -162,15 +156,17 @@ class PrefixComparator:
 
     def point(self) -> np.ndarray:
         """A copy of the best fixed point of the rounds fed so far; for
-        quadratic rounds, its Frank-Wolfe gap is certified. ``ValueError``
-        before any round is fed."""
+        quadratic rounds, its Frank-Wolfe gap is certified, a failure naming
+        the last round fed. ``ValueError`` before any round is fed."""
         if self.x is None:
             raise ValueError("no rounds were fed, so there is no comparator point")
         x_star = self.x.copy()
         if self.kind != LINEAR:
-            grad = self.lam * (self.t * x_star - self.row_sum)
-            g0 = l2_norm(self.lam * (self.t * self.domain.anchor() - self.row_sum))
-            _certify(self.domain, grad, x_star, _allowed_gap(self.domain, g0, self.lam * self.t))
+            # It minimizes the strongly convex surrogate at a zero gradient
+            # sum; rows: its gradient there and at the anchor.
+            at = np.array([x_star, self.domain.anchor()])
+            grad = scofw_gradient(self.lam, self.t, 0.0, self.row_sum, at)
+            _certify(self.domain, grad[:1], at[:1], row_l2_norms(grad[1:]), self.lam * self.t, self.t)
         return x_star
 
 

@@ -3,12 +3,13 @@ import csv
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_harness import _configs
+from test_harness import _configs, _kind_config
 
 import ofwkit.cli
 import ofwkit.harness
@@ -354,6 +355,56 @@ def test_bounds_answers_a_horizon_that_run_cannot_log(tmp_path, capsys):
     assert f"T = {2**62}\n" in capsys.readouterr().out
     assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: horizon {2**62} is too long to log")
+
+
+def _dim_config(kind: str, dim: int) -> str:
+    return _kind_config(kind).replace("set.dim = 4", f"set.dim = {dim}")
+
+
+# Sizes numpy refuses before it allocates anything.
+@pytest.mark.parametrize(
+    "kind, dim",
+    [("l2_ball", 2**61), ("simplex", 2**61), ("l1_ball", 10**400)],
+    ids=["l2_ball-2**61", "simplex-2**61", "l1_ball-10**400"],
+)
+def test_a_set_dim_too_large_to_allocate_exits_two_where_bounds_answers(tmp_path, capsys, kind, dim):
+    cfg = tmp_path / "huge_dim.cfg"
+    cfg.write_text(_dim_config(kind, dim))
+    out = ["--out", str(tmp_path / "out.csv")]
+    for argv in (["run", str(cfg)], ["sweep", str(cfg), "--horizons", "2,4,8"]):
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: set.dim {dim} is too large to allocate: ")
+        assert err.count("\n") == 1
+    assert main(["bounds", str(cfg)]) == 0
+    assert "T = 8\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+def test_an_lp_ball_of_dim_1e400_overflows_its_derived_constants(tmp_path, capsys, command):
+    cfg = tmp_path / "lp_1e400.cfg"
+    cfg.write_text(_dim_config("lp_ball", 10**400))
+    argv = [command, str(cfg)] + (["--horizons", "2,4,8"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: derived constants overflow: ") and err.count("\n") == 1
+
+
+def test_a_regret_above_its_ceiling_exits_one(config_path, tmp_path, monkeypatch, capsys):
+    # A ceiling of 1e-300 at every round: the run's final regret and each
+    # horizon's regret in the sweep lie above it.
+    certificate = ofwkit.harness.certificate
+
+    def tiny_ceiling(spec):
+        return replace(certificate(spec), regret=lambda ts: np.full(np.shape(ts), 1e-300))
+
+    monkeypatch.setattr(ofwkit.harness, "certificate", tiny_ceiling)
+    out = ["--out", str(tmp_path / "out.csv")]
+    assert main(["run", config_path] + out) == 1
+    assert capsys.readouterr().err.endswith(" bound=1e-300\nregret bound violated\n")
+    assert main(["sweep", config_path, "--horizons", "8,16,32"] + out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.endswith(" bound=1e-300 VIOLATED") for line in lines[:3])
 
 
 def test_run_writes_the_same_csv_to_stdout_and_to_a_file(config_path, tmp_path, capsys):

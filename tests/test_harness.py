@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import ofwkit.csvtext
 import ofwkit.harness
+import ofwkit.learners
 import ofwkit.oracle
 from ofwkit.harness import (
     ALGO_OFW_DECAY,
@@ -441,6 +442,30 @@ def test_horizon_too_long_to_log_is_a_config_error_before_any_round(monkeypatch)
         sweep(spec, [16, 2**62])
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [L2Ball(2**61, 1.0), Simplex(2**61), L1Ball(10**400, 1.0)],
+    ids=lambda d: type(d).__name__,
+)
+def test_a_set_dim_too_large_to_allocate_is_a_config_error_before_any_round(domain, monkeypatch):
+    # numpy refuses these sizes before it allocates anything.
+    def no_rounds(*args):
+        raise AssertionError("rounds generated for a set too large to allocate")
+
+    monkeypatch.setattr(ofwkit.harness, "round_chunks", no_rounds)
+    spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=domain.dim, seed=1, G=1.0))
+    message = f"^set.dim {domain.dim} is too large to allocate: "
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(spec)
+    with pytest.raises(ConfigError, match=message):
+        sweep(spec, [16, 128])
+
+
+def test_spec_refuses_a_loss_dim_other_than_the_set_dim():
+    with pytest.raises(ValueError, match="^loss dim 5 does not match set dim 10$"):
+        _spec(loss=LossSpec(kind=LINEAR, dim=5, seed=1, G=1.0))
+
+
 def _bad_rounds(case):
     """(spec, the injected rounds, the error they raise)."""
     linear = np.zeros((8, 10))
@@ -537,23 +562,32 @@ def test_injected_rounds_are_stacked_once_into_read_only_rows():
     assert run_experiment(spec, rounds=rounds).loss.tolist() == [0.0] * 8
 
 
-@pytest.mark.parametrize(
-    ("loss", "algo", "extra"), [(LINEAR, ALGO_OFW_LS, 0), (QUADRATIC, ALGO_SC_OFW, 1)]
-)
-def test_a_run_calls_the_lmo_once_per_round_and_once_to_certify(loss, algo, extra, monkeypatch):
-    # One lmo call per round for the learner; the comparator column needs
-    # none, and only the quadratic comparator point's certificate adds one.
-    calls = []
-    lmo = FeasibleSet.lmo
-
-    def counted_lmo(self, g):
-        calls.append(g)
-        return lmo(self, g)
-
-    monkeypatch.setattr(FeasibleSet, "lmo", counted_lmo)
+@pytest.mark.parametrize(("loss", "algo"), [(LINEAR, ALGO_OFW_LS), (QUADRATIC, ALGO_SC_OFW)])
+def test_only_the_learner_calls_the_vector_lmo_once_per_round_and_nothing_projects(
+    loss, algo, monkeypatch
+):
+    # The comparator column and the comparator point's certificate use the
+    # row oracles, so every vector lmo call is the learner's, one per round
+    # played: T for a run, the sum of its horizons for a sweep.
     spec = _spec(loss=LossSpec(kind=loss, dim=10, seed=2, G=1.0, lam=1.0), algo=algo, horizon=200)
+    calls = {"lmo": 0, "project": 0}
+
+    def counted(name):
+        method = getattr(type(spec.domain), name)
+
+        def call(self, g):
+            calls[name] += 1
+            return method(self, g)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(type(spec.domain), name, counted(name))
     run_experiment(spec)
-    assert len(calls) == 200 + extra
+    assert calls == {"lmo": 200, "project": 0}
+    calls.update(lmo=0)
+    sweep(spec, [50, 120, 200])
+    assert calls == {"lmo": 50 + 120 + 200, "project": 0}
 
 
 def test_sweep_and_runs_never_recheck_or_rebuild_their_own_rounds(monkeypatch):
@@ -710,6 +744,25 @@ def test_injected_rounds_play_as_the_seeded_stream_in_any_layout(domain):
         layouts = [exact.tolist(), exact.astype(np.float32), np.asfortranarray(exact)]
         for layout in layouts + [strided[:, ::2]]:
             _same_traces(run_experiment(spec, rounds=layout), expected)
+
+
+def test_fortran_ordered_rounds_reach_the_learner_as_contiguous_rows(monkeypatch):
+    # as_rounds returns C-ordered rows, so each linear round's gradient is a
+    # contiguous row that the learner update takes without as_vector.
+    spec = _spec(horizon=150)
+    rows = seeded_rounds(spec.loss, 150, spec.domain)
+    expected = run_experiment(spec, rounds=rows)
+    checked = []
+    as_vector = ofwkit.learners.as_vector
+
+    def counted_as_vector(*args):
+        checked.append(args)
+        return as_vector(*args)
+
+    monkeypatch.setattr(ofwkit.learners, "as_vector", counted_as_vector)
+    trace = run_experiment(spec, rounds=np.asfortranarray(rows))
+    assert checked == []
+    _same_traces(trace, expected)
 
 
 @pytest.mark.parametrize("algo, kind", _ALGO_LOSS_PAIRS)
