@@ -1,7 +1,8 @@
 """CSV text of float cells: ``'%.17g' % v`` byte for byte, NaN as an empty cell.
 
-``CellFormatter`` writes that text for a block of rows with numpy, not
-one cell at a time. For a finite v with 1e-4 <= |v| < 1e17, '%.17g' is
+``csv_pieces`` writes every CSV table, a run's and a sweep's alike, with
+a ``CellFormatter``: it writes that text for a block of rows with numpy,
+not one cell at a time. For a finite v with 1e-4 <= |v| < 1e17, '%.17g' is
 fixed notation: the 17 digits of N = round-half-even(|v| * 10**(16 - k)),
 k = floor(log10|v|), with the point after digit k, trailing fraction
 zeros and a bare point dropped. k is exact (see ``CellFormatter._scale``)
@@ -32,13 +33,13 @@ other reuse it.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import BLOCK_ROWS
 
-__all__ = ["KERNEL_ROWS", "CellFormatter"]
+__all__ = ["CellFormatter", "csv_pieces"]
 
 KERNEL_ROWS = 8 * BLOCK_ROWS
 _CELL_BYTES = 40
@@ -143,10 +144,8 @@ class CellFormatter:
         self._tables = _kernel_tables()
 
     def pieces(self, m: int) -> list[str]:
-        """The text of ``values[:m]``, one piece per ``BLOCK_ROWS`` rows, each
-        row ending in a newline."""
-        if m == 0:
-            return []
+        """The text of ``values[:m]``, m >= 1, one piece per ``BLOCK_ROWS``
+        rows, each row ending in a newline."""
         v = self.values[:m].ravel()
         self._scale(v)
         self._write_digits(v.size)
@@ -298,3 +297,18 @@ class CellFormatter:
             # A piece's text starts with the newline of its first row.
             pieces.append(str(data[keep][1:].data, "ascii") + "\n")
         return pieces
+
+
+def csv_pieces(header: str, columns: Sequence) -> Iterator[str]:
+    """The CSV text of equal-length ``columns`` under ``header``: its line,
+    then one piece per ``BLOCK_ROWS`` rows, formatted ``KERNEL_ROWS`` rows
+    at a time in one workspace. Round numbers below 1e17 read as '%d'."""
+    yield header + "\n"
+    m = len(columns[0])
+    formatter = CellFormatter(min(m, KERNEL_ROWS), len(columns))
+    for start in range(0, m, KERNEL_ROWS):
+        stop = min(start + KERNEL_ROWS, m)
+        block = formatter.values[: stop - start]
+        for j, column in enumerate(columns):
+            block[:, j] = column[start:stop]
+        yield from formatter.pieces(stop - start)

@@ -8,8 +8,9 @@ applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
 The adversary is a stream of ``losses.round_chunks``, or one (T, dim)
-array given from outside, which ``as_rounds`` checks once; either is
-played with the spec's loss kind and certified lam. A run holds its logs
+array given from outside, which ``as_rounds`` checks once (quadratic
+targets must lie in the set); either is played with the spec's loss kind
+and certified lam. A run holds its logs
 and one chunk of rounds, never all T: it plays each chunk, one row per
 round, and scores it with an ``oracle.PrefixComparator`` before the next
 is drawn. A round computes only its gradient; the losses
@@ -17,9 +18,8 @@ are logged ``core.BLOCK_ROWS`` rounds at a time from the plays of a block,
 and the surrogate gaps are measured as often by ``oracle.surrogate_gaps``,
 from the plays and gradients of one block. The cumulative loss and regret are
 computed after the rounds, bit for bit as the per-round computation
-would. The CSV cells are ``'%.17g'`` text, byte for byte, formatted by a
-numpy kernel ``8 * core.BLOCK_ROWS`` rows at a time and written
-``core.BLOCK_ROWS`` rows at a time.
+would. The CSV cells are ``'%.17g'`` text, byte for byte, written by
+``csvtext.csv_pieces`` for a run and a sweep alike.
 A sweep plays one learner per horizon in lockstep over one stream.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import BLOCK_ROWS, as_int, prefix_sums
-from .csvtext import KERNEL_ROWS, CellFormatter
+from .csvtext import csv_pieces
 from .learners import (
     baseline_update,
     ofw_decay_init,
@@ -437,7 +437,9 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
     ``PrefixComparator`` before the next is drawn. Rounds from outside, a
     (T, dim) array-like played as one chunk with the spec's loss kind and
     certified lam, are checked by ``as_rounds`` and held to shape (T, dim)
-    (``ValueError`` otherwise) before the learner moves. ``comparator_total``
+    before the learner moves; quadratic targets must also lie in the set
+    up to a slack of 1e-6 * diameter, since the certified G = lam * D
+    assumes feasible ones. Each raises ``ValueError``. ``comparator_total``
     and ``final_regret`` are the last cells of ``comparator_cum`` and ``regret``.
 
     A horizon too long to log, or a ``set.dim`` too large to allocate,
@@ -450,6 +452,12 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
         rounds = as_rounds(rounds)
         if rounds.shape != (T, dim):
             raise ValueError(f"expected rounds of shape {(T, dim)}, got {rounds.shape}")
+        # The slack allows for rounded targets, such as a float32 copy's.
+        if kind == QUADRATIC:
+            inside = spec.domain.contains_rows(rounds, 1e-6 * spec.domain.diameter)
+            outside = np.flatnonzero(~inside)
+            if outside.size:
+                raise ValueError(f"round {outside[0] + 1} has a target outside the set")
     state, update = _allocate_learner(spec, cert.G, cert.lam)
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
@@ -496,25 +504,15 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
 
 
 def csv_blocks(trace: RegretTrace):
-    """The trace's CSV text with the fixed column layout, yielded as the
-    header line and then ``core.BLOCK_ROWS`` rows at a time.
+    """The trace's CSV text with the fixed column layout, from ``csv_pieces``:
+    the header line and then ``core.BLOCK_ROWS`` rows at a time.
 
     Floats carry 17 significant digits (``'%.17g' % v``) so round-tripping
     is lossless; inapplicable entries (no bound, gap not measured) are
-    empty cells. Rows are formatted ``8 * core.BLOCK_ROWS`` at a time.
+    empty cells.
     """
-    columns = [getattr(trace, name) for name in CSV_HEADER.split(",")[1:]]
-    T = trace.rounds.shape[0]
-    yield CSV_HEADER + "\n"
-    formatter = CellFormatter(min(T, KERNEL_ROWS), 1 + len(columns))
-    for start in range(0, T, KERNEL_ROWS):
-        stop = min(start + KERNEL_ROWS, T)
-        block = formatter.values[: stop - start]
-        # '%.17g' of a round number below 1e17 is its '%d'.
-        block[:, 0] = trace.rounds[start:stop]
-        for j, column in enumerate(columns, 1):
-            block[:, j] = column[start:stop]
-        yield from formatter.pieces(stop - start)
+    names = CSV_HEADER.split(",")[1:]
+    return csv_pieces(CSV_HEADER, [trace.rounds] + [getattr(trace, name) for name in names])
 
 
 def emit_csv(trace: RegretTrace) -> str:
@@ -629,13 +627,8 @@ def _horizon(h) -> int:
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """Render a sweep as CSV: one row per horizon, slope repeated."""
+    """Render a sweep as CSV with ``csv_pieces``: one row per horizon, slope repeated."""
     nan = float("nan")
-    m = len(result.horizons)
-    formatter = CellFormatter(m, 4)
-    block = formatter.values
-    block[:, 0] = result.horizons  # as in csv_blocks' round column
-    block[:, 1] = result.regrets
-    block[:, 2] = [nan if b is None else b for b in result.bounds]
-    block[:, 3] = nan if result.slope is None else result.slope
-    return SWEEP_CSV_HEADER + "\n" + "".join(formatter.pieces(m))
+    bounds = [nan if b is None else b for b in result.bounds]
+    slopes = [nan if result.slope is None else result.slope] * len(bounds)
+    return "".join(csv_pieces(SWEEP_CSV_HEADER, [result.horizons, result.regrets, bounds, slopes]))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import BLOCK_ROWS, prefix_sums, row_dots, row_l2_norms
 from .learners import scofw_gradient
-from .losses import LINEAR
+from .losses import LINEAR, QUADRATIC
 from .sets import FeasibleSet
 
 __all__ = [
@@ -126,9 +126,15 @@ def surrogate_gaps(state, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
 
 class PrefixComparator:
     """The offline comparator of a stream of rounds, fed a chunk at a time,
-    carrying the running sums of the rounds fed so far."""
+    carrying the running sums of the rounds fed so far. A loss kind other
+    than linear or quadratic, or a quadratic lam that is not finite and
+    positive, raises ``ValueError`` as ``LossSpec`` does."""
 
     def __init__(self, domain: FeasibleSet, kind: str, lam: float):
+        if kind not in (LINEAR, QUADRATIC):
+            raise ValueError(f"unknown loss kind {kind!r}")
+        if kind == QUADRATIC and not (0.0 < lam < np.inf):
+            raise ValueError(f"quadratic losses need a finite lam > 0, got {lam!r}")
         self.domain, self.kind, self.lam = domain, kind, lam
         self.t, self.row_sum, self.sq_sum, self.x = 0, np.zeros(domain.dim), 0.0, None
 
@@ -179,10 +185,11 @@ def offline_comparator(domain: FeasibleSet, kind: str, lam: float, rows: np.ndar
     Linear rounds: the lmo of the gradient prefix sum, scored against it.
     Quadratic rounds: the projection of the mean target, scored in closed
     form from the target sums; the Frank-Wolfe gap of ``x_star`` is
-    certified (``ConvergenceError`` otherwise). No rounds, or rounds of
-    another dim than the set's, raise ``ValueError``. Runs and sweeps feed a
-    ``PrefixComparator`` chunk by chunk; this stays while the benchmark's
-    tracer wraps it by name.
+    certified (``ConvergenceError`` otherwise). No rounds, rounds of
+    another dim than the set's, a ``kind`` other than linear or quadratic,
+    and a quadratic ``lam`` that is not finite and positive raise
+    ``ValueError``. Runs and sweeps feed a ``PrefixComparator`` chunk by
+    chunk; this stays while the benchmark's tracer wraps it by name.
     """
     if not len(rows) or rows.shape[1] != domain.dim:
         raise ValueError(f"expected rounds of dim {domain.dim}, got shape {rows.shape}")

@@ -433,7 +433,7 @@ def _check_regret_bound(spec: ExperimentSpec) -> tuple[bool, str]:
     over = np.nonzero(trace.regret > trace.theorem_bound)[0]
     if over.size:
         t = int(over[0] + 1)
-        return False, f"per-round regret {trace.regret[over[0]]!r} exceeds bound at t={t}"
+        return False, f"per-round regret {float(trace.regret[t - 1])!r} exceeds bound at t={t}"
     return True, f"R(T)={trace.final_regret:.6g} within bound {trace.final_bound:.6g}"
 
 

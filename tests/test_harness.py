@@ -499,6 +499,34 @@ def test_injected_rounds_checked_before_the_learner_moves(case, monkeypatch):
         run_experiment(spec, rounds=data)
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [L2Ball(10, 1.0), LpBall(10, 1.0, 1.5), L1Ball(10, 1.0), Simplex(10)],
+    ids=["l2_ball", "lp_ball", "l1_ball", "simplex"],
+)
+def test_injected_quadratic_targets_must_lie_in_the_set(domain, monkeypatch):
+    # The certified G = lam * D holds for feasible targets only. A target 1%
+    # beyond a vertex is refused before the learner moves, naming the first
+    # such round; one within the rounding slack plays, and linear rounds are
+    # not held to the set.
+    def no_update(*args):
+        raise AssertionError("the learner moved before the rounds were checked")
+
+    quadratic = LossSpec(kind=QUADRATIC, dim=10, seed=1, lam=1.0)
+    spec = _spec(domain=domain, loss=quadratic, horizon=8)
+    vertex = domain.lmo(-np.eye(10)[0])
+    rows = np.tile(domain.anchor(), (8, 1))
+    rows[[5, 6]] = 1.01 * vertex
+    monkeypatch.setattr(ofwkit.harness, "ofw_update", no_update)
+    with pytest.raises(ValueError, match="^round 6 has a target outside the set$"):
+        run_experiment(spec, rounds=rows)
+    monkeypatch.undo()
+    rows[[5, 6]] = (1.0 + 1e-8) * vertex
+    assert np.isfinite(run_experiment(spec, rounds=rows).final_regret)
+    linear = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0), horizon=8)
+    assert np.isfinite(run_experiment(linear, rounds=100.0 * rows).final_regret)
+
+
 @pytest.mark.parametrize("gap_check", [False, True])
 def test_a_run_keeps_a_blocks_gradients_only_to_measure_its_gaps(gap_check, monkeypatch):
     # Each gradient is a fresh array here; count those still alive at each update.

@@ -173,6 +173,28 @@ def test_offline_comparator_names_both_dims_of_a_mismatch():
         offline_comparator(L2Ball(3, 1.0), LINEAR, 0.0, np.empty((0, 3)))
 
 
+@pytest.mark.parametrize(
+    "kind, lam, message",
+    [
+        ("Linear", 1.0, "^unknown loss kind 'Linear'$"),
+        (QUADRATIC, 0.0, r"^quadratic losses need a finite lam > 0, got 0\.0$"),
+        (QUADRATIC, -1.0, r"^quadratic losses need a finite lam > 0, got -1\.0$"),
+        (QUADRATIC, np.inf, "^quadratic losses need a finite lam > 0, got inf$"),
+        (QUADRATIC, np.nan, "^quadratic losses need a finite lam > 0, got nan$"),
+    ],
+    ids=["mis_cased_kind", "zero_lam", "negative_lam", "infinite_lam", "nan_lam"],
+)
+def test_comparator_refuses_a_kind_or_lam_it_would_mis_score(kind, lam, message):
+    # A mis-cased kind would be scored as quadratic, and a quadratic lam of 0
+    # gives all-zero totals; both are refused as LossSpec refuses them.
+    dom = L2Ball(5, 1.0)
+    rows = np.random.default_rng(0).standard_normal((10, 5))
+    with pytest.raises(ValueError, match=message):
+        PrefixComparator(dom, kind, lam)
+    with pytest.raises(ValueError, match=message):
+        offline_comparator(dom, kind, lam, rows)
+
+
 @pytest.mark.parametrize("kind", [LINEAR, QUADRATIC])
 def test_prefix_comparator_has_no_point_before_its_first_round(kind):
     comparator = PrefixComparator(L2Ball(3, 1.0), kind, 0.5)

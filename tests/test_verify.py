@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import ofwkit.harness
 import ofwkit.verify
 from ofwkit.harness import ALGO_OFW_LS, ExperimentSpec
 from ofwkit.losses import LINEAR, LossSpec
@@ -207,3 +211,99 @@ def test_a_spec_that_fails_to_build_fails_only_its_checks(monkeypatch):
     failed = {r.name: r.detail for r in report.results if not r.passed}
     assert set(failed) == {"bounds.gap_schedule.sc_ofw_simplex", "bounds.regret.sc_ofw_simplex"}
     assert all(d == "ValueError('no simplex today')" for d in failed.values())
+
+
+def _force_modulus(monkeypatch):
+    monkeypatch.setattr(L2Ball, "strong_convexity", property(lambda self: 50.0))
+
+
+def _force_projection(monkeypatch):
+    true_project = L2Ball.project
+    monkeypatch.setattr(L2Ball, "project", lambda self, x: 0.999 * true_project(self, x))
+
+
+def _force_diameter(monkeypatch):
+    monkeypatch.setattr(L2Ball, "diameter", property(lambda self: 1.0))
+
+
+def _force_certificate(monkeypatch, tag, **ceilings):
+    # Only the spec of ``tag`` (algo or set class) gets the given ceilings.
+    true_certificate = ofwkit.harness.certificate
+
+    def tightened(spec):
+        cert = true_certificate(spec)
+        if tag not in (spec.algo, type(spec.domain).__name__):
+            return cert
+        return replace(cert, **{k: make(cert) for k, make in ceilings.items()})
+
+    monkeypatch.setattr(ofwkit.harness, "certificate", tightened)
+
+
+def _tiny_gap_ceiling(cert):
+    return lambda t: None if cert.gap(t) is None else 1e-12
+
+
+def _tiny_regret_ceiling(cert):
+    return lambda ts: np.full(ts.shape, 1e-9)
+
+
+def _tiny_regret_ceiling_before_the_last_round(cert):
+    # 1024 is the regret check's horizon.
+    return lambda ts: np.where(ts < 1024.0, 1e-9, 1e9)
+
+
+# scope, the check forced to fail, the forcing, and its detail's start.
+_FORCED = {
+    "modulus": (
+        "sets",
+        "sets.strong_convexity_definition.l2_ball",
+        _force_modulus,
+        r"\d+ of 10000 certificates infeasible; first at sample \d+: norm=",
+    ),
+    "projection": (
+        "sets",
+        "sets.projection_idempotent.l2_ball",
+        _force_projection,
+        r"not idempotent: w=\[",
+    ),
+    "diameter": (
+        "sets",
+        "sets.diameter.l2_ball",
+        _force_diameter,
+        r"sampled distance 1\.\d+ exceeds diameter 1\.0: a=\[",
+    ),
+    "gap_ceiling": (
+        "bounds",
+        "bounds.gap_schedule.sc_ofw_simplex",
+        partial(_force_certificate, tag="Simplex", gap=_tiny_gap_ceiling),
+        r"gap \d\.\d+(e-\d+)? exceeds bound 1e-12 at t=\d+$",
+    ),
+    "final_regret_ceiling": (
+        "bounds",
+        "bounds.regret.ofw_ls_l2",
+        partial(_force_certificate, tag="ofw_ls", regret=_tiny_regret_ceiling),
+        r"final regret \d+\.\d+ exceeds bound 1e-09$",
+    ),
+    "per_round_regret_ceiling": (
+        "bounds",
+        "bounds.regret.ofw_ls_l2",
+        partial(
+            _force_certificate, tag="ofw_ls", regret=_tiny_regret_ceiling_before_the_last_round
+        ),
+        r"per-round regret \d\.\d+(e-\d+)? exceeds bound at t=\d+$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORCED))
+def test_a_forced_failure_fails_only_its_check_with_its_detail(monkeypatch, case):
+    # Each check's failure branch, forced by a monkeypatch, marks that check
+    # failed with its counterexample; every other check of the scope still
+    # runs and passes.
+    scope, name, force, detail = _FORCED[case]
+    force(monkeypatch)
+    report = verify_suite(scope)
+    assert len(report.results) == {"sets": 18, "bounds": 6}[scope]
+    failed = {r.name: r.detail for r in report.results if not r.passed}
+    assert list(failed) == [name]
+    assert re.match(detail, failed[name]), failed[name]
