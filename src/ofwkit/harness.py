@@ -7,28 +7,27 @@ played so far, the regret against it, the a priori regret bound when one
 applies, and optionally the surrogate optimality gap with its per-round
 bound. The CSV layout is fixed; plotting and further analysis live outside.
 
-The adversary is a stream of ``losses.round_chunks``, or one (T, dim)
-array given from outside, which ``as_rounds`` checks once (quadratic
-targets must lie in the set); either is played with the spec's loss kind
-and certified lam. A run holds its logs
-and one chunk of rounds, never all T: it plays each chunk, one row per
-round, and scores it with an ``oracle.PrefixComparator`` before the next
-is drawn. A round computes only its gradient; the losses
-are logged ``core.BLOCK_ROWS`` rounds at a time from the plays of a block,
-and the surrogate gaps are measured as often by ``oracle.surrogate_gaps``,
-from the plays and gradients of one block. The cumulative loss and regret are
-computed after the rounds, bit for bit as the per-round computation
-would. The CSV cells are ``'%.17g'`` text, byte for byte, written by
-``csvtext.csv_pieces`` for a run and a sweep alike.
-A sweep plays one learner per horizon in lockstep over one stream.
+Each algorithm is one ``_ALGORITHMS`` record: its learner, surrogate weight,
+loss rule, gap rule and ceilings. The adversary is a stream of
+``losses.round_chunks``, or one (T, dim) array given from outside, which
+``as_rounds`` checks once (quadratic targets must lie in the set); either is
+played with the spec's loss kind and certified lam. A run holds its logs and
+one chunk of rounds, never all T: it plays each chunk, one row per round, and
+scores it with an ``oracle.PrefixComparator`` before the next is drawn. A
+round computes only its gradient; the losses are logged ``core.BLOCK_ROWS``
+rounds at a time from the plays of a block, and the surrogate gaps are
+measured as often by ``oracle.surrogate_gaps``, from the plays and gradients
+of one block. The cumulative loss and regret are computed after the rounds,
+bit for bit as the per-round computation would. The CSV cells are ``'%.17g'``
+text, byte for byte, written by ``csvtext.csv_pieces`` for a run and a sweep
+alike. A sweep plays one learner per horizon in lockstep over one stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,7 +86,6 @@ ALGO_OFW_LS = "ofw_ls"
 ALGO_SC_OFW = "sc_ofw"
 ALGO_OFW_DECAY = "ofw_decay"
 ALGO_OGD = "ogd"
-ALGORITHMS = (ALGO_OFW_LS, ALGO_SC_OFW, ALGO_OFW_DECAY, ALGO_OGD)
 # The scopes of ``verify.verify_suite``, kept here so that the command line
 # lists them without importing ``verify``.
 SCOPES = ("sets", "learners", "bounds", "all")
@@ -124,8 +122,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"loss dim {self.loss.dim} does not match set dim {self.domain.dim}"
             )
-        if self.algo == ALGO_SC_OFW and self.loss.kind != QUADRATIC:
-            raise ValueError("sc_ofw needs strongly convex losses (loss.kind = quadratic)")
+        if _ALGORITHMS[self.algo].quadratic and self.loss.kind != QUADRATIC:
+            raise ValueError(f"{self.algo} needs strongly convex losses (loss.kind = quadratic)")
         object.__setattr__(self, "gap_cap", as_int(self.gap_cap, "gap_cap", 0))
         # The regret ceiling grows with t, so a finite one at T bounds every
         # round's regret and gap ceilings.
@@ -140,6 +138,10 @@ class ExperimentSpec:
         for name, value in derived + [("regret ceiling", ceiling)]:
             if value is not None and not (0.0 < value < math.inf):
                 raise ValueError(f"derived constant {name} = {value!r} is not finite and positive")
+        # Bounds every loss, cumulative loss and regret; an underflow to 0 runs.
+        scale = 2.0 * self.horizon * cert.G * cert.diameter
+        if not math.isfinite(scale):
+            raise ValueError(f"derived constant 2*T*G*D = {scale!r} is not finite")
 
 
 # Each kind's class or loss field, and the keys it takes. A set's keys are
@@ -289,50 +291,82 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def certificate(spec: ExperimentSpec) -> Certificate:
-    """Certified constants, eta, C and the regret and gap ceilings of ``spec``.
+def _ofw_ls_ceilings(G: float, lam: float, D: float, alpha: float):
+    """OFW with line search: its ceilings hold on strongly convex sets only."""
+    if not alpha > 0.0:
+        return None
+    C = max(4.0 * D * D, _ratio(4096.0, 3.0 * alpha * alpha))
+    return (
+        C,
+        lambda ts: 2.75 * G * math.sqrt(C) * (ts + 2.0) ** (2.0 / 3.0),
+        lambda t: C / (t + 2.0) ** (2.0 / 3.0) if t >= 1 else None,
+    )
 
-    Bounds exist for the line-search learner on strongly convex sets and
-    for the strongly convex learner everywhere (its gap ceiling from t = 2);
-    the baselines run unbound.
-    """
+
+def _sc_ofw_ceilings(G: float, lam: float, D: float, alpha: float):
+    """SC-OFW: ceilings on every set, its gap ceiling from t = 2."""
+    gd = G + lam * D
+    if alpha > 0.0:
+        C = max(4.0 * gd * gd / lam, _ratio(288.0 * lam, alpha * alpha))
+        return (
+            C,
+            lambda ts: C * np.sqrt(2.0 * ts) + 0.5 * C * np.log(ts) + G * D,
+            lambda t: C if t >= 2 else None,
+        )
+    C = 16.0 * gd * gd / lam
+    return (
+        C,
+        lambda ts: (
+            3.0 * math.sqrt(2.0) / 8.0 * C * ts ** (2.0 / 3.0) + C * np.log(ts) / 8.0 + G * D
+        ),
+        lambda t: C * (t - 1.0) ** (1.0 / 3.0) if t >= 2 else None,
+    )
+
+
+class _Algorithm(NamedTuple):
+    """One learner: ``learner(spec, G, lam)`` gives its first state and update, the
+    update looked up by name at that call; ``eta(D, G, T)`` is its surrogate weight;
+    ``quadratic``, that it needs quadratic losses; ``surrogate``, that its gaps can be
+    measured; ``ceilings(G, lam, D, alpha)``, its ``(C, regret, gap)`` or None."""
+
+    learner: Callable
+    eta: Optional[Callable] = None
+    quadratic: bool = False
+    surrogate: bool = True
+    ceilings: Optional[Callable] = None
+
+
+_ALGORITHMS = {
+    ALGO_OFW_LS: _Algorithm(
+        lambda spec, G, lam: (ofw_init(spec.domain, spec.horizon, G), ofw_update),
+        ofw_step_size_parameter, ceilings=_ofw_ls_ceilings,
+    ),
+    ALGO_SC_OFW: _Algorithm(
+        lambda spec, G, lam: (scofw_init(spec.domain, lam), scofw_update),
+        quadratic=True, ceilings=_sc_ofw_ceilings,
+    ),
+    ALGO_OFW_DECAY: _Algorithm(
+        lambda spec, G, lam: (ofw_decay_init(spec.domain, spec.horizon, G), ofw_decay_update),
+        ofw_decay_step_size_parameter,
+    ),
+    ALGO_OGD: _Algorithm(
+        lambda spec, G, lam: (ogd_init(spec.domain, G, lam), baseline_update), surrogate=False
+    ),
+}
+ALGORITHMS = tuple(_ALGORITHMS)
+
+
+def certificate(spec: ExperimentSpec) -> Certificate:
+    """Certified constants, eta, C and the regret and gap ceilings of
+    ``spec``, as its ``_ALGORITHMS`` record gives them; the baselines run unbound."""
     G, lam = certify_constants(spec.loss, spec.domain)
     D, alpha = spec.domain.diameter, spec.domain.strong_convexity
-    eta = None
-    # eta divides by G; a G that is not positive is refused with the other
-    # derived constants.
-    if spec.algo == ALGO_OFW_LS and G > 0.0:
-        eta = ofw_step_size_parameter(D, G, spec.horizon)
-    elif spec.algo == ALGO_OFW_DECAY and G > 0.0:
-        eta = ofw_decay_step_size_parameter(D, G, spec.horizon)
-    make = partial(Certificate, G, lam, D, alpha, eta)
-    if spec.algo == ALGO_OFW_LS and alpha > 0.0:
-        C = max(4.0 * D * D, _ratio(4096.0, 3.0 * alpha * alpha))
-        return make(
-            C,
-            lambda ts: 2.75 * G * math.sqrt(C) * (ts + 2.0) ** (2.0 / 3.0),
-            lambda t: C / (t + 2.0) ** (2.0 / 3.0) if t >= 1 else None,
-        )
-    if spec.algo == ALGO_SC_OFW:
-        gd = G + lam * D
-        if alpha > 0.0:
-            C = max(4.0 * gd * gd / lam, _ratio(288.0 * lam, alpha * alpha))
-            return make(
-                C,
-                lambda ts: C * np.sqrt(2.0 * ts) + 0.5 * C * np.log(ts) + G * D,
-                lambda t: C if t >= 2 else None,
-            )
-        C = 16.0 * gd * gd / lam
-        return make(
-            C,
-            lambda ts: (
-                3.0 * math.sqrt(2.0) / 8.0 * C * ts ** (2.0 / 3.0)
-                + C * np.log(ts) / 8.0
-                + G * D
-            ),
-            lambda t: C * (t - 1.0) ** (1.0 / 3.0) if t >= 2 else None,
-        )
-    return make(None, lambda ts: np.full(ts.shape, np.nan), lambda t: None)
+    algo = _ALGORITHMS[spec.algo]
+    # eta divides by G; a G that is not positive is refused with the other constants.
+    eta = algo.eta(D, G, spec.horizon) if algo.eta and G > 0.0 else None
+    ceilings = algo.ceilings and algo.ceilings(G, lam, D, alpha)
+    unbound = (None, lambda ts: np.full(ts.shape, np.nan), lambda t: None)
+    return Certificate(G, lam, D, alpha, eta, *(ceilings or unbound))
 
 
 # -- running ----------------------------------------------------------------
@@ -357,16 +391,6 @@ class RegretTrace:
     final_bound: Optional[float]
 
 
-def _init_learner(spec: ExperimentSpec, G: float, lam: float):
-    if spec.algo == ALGO_OFW_LS:
-        return ofw_init(spec.domain, spec.horizon, G), ofw_update
-    if spec.algo == ALGO_SC_OFW:
-        return scofw_init(spec.domain, lam), scofw_update
-    if spec.algo == ALGO_OFW_DECAY:
-        return ofw_decay_init(spec.domain, spec.horizon, G), ofw_decay_update
-    return ogd_init(spec.domain, G, lam), baseline_update
-
-
 def _allocated(what: str, make, *args):
     """``make(*args)``, which allocates buffers before any round is generated.
 
@@ -384,10 +408,11 @@ def _allocate_logs(T: int) -> np.ndarray:
     return _allocated(f"horizon {T} is too long to log", np.empty, (6, T))
 
 
-def _allocate_learner(spec: ExperimentSpec, G: float, lam: float):
-    """``_init_learner``, whose state holds the run's per-dimension buffers."""
-    dim = spec.domain.dim
-    return _allocated(f"set.dim {dim} is too large to allocate", _init_learner, spec, G, lam)
+def _init_learner(spec: ExperimentSpec, G: float, lam: float):
+    """The first state and the update of ``spec``'s learner; a state whose
+    per-dimension buffers numpy cannot allocate is a config error."""
+    dim, learner = spec.domain.dim, _ALGORITHMS[spec.algo].learner
+    return _allocated(f"set.dim {dim} is too large to allocate", learner, spec, G, lam)
 
 
 def _play(state, update, kind: str, lam: float, rows, loss_v, gap_v=None):
@@ -425,8 +450,8 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
     reveals the loss, the loss and gradient at the committed point are
     recorded, then the learner updates. When ``gap_check`` is on, the
     surrogate optimality gap of the committed point is measured for rounds
-    up to ``gap_cap``, for every learner but OGD and once the surrogate
-    has positive curvature: the gap of the surrogate the learner held when
+    up to ``gap_cap``, for a learner whose record has a surrogate (not OGD),
+    once it has positive curvature: the gap of the surrogate the learner held when
     it committed, measured by ``surrogate_gaps`` once a block of
     ``core.BLOCK_ROWS`` rounds, or the last measured round, has been
     played. Only that block's plays and gradients are kept. A failed
@@ -458,13 +483,12 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
             outside = np.flatnonzero(~inside)
             if outside.size:
                 raise ValueError(f"round {outside[0] + 1} has a target outside the set")
-    state, update = _allocate_learner(spec, cert.G, cert.lam)
+    state, update = _init_learner(spec, cert.G, cert.lam)
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)
     gapb_v.fill(np.nan)
     chunks = round_chunks(spec.loss, T, spec.domain) if rounds is None else [rounds]
-    # The Frank-Wolfe learners' states are their surrogates; OGD has none.
-    measured = min(spec.gap_cap, T) if spec.gap_check and spec.algo != ALGO_OGD else 0
+    measured = min(spec.gap_cap, T) if spec.gap_check and _ALGORITHMS[spec.algo].surrogate else 0
     comparator = PrefixComparator(spec.domain, kind, lam)
     start = 0
     for rows in chunks:
@@ -589,7 +613,7 @@ def sweep(spec: ExperimentSpec, horizons: Sequence[int]) -> SweepResult:
     _allocate_logs(hs[-1])
     cert = certificate(spec)  # its C, so its regret ceiling, holds at every horizon
     lam = cert.lam
-    learners = [_allocate_learner(s, cert.G, lam) for s in specs]
+    learners = [_init_learner(s, cert.G, lam) for s in specs]
     comparator = PrefixComparator(spec.domain, spec.loss.kind, lam)
     cum_losses = [0.0] * len(hs)
     result = SweepResult(spec=spec)

@@ -25,6 +25,7 @@ from .harness import (
     ALGO_OFW_LS,
     ALGO_SC_OFW,
     SCOPES,
+    _ALGORITHMS,
     ExperimentSpec,
     _init_learner,
     run_experiment,
@@ -263,10 +264,8 @@ def _check_contraction(algo: str, n_steps=100, seed=33) -> tuple[bool, str]:
     # One oracle step must shrink the surrogate gap by the per-step factor
     # max(1/2, 1 - alpha * ||grad F|| / (8 * curvature)).
     domain = L2Ball(10, 1.0)
-    if algo == ALGO_OFW_LS:
-        spec = LossSpec(kind=LINEAR, dim=10, seed=seed, G=1.0)
-    else:
-        spec = LossSpec(kind=QUADRATIC, dim=10, seed=seed, lam=1.0)
+    kind = QUADRATIC if _ALGORITHMS[algo].quadratic else LINEAR
+    spec = LossSpec(kind=kind, dim=10, seed=seed, G=1.0, lam=1.0)
     horizon = 256
     states, _ = _run_with_states(algo, domain, spec, horizon)
     rng = np.random.default_rng(seed + 1)
@@ -414,9 +413,9 @@ def _check_gap_schedule(spec: ExperimentSpec) -> tuple[bool, str]:
     if np.nanmin(trace.gap) < -FEAS_SLACK:
         i = int(np.nanargmin(trace.gap))
         return False, f"negative gap {float(trace.gap[i])!r} at t={i + 1}"
-    if spec.algo == ALGO_OFW_LS and trace.gap[0] > FEAS_SLACK:
+    # NaN compares false: round 1's gap with no curvature yet, an unmeasured or unbounded round.
+    if trace.gap[0] > FEAS_SLACK:
         return False, f"first-round gap {float(trace.gap[0])!r} should be 0"
-    # Comparisons with the NaN of an unmeasured or unbounded round are false.
     over = np.flatnonzero(trace.gap > trace.gap_bound + GAP_SLACK)
     if over.size:
         i = int(over[0])

@@ -221,6 +221,20 @@ INF_CONFIGS = {
         )
         for algo in ("ofw_ls", "ofw_decay", "sc_ofw", "ogd")
     },
+    # 2 T G D = 2 * 32 * 1e200 * 2e150 overflows; no ceiling refuses it for
+    # a baseline, whose losses would overflow in the run
+    **{
+        f"loss_scale_l2_{algo}": GOOD_CONFIG.replace("set.r = 1", "set.r = 1e150")
+        .replace("loss.G = 1", "loss.G = 1e200")
+        .replace("algo = ofw_ls", f"algo = {algo}")
+        for algo in ("ogd", "ofw_decay")
+    },
+    # lam D^2 / 2 is about 8e315, so 2 T G D = 2 T lam D^2 overflows
+    "loss_scale_lp_ogd": GOOD_CONFIG.replace("set.kind = l2_ball", "set.kind = lp_ball")
+    .replace("set.r = 1", "set.r = 2.5e89\nset.p = 1.5")
+    .replace("loss.kind = linear", "loss.kind = quadratic")
+    .replace("loss.G = 1", "loss.lambda = 6.7e136")
+    .replace("algo = ofw_ls", "algo = ogd"),
 }
 
 
@@ -466,12 +480,15 @@ _ALGO_LOSS_PAIRS = [
 ]
 # Log-uniform over 1e-3..1e6; repr writes a float that parses back to the drawn value.
 _POSITIVE = st.floats(-3.0, 6.0).map(lambda e: repr(10.0**e))
+# The same over 1e-150..1e150, where some products of the scales overflow.
+_EXTREME = st.floats(-150.0, 150.0).map(lambda e: repr(10.0**e))
 
 
 @st.composite
-def _valid_configs(draw):
+def _valid_configs(draw, scale=_POSITIVE):
     """Small configs that parse: every set kind and algo/loss pair, dim 1 to
-    20, T <= 64, p anywhere in [1 + 1e-6, 2]."""
+    20, T <= 64, p anywhere in [1 + 1e-6, 2]; ``set.r`` and the loss
+    constant drawn from ``scale``."""
     set_kind = draw(st.sampled_from(["l2_ball", "lp_ball", "l1_ball", "simplex"]))
     algo, loss_kind = draw(st.sampled_from(_ALGO_LOSS_PAIRS))
     T = draw(st.integers(1, 64))
@@ -479,12 +496,12 @@ def _valid_configs(draw):
     min_dim = 2 if set_kind == "simplex" else 1
     entries = {"set.kind": set_kind, "set.dim": draw(st.integers(min_dim, 20))}
     if set_kind != "simplex":
-        entries["set.r"] = draw(_POSITIVE)
+        entries["set.r"] = draw(scale)
     if set_kind == "lp_ball":
         ends = st.sampled_from([1.0 + 1e-6, 1.5, 2.0])
         entries["set.p"] = repr(draw(st.one_of(ends, st.floats(1.0 + 1e-6, 2.0))))
     entries["loss.kind"] = loss_kind
-    entries["loss.G" if loss_kind == "linear" else "loss.lambda"] = draw(_POSITIVE)
+    entries["loss.G" if loss_kind == "linear" else "loss.lambda"] = draw(scale)
     entries.update(algo=algo, T=T, seed=draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         entries.update(gap_check="true", gap_cap=draw(st.integers(1, T)))
@@ -523,3 +540,23 @@ def test_main_runs_valid_small_configs_without_internal_errors(
         text = (folder / "out.csv").read_text(encoding="utf-8") if to_file else out.getvalue()
         for row in list(csv.reader(io.StringIO(text)))[1:]:
             assert all(c == "" or "%.17g" % float(c) == c for c in row), row
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_valid_configs(scale=_EXTREME), command=st.sampled_from(["run", "sweep", "bounds"]))
+def test_main_exits_zero_or_two_on_valid_configs_at_extreme_scales(
+    tmp_path_factory, case, command
+):
+    # Every algorithm and set at scales over 1e-150..1e150: a config whose
+    # losses or ceilings a float cannot hold is refused with one line
+    # (exit 2), and none fails inside a run (exit 1).
+    text, horizons = case
+    config = tmp_path_factory.mktemp("extreme") / "extreme.cfg"
+    config.write_text(text, encoding="utf-8")
+    argv = [command, str(config)] + (["--horizons", horizons] if command == "sweep" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error") and err.getvalue().count("\n") == 1

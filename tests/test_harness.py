@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 
+import _certificate_reference
 import _comparator_reference as reference
 import _config_reference
 import _gap_reference
@@ -390,6 +392,54 @@ def test_trace_bounds_equal_scalar_bounds_bit_for_bit(domain, loss, algo):
             gap_off.append(t)
     assert regret_off == [] and gap_off == []
     assert trace.final_bound == cert.regret_at(T)
+
+
+def _same_bits(a, b) -> bool:
+    """``a`` and ``b`` are both None, or the same float or array bit for bit."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_TABLE_CASES = [
+    (algo, kind)
+    for algo in ALGORITHMS
+    for kind in (LINEAR, QUADRATIC)
+    if not (algo == ALGO_SC_OFW and kind == LINEAR)
+]
+
+
+@pytest.mark.parametrize("algo, kind", _TABLE_CASES)
+def test_the_algorithm_table_gives_what_the_frozen_branches_gave(algo, kind):
+    # Each _ALGORITHMS record against the hand-written branches it
+    # replaced: every Certificate field bit for bit, and equal first
+    # states with the same update, on every set, at several horizons and
+    # at set and loss scales over 1e-3..1e6.
+    assert ALGORITHMS == tuple(ofwkit.harness._ALGORITHMS)
+    scales = (1e-3, 0.37, 1.0, 1e6)
+    makers = [
+        lambda r: L2Ball(6, r),
+        lambda r: LpBall(6, r, 1.5),
+        lambda r: L1Ball(6, r),
+        lambda r: Simplex(6),
+    ]
+    rounds = np.array([1.0, 2.0, 3.0, 17.0, 4096.0])
+    for make, r, c, T in itertools.product(makers, scales, scales, (1, 2, 37, 4096)):
+        loss = LossSpec(kind=kind, dim=6, seed=3, G=c, lam=c)
+        spec = ExperimentSpec(domain=make(r), loss=loss, algo=algo, horizon=T)
+        new, old = certificate(spec), _certificate_reference.certificate(spec)
+        for name in ("G", "lam", "diameter", "alpha", "eta", "C"):
+            assert _same_bits(getattr(new, name), getattr(old, name)), (spec, name)
+        assert _same_bits(new.regret(rounds), old.regret(rounds)), spec
+        for t in (0, 1, 2, 3, T):
+            assert _same_bits(new.gap(t), old.gap(t)), (spec, t)
+        state, update = ofwkit.harness._init_learner(spec, new.G, new.lam)
+        ref_state, ref_update = _certificate_reference._init_learner(spec, old.G, old.lam)
+        assert update is ref_update and type(state) is type(ref_state)
+        for name, value in zip(state._fields, state):
+            ref = getattr(ref_state, name)
+            assert value is ref or _same_bits(value, ref), (spec, name)
 
 
 # -- run_experiment ----------------------------------------------------------
