@@ -47,6 +47,7 @@ __all__ = [
 BLOCK_ROWS = 64
 
 _FLOAT64 = np.dtype(np.float64)
+_TINY = float(np.finfo(np.float64).tiny)  # the least normal double
 
 
 def as_int(n, name: str, low: int | None = None) -> int:
@@ -72,8 +73,7 @@ def as_vector_and_norm(x, dim: int | None = None) -> tuple[np.ndarray, float]:
     """``as_vector(x, dim)`` and its ``l2_norm``, from the one dot product
     that the check computes."""
     v, sq = _checked_vector(x, dim)
-    n = math.sqrt(sq)
-    return v, (n if n != math.inf else _rescaled_l2_norm(v))
+    return v, (math.sqrt(sq) if _TINY <= sq < math.inf else _rescaled_l2_norm(v))
 
 
 def _checked_vector(x, dim):
@@ -155,21 +155,23 @@ def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm, finite for every finite vector.
 
     Equal to ``np.linalg.norm(v)``, which is ``sqrt(v . v)`` too, without
-    its dispatch. The squares overflow once ``||v||`` passes about 1e154;
-    only then is the norm recomputed on ``v / max|v|``, so the common case
-    pays one extra comparison.
+    its dispatch. The squares overflow once ``||v||`` passes about 1e154,
+    and fall below the normal range under about 1e-154; only then is the
+    norm recomputed on ``v / max|v|``, so the common case pays two extra
+    comparisons.
     """
     v = _as_real(v)
     if v.ndim != 1:
         v = v.ravel()
-    n = math.sqrt(_sum_of_squares(v))
-    return n if n != math.inf else _rescaled_l2_norm(v)
+    sq = _sum_of_squares(v)
+    return math.sqrt(sq) if _TINY <= sq < math.inf else _rescaled_l2_norm(v)
 
 
 def _rescaled_l2_norm(v: np.ndarray) -> float:
-    """``l2_norm`` of a finite vector whose squares overflow, from ``v / max|v|``."""
+    """``l2_norm`` of a finite vector whose sum of squares overflows or is
+    not a normal double, from ``v / max|v|``."""
     m = float(np.abs(v).max())
-    return m * math.sqrt(_sum_of_squares(v / m))
+    return m * math.sqrt(_sum_of_squares(v / m)) if m else 0.0
 
 
 def row_l2_norms(rows: np.ndarray) -> np.ndarray:
@@ -178,15 +180,17 @@ def row_l2_norms(rows: np.ndarray) -> np.ndarray:
     The squares are summed for all rows at once. Where numpy reports their
     overflow as an error (``errstate(all="raise")``, or warnings as errors)
     each row is summed on its own, as ``l2_norm`` would, and rows whose
-    squares overflow are recomputed by ``l2_norm``.
+    sum of squares overflows or is not normal are recomputed by ``l2_norm``.
     """
     try:
         sq = row_dots(rows, rows)
     except (FloatingPointError, RuntimeWarning):
         sq = np.array([_sum_of_squares(v) for v in rows])
     norms = np.sqrt(sq)
-    for i in np.flatnonzero(norms == math.inf):
-        norms[i] = l2_norm(rows[i])
+    redo = np.flatnonzero((sq < _TINY) | (norms == math.inf))
+    if redo.size:  # a zero row's norm is its sqrt(0.0) already
+        for i in redo[rows[redo].any(axis=1)]:
+            norms[i] = l2_norm(rows[i])
     return norms
 
 

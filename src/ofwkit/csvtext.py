@@ -1,11 +1,11 @@
 """CSV text of float cells: ``'%.17g' % v`` byte for byte, NaN as an empty cell.
 
 ``csv_pieces`` writes every CSV table, a run's and a sweep's alike, with
-a ``CellFormatter``: it writes that text for a block of rows with numpy,
+``_format_block``: it writes that text for a block of rows with numpy,
 not one cell at a time. For a finite v with 1e-4 <= |v| < 1e17, '%.17g' is
 fixed notation: the 17 digits of N = round-half-even(|v| * 10**(16 - k)),
 k = floor(log10|v|), with the point after digit k, trailing fraction
-zeros and a bare point dropped. k is exact (see ``CellFormatter._scale``)
+zeros and a bare point dropped. k is exact (see ``_format_block``)
 and so is N: Dekker's TwoProduct gives hi + lo == |v| * 10**s (s = 16 -
 k <= 20, where 10**s is a double); hi >= 1e16 > 2**53 is an even integer,
 so hi + rint(lo) rounds half to even. Zeros, inf and |v| outside the
@@ -33,13 +33,13 @@ other reuse it.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import BLOCK_ROWS
 
-__all__ = ["CellFormatter", "csv_pieces"]
+__all__ = ["csv_pieces"]
 
 KERNEL_ROWS = 8 * BLOCK_ROWS
 _CELL_BYTES = 40
@@ -51,22 +51,12 @@ _MASK_TEXT = _MASK_NONE + 1  # and of a cell formatted one at a time
 _OR_ALONE = 21 * 8  # the OR rows of both, for column 0 and the others
 
 
-class _Tables(NamedTuple):
-    """The formatter's lookup tables, from ``_kernel_tables``."""
-
-    pow10: np.ndarray  # 10**s for s = 0..20, exact doubles
-    pow10_hi: np.ndarray  # and their Veltkamp halves
-    pow10_lo: np.ndarray
-    digits: np.ndarray  # the ASCII words of 0000..9999
-    group_tz: np.ndarray  # the trailing zeros of each (4 for 0000)
-    mask: np.ndarray  # cell mask rows
-    orb: np.ndarray  # cell OR rows
-
-
 @functools.cache
-def _kernel_tables() -> _Tables:
-    """The formatter's tables, built on first use from Python numbers and
-    bytes."""
+def _kernel_tables() -> tuple:
+    """The kernel's tables, built on first use from Python numbers and
+    bytes: 10**s for s = 0..20, exact doubles, and their Veltkamp halves;
+    the ASCII words of 0000..9999 and the trailing zeros of each (4 for
+    0000); the cell mask rows and the cell OR rows."""
     pow10 = [float(10**s) for s in range(21)]  # exact
     halves = [_veltkamp(p) for p in pow10]
 
@@ -108,7 +98,7 @@ def _kernel_tables() -> _Tables:
     mask, orb = b"".join(masks), b"".join(ors)
 
     as_array = lambda data, dtype: np.frombuffer(bytes(data), dtype)
-    return _Tables(
+    return (
         np.array(pow10),
         np.array([hi for hi, _ in halves]),
         np.array([lo for _, lo in halves]),
@@ -126,189 +116,103 @@ def _veltkamp(x):
     return hi, x - hi
 
 
-class CellFormatter:
-    """Formats blocks of up to ``rows`` rows of ``cols`` floats as CSV text,
-    in one workspace that every block reuses."""
+def _format_block(values: np.ndarray) -> list[str]:
+    """The text of a (rows, cols) block of floats, one piece per
+    ``BLOCK_ROWS`` rows, each row ending in a newline."""
+    pow10, pow10_hi, pow10_lo, digits, group_tz, mask, orb = _kernel_tables()
+    cols = values.shape[1]
+    v = values.ravel()
 
-    def __init__(self, rows: int, cols: int):
-        n = rows * cols
-        self.cols = cols
-        self.values = np.empty((rows, cols))
-        self._cells = np.empty((n, _CELL_BYTES // 4), np.uint32)
-        piece = min(rows, BLOCK_ROWS) * cols
-        self._rows = np.empty((piece, _CELL_BYTES // 4), np.uint32)  # one piece's table rows
-        self._keep = np.empty(piece * _CELL_BYTES, bool)
-        self._f = np.empty((6, n))
-        self._flags = np.empty((3, n), bool)
-        self._word = np.empty(n, np.uint32)
-        self._tables = _kernel_tables()
+    # s = 16 - k, and hi + rint(lo) == N exactly, for every cell formatted
+    # here (kern); 1.0 stands in for the others. k + 5 counts the
+    # ``_POW10`` entries <= |v|. N < 10**17, as no double lies within
+    # 5e-18 (relative) below 10**(k + 1).
+    a = np.abs(v)
+    kern = (a < 1e17) & (a >= 1e-4)
+    a[~kern] = 1.0
+    s = 21.0 - np.searchsorted(_POW10, a, side="right")
+    index = s.astype(np.int64)
+    # hi + lo == a * 10**s exactly: Dekker's TwoProduct.
+    hi = a * pow10.take(index, mode="clip")
+    a_hi, a_lo = _veltkamp(a)
+    p_hi, p_lo = pow10_hi.take(index, mode="clip"), pow10_lo.take(index, mode="clip")
+    lo = a_hi * p_hi - hi + a_hi * p_lo + a_lo * p_hi + a_lo * p_lo
+    del a, a_hi, a_lo, p_hi, p_lo, index
 
-    def pieces(self, m: int) -> list[str]:
-        """The text of ``values[:m]``, m >= 1, one piece per ``BLOCK_ROWS``
-        rows, each row ending in a newline."""
-        v = self.values[:m].ravel()
-        self._scale(v)
-        self._write_digits(v.size)
-        mask_at, or_at = self._table_rows(v, m)
-        return self._cut(v.size, mask_at, or_at)
+    # N = x8 * 1e8 + l8 in doubles, exactly: x8 * 1e8 has at most 49
+    # significant bits and hi - x8 * 1e8 is exact (Sterbenz). The floor of
+    # the rounded quotient, or rint(lo) < 0, can leave l8 one 1e8 short; it
+    # never reaches 1e8, as hi is the double nearest hi + lo and
+    # (x8 + 1) * 1e8 is a double.
+    x8 = np.floor(hi / 1e8)
+    l8 = hi - x8 * 1e8 + np.rint(lo)
+    del hi, lo
+    borrow = l8 < 0.0
+    x8 -= borrow
+    l8 += borrow * 1e8
+    # N is d0 g1 g2 g3 g4: d0 from x8, the groups from x8's and l8's last
+    # 8 digits, 4 at a time. Every quotient here is exact.
+    d0 = np.floor(x8 / 1e8)
+    x8 -= d0 * 1e8
+    g1 = np.floor(x8 / 1e4)
+    g3 = np.floor(l8 / 1e4)
+    groups = [d0, g1, x8 - g1 * 1e4, g3, l8 - g3 * 1e4]
+    del x8, l8, d0, g1, g3
+    # Each cell holds N's digit words twice: as its integer part and as
+    # its fraction. tz counts N's trailing zeros from group 1 on.
+    words = []
+    for j, group in enumerate(groups):
+        at = group.astype(np.int64)
+        words.append(digits.take(at, mode="clip"))
+        if j == 1:
+            tz = group_tz.take(at, mode="clip")
+        elif j > 1:
+            tz = tz * (group == 0.0) + group_tz.take(at, mode="clip")
+    del groups, at
+    cells = np.stack(words + words, axis=1)
+    del words
 
-    def _scale(self, v):
-        """Leave in the workspace s = 16 - k, and hi + r == N exactly for
-        every cell formatted here (kern); 1.0 stands in for the others.
-        k + 5 counts the ``_POW10`` entries <= |v|. N < 10**17, as no double
-        lies within 5e-18 (relative) below 10**(k + 1)."""
-        n = v.size
-        a, hi, lo, r, s = self._f[:5, :n]
-        index = self._f[5, :n].view(np.int64)
-        kern, other = self._flags[:2, :n]
-        np.abs(v, out=a)
-        np.less(a, 1e17, out=kern)
-        np.greater_equal(a, 1e-4, out=other)
-        kern &= other
-        np.logical_not(kern, out=other)
-        np.copyto(a, 1.0, where=other)
-        np.subtract(21.0, np.searchsorted(_POW10, a, side="right"), out=s)
-        index[...] = s
-        # hi + lo == a * 10**s exactly: Dekker's TwoProduct, r and a scratch.
-        np.multiply(a, self._tables.pow10.take(index, mode="clip"), out=hi)
-        np.multiply(a, _SPLITTER, out=r)
-        np.subtract(r, a, out=lo)
-        np.subtract(r, lo, out=r)  # a's high half
-        np.subtract(a, r, out=a)  # a's low half
-        p_hi = self._tables.pow10_hi.take(index, mode="clip")
-        p_lo = self._tables.pow10_lo.take(index, mode="clip")
-        np.multiply(r, p_hi, out=lo)
-        lo -= hi
-        r *= p_lo
-        lo += r
-        np.multiply(a, p_hi, out=r)
-        lo += r
-        a *= p_lo
-        lo += a
-        np.rint(lo, out=r)
+    # The mask row s * 17 + tz and the OR row ((s * 2 + point) * 2 + neg)
+    # * 2 + col0 of each cell, a point being written when a fraction digit
+    # is left; cells not formatted here get the empty rows, or the text
+    # rows with their text written into words 1-6.
+    mask_row = s * 17.0 + tz
+    or_row = ((s * 2.0 + (tz < s)) * 2.0 + (v < 0.0)) * 2.0
+    del s, tz
+    other = ~kern
+    mask_row[other] = _MASK_NONE
+    or_row[other] = _OR_ALONE
+    or_row.reshape(-1, cols)[:, 0] += 1.0  # column 0
+    alone = np.flatnonzero(other & (v == v))
+    if alone.size:
+        padded = "".join(["%-24.17g" % c for c in v[alone].tolist()]).encode()
+        cells[alone, 1:7] = np.frombuffer(padded.replace(b" ", b"\0"), np.uint32).reshape(-1, 6)
+        mask_row[alone] = _MASK_TEXT
+    mask_at, or_at = mask_row.astype(np.int64), or_row.astype(np.int64)
+    del mask_row, or_row
 
-    def _write_digits(self, n):
-        """Write N's digit words into both copies of each cell; leave N's
-        trailing zeros in tz."""
-        x8, g, l8, tz = self._f[:4, :n]
-        hi, r = self._f[1, :n], self._f[3, :n]  # read before g and tz are written
-        index = self._f[5, :n].view(np.int64)
-        other = self._flags[1, :n]
-        cells, word = self._cells[:n], self._word[:n]
-        digits, group_tz = self._tables.digits, self._tables.group_tz
-
-        # N = x8 * 1e8 + l8 in doubles, exactly: x8 * 1e8 has at most 49
-        # significant bits and hi - x8 * 1e8 is exact (Sterbenz). The floor
-        # of the rounded quotient, or r < 0, can leave l8 one 1e8 short; it
-        # never reaches 1e8, as hi is the double nearest hi + lo and
-        # (x8 + 1) * 1e8 is a double.
-        np.divide(hi, 1e8, out=x8)
-        np.floor(x8, out=x8)
-        np.multiply(x8, 1e8, out=l8)
-        np.subtract(hi, l8, out=l8)
-        l8 += r
-        np.less(l8, 0.0, out=other)
-        np.subtract(x8, 1.0, out=x8, where=other)
-        np.add(l8, 1e8, out=l8, where=other)
-
-        def put(j, group, scratch=None):
-            """Word j of each copy from ``group``; tz counts from group 1 on."""
-            index[...] = group
-            np.take(digits, index, out=word, mode="clip")
-            cells[:, j] = word
-            cells[:, j + 5] = word
-            if j == 1:
-                np.take(group_tz, index, out=tz, mode="clip")
-            elif j > 1:
-                np.equal(group, 0.0, out=other)
-                np.multiply(tz, other, out=tz)
-                np.take(group_tz, index, out=scratch, mode="clip")
-                np.add(tz, scratch, out=tz)
-
-        # N is d0 g1 g2 g3 g4: d0 from x8, the groups from x8's and l8's
-        # last 8 digits, 4 at a time. Every quotient here is exact.
-        np.divide(x8, 1e8, out=g)
-        np.floor(g, out=g)
-        put(0, g)
-        np.multiply(g, 1e8, out=g)
-        x8 -= g
-        np.divide(x8, 1e4, out=g)
-        np.floor(g, out=g)
-        put(1, g)
-        np.multiply(g, 1e4, out=g)
-        x8 -= g
-        put(2, x8, scratch=g)
-        np.divide(l8, 1e4, out=g)
-        np.floor(g, out=g)
-        put(3, g, scratch=x8)
-        np.multiply(g, 1e4, out=g)
-        l8 -= g
-        put(4, l8, scratch=g)
-
-    def _table_rows(self, v, m):
-        """The mask row s * 17 + tz and the OR row ((s * 2 + point) * 2 +
-        neg) * 2 + col0 of each cell, a point being written when a fraction
-        digit is left; cells not formatted here get the empty rows, or the
-        text rows with their text written into words 1-6."""
-        n = v.size
-        mask_row, or_row, _, tz, s = self._f[:5, :n]
-        kern, other, neg = self._flags[:, :n]
-        np.multiply(s, 17.0, out=mask_row)
-        mask_row += tz
-        np.less(tz, s, out=other)
-        np.multiply(s, 2.0, out=or_row)
-        or_row += other
-        or_row *= 2.0
-        np.less(v, 0.0, out=neg)
-        or_row += neg
-        or_row *= 2.0
-        np.logical_not(kern, out=other)
-        np.copyto(mask_row, _MASK_NONE, where=other)
-        np.copyto(or_row, _OR_ALONE, where=other)
-        or_row.reshape(m, self.cols)[:, 0] += 1.0  # column 0
-        np.equal(v, v, out=neg)
-        other &= neg
-        alone = np.flatnonzero(other)
-        if alone.size:
-            padded = "".join(["%-24.17g" % c for c in v[alone].tolist()]).encode()
-            words = np.frombuffer(padded.replace(b" ", b"\0"), np.uint32)
-            self._cells[alone, 1:7] = words.reshape(-1, 6)
-            mask_row[alone] = _MASK_TEXT
-        mask_at, or_at = self._f[2, :n].view(np.int64), self._f[5, :n].view(np.int64)
-        mask_at[...], or_at[...] = mask_row, or_row
-        return mask_at, or_at
-
-    def _cut(self, n, mask_at, or_at):
-        """Cut each cell to its text, one piece of ``BLOCK_ROWS`` rows at a
-        time, and return the pieces' text."""
-        mask, orb = self._tables.mask, self._tables.orb
-        pieces = []
-        step = len(self._rows)
-        for start in range(0, n, step):
-            part = self._cells[start : min(start + step, n)]
-            rows = self._rows[: len(part)]
-            np.take(mask, mask_at[start : start + step], axis=0, out=rows, mode="clip")
-            part &= rows
-            np.take(orb, or_at[start : start + step], axis=0, out=rows, mode="clip")
-            part |= rows
-            data = part.view(np.uint8).ravel()
-            keep = self._keep[: data.size]
-            np.not_equal(data, 0, out=keep)
-            # A piece's text starts with the newline of its first row.
-            pieces.append(str(data[keep][1:].data, "ascii") + "\n")
-        return pieces
+    # Cut each cell to its text, one piece of ``BLOCK_ROWS`` rows at a time.
+    pieces = []
+    step = BLOCK_ROWS * cols
+    for start in range(0, v.size, step):
+        part = cells[start : start + step]
+        part &= mask.take(mask_at[start : start + step], axis=0, mode="clip")
+        part |= orb.take(or_at[start : start + step], axis=0, mode="clip")
+        data = part.view(np.uint8).ravel()
+        # A piece's text starts with the newline of its first row.
+        pieces.append(str(data[data != 0][1:].data, "ascii") + "\n")
+    return pieces
 
 
 def csv_pieces(header: str, columns: Sequence) -> Iterator[str]:
     """The CSV text of equal-length ``columns`` under ``header``: its line,
     then one piece per ``BLOCK_ROWS`` rows, formatted ``KERNEL_ROWS`` rows
-    at a time in one workspace. Round numbers below 1e17 read as '%d'."""
+    at a time. Round numbers below 1e17 read as '%d'."""
     yield header + "\n"
     m = len(columns[0])
-    formatter = CellFormatter(min(m, KERNEL_ROWS), len(columns))
+    block = np.empty((min(m, KERNEL_ROWS), len(columns)))
     for start in range(0, m, KERNEL_ROWS):
         stop = min(start + KERNEL_ROWS, m)
-        block = formatter.values[: stop - start]
         for j, column in enumerate(columns):
-            block[:, j] = column[start:stop]
-        yield from formatter.pieces(stop - start)
+            block[: stop - start, j] = column[start:stop]
+        yield from _format_block(block[: stop - start])

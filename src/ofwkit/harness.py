@@ -10,17 +10,18 @@ bound. The CSV layout is fixed; plotting and further analysis live outside.
 Each algorithm is one ``_ALGORITHMS`` record: its learner, surrogate weight,
 loss rule, gap rule and ceilings. The adversary is a stream of
 ``losses.round_chunks``, or one (T, dim) array given from outside, which
-``as_rounds`` checks once (quadratic targets must lie in the set); either is
-played with the spec's loss kind and certified lam. A run holds its logs and
-one chunk of rounds, never all T: it plays each chunk, one row per round, and
-scores it with an ``oracle.PrefixComparator`` before the next is drawn. A
-round computes only its gradient; the losses are logged ``core.BLOCK_ROWS``
-rounds at a time from the plays of a block, and the surrogate gaps are
-measured as often by ``oracle.surrogate_gaps``, from the plays and gradients
-of one block. The cumulative loss and regret are computed after the rounds,
-bit for bit as the per-round computation would. The CSV cells are ``'%.17g'``
-text, byte for byte, written by ``csvtext.csv_pieces`` for a run and a sweep
-alike. A sweep plays one learner per horizon in lockstep over one stream.
+``as_rounds`` checks once (quadratic targets must lie in the set, linear
+gradients must have norm at most G); either is played with the spec's loss
+kind and certified lam. A run holds its logs and one chunk of rounds, never
+all T: it plays each chunk, one row per round, and scores it with an
+``oracle.PrefixComparator`` before the next is drawn. A round computes only
+its gradient; the losses are logged ``core.BLOCK_ROWS`` rounds at a time
+from the plays of a block, and the surrogate gaps are measured as often by
+``oracle.surrogate_gaps``, from the plays and gradients of one block. The
+cumulative loss and regret are computed after the rounds, bit for bit as the
+per-round computation would. The CSV cells are ``'%.17g'`` text, byte for
+byte, written by ``csvtext.csv_pieces`` for a run and a sweep alike. A sweep
+plays one learner per horizon in lockstep over one stream.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_ROWS, as_int, prefix_sums
+from .core import BLOCK_ROWS, as_int, prefix_sums, row_l2_norms
 from .csvtext import csv_pieces
 from .learners import (
     baseline_update,
@@ -142,6 +143,10 @@ class ExperimentSpec:
         scale = 2.0 * self.horizon * cert.G * cert.diameter
         if not math.isfinite(scale):
             raise ValueError(f"derived constant 2*T*G*D = {scale!r} is not finite")
+        # The learners and the comparator square norms up to D's.
+        spread = self.horizon * cert.diameter * cert.diameter
+        if not math.isfinite(spread):
+            raise ValueError(f"derived constant T*D^2 = {spread!r} is not finite")
 
 
 # Each kind's class or loss field, and the keys it takes. A set's keys are
@@ -464,8 +469,10 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
     certified lam, are checked by ``as_rounds`` and held to shape (T, dim)
     before the learner moves; quadratic targets must also lie in the set
     up to a slack of 1e-6 * diameter, since the certified G = lam * D
-    assumes feasible ones. Each raises ``ValueError``. ``comparator_total``
-    and ``final_regret`` are the last cells of ``comparator_cum`` and ``regret``.
+    assumes feasible ones, and linear gradients must have norm at most G
+    up to a slack of 1e-6 * G. Each raises ``ValueError``, naming the
+    first such round. ``comparator_total`` and ``final_regret`` are the
+    last cells of ``comparator_cum`` and ``regret``.
 
     A horizon too long to log, or a ``set.dim`` too large to allocate,
     raises ``ConfigError`` before any round is generated.
@@ -477,12 +484,16 @@ def run_experiment(spec: ExperimentSpec, rounds=None) -> RegretTrace:
         rounds = as_rounds(rounds)
         if rounds.shape != (T, dim):
             raise ValueError(f"expected rounds of shape {(T, dim)}, got {rounds.shape}")
-        # The slack allows for rounded targets, such as a float32 copy's.
+        # The slack allows for rounded rows, such as a float32 copy's.
         if kind == QUADRATIC:
             inside = spec.domain.contains_rows(rounds, 1e-6 * spec.domain.diameter)
             outside = np.flatnonzero(~inside)
             if outside.size:
                 raise ValueError(f"round {outside[0] + 1} has a target outside the set")
+        else:
+            over = np.flatnonzero(row_l2_norms(rounds) > cert.G + 1e-6 * cert.G)
+            if over.size:
+                raise ValueError(f"round {over[0] + 1} has a gradient of norm above G = {cert.G!r}")
     state, update = _init_learner(spec, cert.G, cert.lam)
     loss_v, cum_v, comp_v, regret_v, gap_v, gapb_v = _allocate_logs(T)
     gap_v.fill(np.nan)

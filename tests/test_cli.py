@@ -235,6 +235,16 @@ INF_CONFIGS = {
     .replace("loss.kind = linear", "loss.kind = quadratic")
     .replace("loss.G = 1", "loss.lambda = 6.7e136")
     .replace("algo = ofw_ls", "algo = ogd"),
+    # 2 T G D fits, but T D^2 overflows: D^2 itself on the L1 ball, T D^2 on
+    # the L2 ball, where the runs square norms up to D's
+    "sq_diameter_l1_sc_ofw": (
+        "set.kind = l1_ball\nset.dim = 5\nset.r = 1e155\nloss.kind = quadratic\n"
+        "loss.lambda = 1e-150\nalgo = sc_ofw\nT = 16\nseed = 1\n"
+    ),
+    "sq_diameter_l2_sc_ofw": (
+        "set.kind = l2_ball\nset.dim = 5\nset.r = 1e153\nloss.kind = quadratic\n"
+        "loss.lambda = 1e-150\nalgo = sc_ofw\nT = 4096\nseed = 1\n"
+    ),
 }
 
 
@@ -482,13 +492,15 @@ _ALGO_LOSS_PAIRS = [
 _POSITIVE = st.floats(-3.0, 6.0).map(lambda e: repr(10.0**e))
 # The same over 1e-150..1e150, where some products of the scales overflow.
 _EXTREME = st.floats(-150.0, 150.0).map(lambda e: repr(10.0**e))
+# Radii over 1e-3..1e200, where the squared diameter can overflow.
+_HUGE_RADII = st.floats(-3.0, 200.0).map(lambda e: repr(10.0**e))
 
 
 @st.composite
-def _valid_configs(draw, scale=_POSITIVE):
+def _valid_configs(draw, scale=_POSITIVE, radius=None):
     """Small configs that parse: every set kind and algo/loss pair, dim 1 to
-    20, T <= 64, p anywhere in [1 + 1e-6, 2]; ``set.r`` and the loss
-    constant drawn from ``scale``."""
+    20, T <= 64, p anywhere in [1 + 1e-6, 2]; ``set.r`` drawn from
+    ``radius`` (by default ``scale``) and the loss constant from ``scale``."""
     set_kind = draw(st.sampled_from(["l2_ball", "lp_ball", "l1_ball", "simplex"]))
     algo, loss_kind = draw(st.sampled_from(_ALGO_LOSS_PAIRS))
     T = draw(st.integers(1, 64))
@@ -496,7 +508,7 @@ def _valid_configs(draw, scale=_POSITIVE):
     min_dim = 2 if set_kind == "simplex" else 1
     entries = {"set.kind": set_kind, "set.dim": draw(st.integers(min_dim, 20))}
     if set_kind != "simplex":
-        entries["set.r"] = draw(scale)
+        entries["set.r"] = draw(scale if radius is None else radius)
     if set_kind == "lp_ball":
         ends = st.sampled_from([1.0 + 1e-6, 1.5, 2.0])
         entries["set.p"] = repr(draw(st.one_of(ends, st.floats(1.0 + 1e-6, 2.0))))
@@ -560,3 +572,17 @@ def test_main_exits_zero_or_two_on_valid_configs_at_extreme_scales(
     assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("config error") and err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    case=_valid_configs(scale=_EXTREME, radius=_HUGE_RADII),
+    command=st.sampled_from(["run", "sweep", "bounds"]),
+)
+def test_main_exits_zero_or_two_on_valid_configs_with_radii_up_to_1e200(
+    tmp_path_factory, case, command
+):
+    # The extreme-scale check above, with radii whose squares a float cannot
+    # hold: such a config is refused (exit 2), never failed in a run (exit 1).
+    inner = test_main_exits_zero_or_two_on_valid_configs_at_extreme_scales.hypothesis.inner_test
+    inner(tmp_path_factory, case, command)

@@ -1,3 +1,4 @@
+import math
 import re
 from functools import partial
 
@@ -15,6 +16,7 @@ from ofwkit.core import (
     lp_norm,
     prefix_sums,
     row_dots,
+    row_l2_norms,
 )
 
 
@@ -142,6 +144,22 @@ def test_l2_norm_survives_overflow_of_squares():
         assert l2_norm(g) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
         assert lp_norm(g, 2) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert l2_norm(np.array([3.0, 4.0])) == 5.0
+
+
+def test_l2_norms_rescale_sums_of_squares_below_the_normal_range():
+    # Every square of 1e-162 underflows, so v . v alone reads 0.
+    v = np.full(4, 1e-162)
+    assert l2_norm(v) == as_vector_and_norm(v)[1] == 2e-162
+    assert row_l2_norms(v[None]).tolist() == [2e-162]
+    rng = np.random.default_rng(32)
+    tiny = rng.standard_normal((40, 7)) * 10.0 ** rng.uniform(-323.0, -150.0, (40, 1))
+    special = [np.zeros(7), np.eye(7)[0] * 5e-324, np.full(7, 1e-154), np.full(7, 1e-200)]
+    rows = np.vstack([tiny, special, rng.standard_normal((8, 7))])
+    for errstate in ("warn", "raise"):
+        with np.errstate(all=errstate):
+            norms = row_l2_norms(rows)
+            assert norms.tobytes() == np.array([l2_norm(r) for r in rows]).tobytes()
+    assert norms.tolist() == pytest.approx([math.hypot(*r) for r in rows.tolist()], rel=1e-14)
 
 
 def test_norms_refuse_complex_input_and_keep_the_bits_of_real_input():

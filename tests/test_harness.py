@@ -558,7 +558,7 @@ def test_injected_quadratic_targets_must_lie_in_the_set(domain, monkeypatch):
     # The certified G = lam * D holds for feasible targets only. A target 1%
     # beyond a vertex is refused before the learner moves, naming the first
     # such round; one within the rounding slack plays, and linear rounds are
-    # not held to the set.
+    # not held to the set (only to G).
     def no_update(*args):
         raise AssertionError("the learner moved before the rounds were checked")
 
@@ -573,8 +573,30 @@ def test_injected_quadratic_targets_must_lie_in_the_set(domain, monkeypatch):
     monkeypatch.undo()
     rows[[5, 6]] = (1.0 + 1e-8) * vertex
     assert np.isfinite(run_experiment(spec, rounds=rows).final_regret)
-    linear = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=10, seed=1, G=1.0), horizon=8)
+    linear = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=10, seed=1, G=200.0), horizon=8)
     assert np.isfinite(run_experiment(linear, rounds=100.0 * rows).final_regret)
+
+
+@pytest.mark.parametrize("algo", [ALGO_OFW_LS, ALGO_OFW_DECAY, ALGO_OGD])
+def test_injected_linear_gradients_must_have_norm_at_most_g(algo, monkeypatch):
+    # The certificate's G bounds every gradient. A row 1% above G is refused
+    # before the learner moves, naming the first such round; one within the
+    # rounding slack of 1e-6 * G plays.
+    def no_update(*args):
+        raise AssertionError("the learner moved before the rounds were checked")
+
+    G = 2.5
+    spec = _spec(loss=LossSpec(kind=LINEAR, dim=10, seed=1, G=G), algo=algo, horizon=8)
+    rows = np.random.default_rng(9).standard_normal((8, 10))
+    rows *= G / np.linalg.norm(rows, axis=1)[:, None]
+    rows[[4, 6]] *= 1.01
+    for name in ("ofw_update", "ofw_decay_update", "baseline_update"):
+        monkeypatch.setattr(ofwkit.harness, name, no_update)
+    with pytest.raises(ValueError, match=r"^round 5 has a gradient of norm above G = 2\.5$"):
+        run_experiment(spec, rounds=rows)
+    monkeypatch.undo()
+    rows[[4, 6]] *= (1.0 + 1e-8) / 1.01
+    assert np.isfinite(run_experiment(spec, rounds=rows).final_regret)
 
 
 @pytest.mark.parametrize("gap_check", [False, True])
@@ -759,10 +781,10 @@ def test_a_failed_gap_certificate_names_its_round(monkeypatch):
 @pytest.mark.parametrize("domain", _BLOCK_SETS, ids=lambda d: type(d).__name__)
 def test_block_comparator_resolves_ties_like_the_lmo(domain):
     # Gradients +g, -g, ... bring every even prefix sum back to exactly
-    # zero, so tie rows and ordinary rows share each block.
+    # zero, so tie rows and ordinary rows share each block. |g| is about 2.5.
     g = np.random.default_rng(4).standard_normal(6)
     rounds = as_rounds([g if t % 2 else -g for t in range(1, 301)])
-    spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=6, seed=1, G=1.0), horizon=300)
+    spec = _spec(domain=domain, loss=LossSpec(kind=LINEAR, dim=6, seed=1, G=3.0), horizon=300)
     trace = run_experiment(spec, rounds=rounds)
     comp = reference.prefix_comparators(domain, LINEAR, 0.0, rounds)
     assert trace.comparator_cum.tobytes() == comp.tobytes()
@@ -955,18 +977,15 @@ def _percent_17g_lines(block):
 
 
 def _format_in_blocks(values, cols=8, rows=8 * 64):
-    """Rows of ``cols`` of ``values`` (NaN-padded) and their text from one
-    formatter, ``rows`` rows at a time, with each call's pieces."""
+    """Rows of ``cols`` of ``values`` (NaN-padded) and their text from the
+    kernel, ``rows`` rows at a time, with each call's pieces."""
     values = np.concatenate([values, np.full(-len(values) % cols, np.nan)]).reshape(-1, cols)
-    formatter = ofwkit.csvtext.CellFormatter(min(len(values), rows), cols)
     pieces = []
     with warnings.catch_warnings():
         # main runs this way: a NaN-to-int cast must not happen.
         warnings.simplefilter("error", RuntimeWarning)
         for start in range(0, len(values), rows):
-            block = values[start : start + rows]
-            formatter.values[: len(block)] = block
-            pieces.append(formatter.pieces(len(block)))
+            pieces.append(ofwkit.csvtext._format_block(values[start : start + rows]))
     return values, pieces
 
 
@@ -1038,6 +1057,21 @@ def test_cell_formatter_yields_one_piece_per_block_of_rows(rows):
         counts = [piece.count("\n") for piece in block]
         assert all(piece.endswith("\n") for piece in block)
         assert counts[:-1] == [64] * (len(counts) - 1) and 1 <= counts[-1] <= 64
+
+
+def test_csv_pieces_generators_consumed_alternately_write_what_each_writes_alone():
+    # Each generator formats its own blocks: no buffer is shared between them.
+    rng = np.random.default_rng(7)
+    column = lambda: rng.normal(size=1300) * 10.0 ** rng.uniform(-6, 6, 1300)
+    tables = [[column() for _ in range(cols)] for cols in (3, 5)]
+    alone = ["".join(ofwkit.csvtext.csv_pieces("h", columns)) for columns in tables]
+    texts = ["", ""]
+    pieces = [ofwkit.csvtext.csv_pieces("h", columns) for columns in tables]
+    for pair in itertools.zip_longest(*pieces, fillvalue=""):
+        for i, piece in enumerate(pair):
+            texts[i] += piece
+    assert texts == alone
+    assert alone[0] == "h\n" + _percent_17g_lines(np.column_stack(tables[0]))
 
 
 _MATRIX_SETS = [L2Ball(12, 1.0), LpBall(12, 1.0, 1.5), L1Ball(12, 1.0), Simplex(12)]

@@ -148,6 +148,16 @@ def test_project_simplex_examples():
     np.testing.assert_array_equal(Simplex(3).project(np.array([1.0, -1e308, -1e308])), [1, 0, 0])
 
 
+def test_l2_ball_projects_points_whose_squares_underflow():
+    # sqrt(x . x) reads 0 here: a norm taken that way would return x
+    # unprojected, 2e8 radii outside the ball, and pass it as contained.
+    ball, x = L2Ball(4, 1e-170), np.full(4, 1e-162)
+    assert not ball.contains(x, tol=0.0)
+    p = ball.project(x)
+    assert l2_norm(p) == pytest.approx(1e-170, rel=1e-15)
+    assert ball.project_rows(x[None]).tobytes() == p.tobytes()
+
+
 def test_project_inside_is_identity():
     for dom in ALL_SETS:
         x = feasible_point(dom, 5)
